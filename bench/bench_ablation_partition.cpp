@@ -1,11 +1,10 @@
 /**
  * @file
- * Ablation A3: boundary/interior partitioning, invariant hoisting, and
- * tile-loop scheduling.  The guard-free interior path (DNF-split case
- * conditions, hoisted pm_base address arithmetic, `omp simd` on dense
- * inner loops) is compared against the unpartitioned/unhoisted build
- * (the POLYMAGE_NO_PARTITION ablation), and the two OpenMP tile
- * schedules are compared against each other.  Runs the seven paper
+ * Ablation A3: boundary/interior partitioning.  The guard-free
+ * interior path (DNF-split case conditions, `omp simd` on dense inner
+ * loops) is compared against the unpartitioned build (the
+ * POLYMAGE_NO_PARTITION ablation); invariant address hoisting stays on
+ * in both, so the gain is partitioning's alone.  Runs the seven paper
  * benchmarks plus a synthetic boundary-heavy stencil chain whose case
  * disjunction actually exercises the DNF splitter (the paper apps'
  * conditions all fold into bounds or strides).
@@ -86,12 +85,12 @@ main(int argc, char **argv)
     tj.key("schema").value("polymage-ablation-partition-v1");
     tj.key("scale").value(scale);
     tj.key("benchmarks").beginArray();
-    std::printf("==== Ablation: interior partitioning / hoisting / tile "
-                "schedule (scale %.2f) ====\n\n",
+    std::printf("==== Ablation: interior partitioning (scale %.2f) "
+                "====\n\n",
                 scale);
-    std::printf("%-18s | %12s %12s %12s | %-9s | %s\n", "Benchmark",
-                "no-part(ms)", "static (ms)", "dynamic(ms)",
-                "part gain", "interior fraction");
+    std::printf("%-18s | %12s %12s | %-9s | %s\n", "Benchmark",
+                "no-part(ms)", "part (ms)", "part gain",
+                "interior fraction");
 
     auto benches = paperBenchmarks(scale);
     benches.push_back(boundaryBench(scale));
@@ -101,7 +100,7 @@ main(int argc, char **argv)
         auto inputs = b.inputs();
 
         // Pin the fixed {32, 256} @ 0.4 baseline: this study isolates
-        // the partition/hoist/schedule axes, so the tile cost model
+        // the partition axis, so the tile cost model
         // must not move the tile-shape axis underneath it (and its
         // thin 8-row strips interact with partitioning -- a strip
         // whose halo spans most of its 8 rows leaves almost no
@@ -125,36 +124,24 @@ main(int argc, char **argv)
                 [&] { exe.runInto(b.params, inputs, outputs); }, 5);
         };
 
-        // The POLYMAGE_NO_PARTITION ablation: per-point guards stay,
-        // address arithmetic re-multiplied at every point.
+        // The POLYMAGE_NO_PARTITION ablation: per-point guards stay.
         CompileOptions no_part = b.tuned;
         no_part.codegen.partition = false;
-        no_part.codegen.hoistBases = false;
         const double t_none = measure(no_part, "no-partition");
+        const double t_part = measure(b.tuned, "partition", &interior);
 
-        CompileOptions stat = b.tuned;
-        stat.codegen.tileSchedule = cg::OmpSchedule::Static;
-        const double t_static = measure(stat, "partition-static");
-
-        CompileOptions dyn = b.tuned;
-        dyn.codegen.tileSchedule = cg::OmpSchedule::Dynamic;
-        const double t_dyn =
-            measure(dyn, "partition-dynamic", &interior);
-
-        const double t_part = std::min(t_static, t_dyn);
         if (t_part > t_none * 1.10) // 10% noise floor
             part_ok = false;
-        std::printf("%-18s | %12.2f %12.2f %12.2f | %8.2fx | %.2f\n",
-                    b.name.c_str(), t_none * 1e3, t_static * 1e3,
-                    t_dyn * 1e3, t_none / t_part, interior);
+        std::printf("%-18s | %12.2f %12.2f | %8.2fx | %.2f\n",
+                    b.name.c_str(), t_none * 1e3, t_part * 1e3,
+                    t_none / t_part, interior);
         std::fflush(stdout);
 
         tj.beginObject();
         tj.key("name").value(b.name);
         tj.key("size").value(b.sizeLabel);
         tj.key("no_partition_ms").value(t_none * 1e3);
-        tj.key("partition_static_ms").value(t_static * 1e3);
-        tj.key("partition_dynamic_ms").value(t_dyn * 1e3);
+        tj.key("partition_ms").value(t_part * 1e3);
         tj.key("partition_gain").value(t_none / t_part);
         tj.key("interior_fraction").value(interior);
         tj.endObject();
@@ -168,9 +155,9 @@ main(int argc, char **argv)
                     timings_path.c_str());
     }
 
-    std::printf("\n'part gain' = unpartitioned-unhoisted time over the "
-                "best partitioned schedule.\n'interior fraction' = "
-                "guard-free share of emitted loop nests.\n");
+    std::printf("\n'part gain' = unpartitioned time over the partitioned "
+                "time.\n'interior fraction' = guard-free share of "
+                "emitted loop nests.\n");
     if (!part_ok)
         std::printf("WARNING: partitioned codegen slower than the "
                     "ablation on at least one benchmark\n");

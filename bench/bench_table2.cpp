@@ -28,7 +28,7 @@ main(int argc, char **argv)
     std::printf("%-18s %6s %13s | %9s %9s %9s | %12s | %9s | %s\n",
                 "Benchmark", "Stages", "Image size", "PM 1c(ms)",
                 "PM 4c(ms)", "PM 16c(ms)", "vs H-tuned", "OpenCV(ms)",
-                "vec off/pragma/explicit(ms)");
+                "vec off/explicit(ms)");
 
     auto benches = paperBenchmarks(scale);
     for (auto &b : benches) {
@@ -45,34 +45,26 @@ main(int argc, char **argv)
             [&] { exe.runInto(b.params, inputs, outputs); });
 
         // Vectorisation ablation: the same tuned schedule built with
-        // the explicit emitter off / pragma-only / on.  The tuned
-        // default is Explicit, so its measured t1 is reused.
-        double vec_ms[3] = {0, 0, 0};
+        // vectorisation off.  The tuned default is Explicit, so its
+        // measured t1 is reused.
+        double off_ms = 0;
         {
-            const cg::VectorizeMode modes[2] = {
-                cg::VectorizeMode::Off, cg::VectorizeMode::Pragma};
-            for (int i = 0; i < 2; ++i) {
-                CompileOptions vopts = b.tuned;
-                vopts.codegen.vectorize = modes[i];
-                rt::Executable vexe =
-                    rt::Executable::build(b.spec, vopts);
-                auto vout = vexe.run(b.params, inputs);
-                vec_ms[i] =
-                    timeBestOf(
-                        [&] { vexe.runInto(b.params, inputs, vout); },
-                        2) *
-                    1e3;
-            }
-            vec_ms[2] = t1 * 1e3;
+            CompileOptions vopts = b.tuned;
+            vopts.codegen.vectorize = cg::VectorizeMode::Off;
+            rt::Executable vexe = rt::Executable::build(b.spec, vopts);
+            auto vout = vexe.run(b.params, inputs);
+            off_ms = timeBestOf(
+                         [&] { vexe.runInto(b.params, inputs, vout); },
+                         2) *
+                     1e3;
         }
         char vec_col[64];
-        std::snprintf(vec_col, sizeof vec_col, "%.2f/%.2f/%.2f",
-                      vec_ms[0], vec_ms[1], vec_ms[2]);
+        std::snprintf(vec_col, sizeof vec_col, "%.2f/%.2f", off_ms,
+                      t1 * 1e3);
         obs::JsonWriter vw;
         vw.beginObject();
-        vw.key("off_ms").value(vec_ms[0]);
-        vw.key("pragma_ms").value(vec_ms[1]);
-        vw.key("explicit_ms").value(vec_ms[2]);
+        vw.key("off_ms").value(off_ms);
+        vw.key("explicit_ms").value(t1 * 1e3);
         vw.endObject();
 
         rt::TaskProfile prof = exe.profile(b.params, inputs);

@@ -127,7 +127,7 @@ if [ -f "$vdoc" ]; then
             || err "$from does not cross-link $vdoc"
     done
     for field in isa narrowed_stages explicit_fraction vec_ablation \
-                 off_ms pragma_ms explicit_ms; do
+                 off_ms explicit_ms; do
         grep -q "\"$field\"" "$vdoc" \
             || err "field \"$field\" missing from $vdoc"
         grep -rq "\"$field\"" src/ bench/ \
@@ -191,6 +191,20 @@ if [ -f "$stdoc" ]; then
         grep -q "$api" "$stdoc" || err "API $api missing from $stdoc"
     done
 fi
+
+# ---------------------------------------------------------------- 9.
+# Compile-time env overrides: the driver's one table and the table in
+# docs/INTERNALS.md must name the same variables, and no other driver
+# code may read the environment.
+table=$(grep -o '{"POLYMAGE_[A-Z_]*"' src/driver/compiler.cpp \
+        | tr -d '{"' | sort -u)
+listed=$(grep -o '^| `POLYMAGE_[A-Z_]*` |' docs/INTERNALS.md \
+         | tr -d '|` ' | sort -u)
+[ -n "$table" ] || err "no env override table in src/driver/compiler.cpp"
+[ "$table" = "$listed" ] \
+    || err "env overrides in src/driver/compiler.cpp and docs/INTERNALS.md differ"
+[ "$(grep -c 'getenv' src/driver/compiler.cpp)" -eq 1 ] \
+    || err "src/driver/compiler.cpp reads the environment outside its table"
 
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED" >&2

@@ -119,6 +119,36 @@ struct CaseNest
     std::vector<std::string> guards;
 };
 
+/**
+ * Minimum estimated extent for a loop dimension to host the parallel
+ * pragma.  A short outermost dimension -- typically the 3-wide channel
+ * axis of an RGB pipeline -- must not cap the worker pool at 3
+ * threads, so the generator skips past any dimension estimated shorter
+ * than this and parallelises the first long one (the paper's baselines
+ * parallelise rows).
+ */
+constexpr std::int64_t kMinParallelExtent = 16;
+
+/** Index of the dimension of @p dims that hosts the parallel loop. */
+std::size_t
+parallelDim(const std::vector<LoopDim> &dims)
+{
+    std::size_t par_d = 0;
+    for (std::size_t d = 0; d < dims.size(); ++d) {
+        par_d = d;
+        if (dims[d].estExtent < 0 || dims[d].estExtent >= kMinParallelExtent)
+            break;
+    }
+    return par_d;
+}
+
+/**
+ * Worksharing clause of every parallel loop (tile loops and untiled
+ * per-stage loops): clamped boundary tiles and rows do less work than
+ * interior ones, so static chunking leaves threads idle at the edges.
+ */
+const std::string kSchedule = "schedule(dynamic)";
+
 /** Match `v % step == phase` (either operand order) on a loop var. */
 bool
 matchResidue(const dsl::Condition &cond,
@@ -220,9 +250,7 @@ class Generator
                       bool parallel_outer, bool task_outer, int phase,
                       const std::vector<std::string> &hoisted = {},
                       const std::vector<std::string> *vec_lines = nullptr,
-                      int vec_lanes = 0,
-                      const std::vector<std::string> *masked_lines =
-                          nullptr);
+                      int vec_lanes = 0);
 
     /** Apply one analysed box's bounds and residues to a nest. */
     void applyBox(const poly::CondBox &box, const pg::Stage &stage,
@@ -261,19 +289,10 @@ class Generator
      * itself; the caller then keeps the pragma path.
      */
     std::optional<VecResult>
-    tryVectorizeNest(int gi, int s, const dsl::Case &cs,
+    tryVectorizeNest(int s, const dsl::Case &cs,
                      const EmitEnv &env, const CaseNest &nest,
                      const std::string &target, bool parallel_outer,
                      bool task_outer);
-
-    /** The worksharing clause of every parallel loop. */
-    std::string
-    scheduleClause() const
-    {
-        return opts_.tileSchedule == OmpSchedule::Dynamic
-                   ? "schedule(dynamic)"
-                   : "schedule(static)";
-    }
 
     EmitEnv makeEnv(const std::map<int, std::string> &var_names, int gi);
 
@@ -371,7 +390,6 @@ class Generator
     /** Per-group explicit-vectorisation census of the primary entry. */
     std::map<int, GeneratedCode::GroupVectorInfo> groupVec_;
     int explicitNests_ = 0;
-    int maskedEpilogues_ = 0;
     /**
      * Shape-generic mode: compile-time tile sizes, one per runtime
      * tile parameter (max tiled-dim count over the tiled groups).
@@ -620,28 +638,19 @@ Generator::applyBox(const poly::CondBox &box, const pg::Stage &stage,
 }
 
 std::optional<VecResult>
-Generator::tryVectorizeNest(int gi, int s, const dsl::Case &cs,
+Generator::tryVectorizeNest(int s, const dsl::Case &cs,
                             const EmitEnv &env, const CaseNest &nest,
                             const std::string &target,
                             bool parallel_outer, bool task_outer)
 {
-    if (opts_.vectorize != VectorizeMode::Explicit || !vec_ ||
-        !nest.guards.empty() || nest.dims.empty() ||
+    if (!vec_ || !nest.guards.empty() || nest.dims.empty() ||
         nest.dims.back().step != 1)
         return std::nullopt;
     // The innermost loop cannot both host the parallel pragma (or the
     // instrumented task timer) and be split into main + tail.
-    if (parallel_outer || task_outer) {
-        std::size_t pd = 0;
-        for (std::size_t d = 0; d < nest.dims.size(); ++d) {
-            pd = d;
-            if (nest.dims[d].estExtent < 0 ||
-                nest.dims[d].estExtent >= opts_.minParallelExtent)
-                break;
-        }
-        if (pd + 1 == nest.dims.size())
-            return std::nullopt;
-    }
+    if ((parallel_outer || task_outer) &&
+        parallelDim(nest.dims) + 1 == nest.dims.size())
+        return std::nullopt;
 
     const pg::Stage &stage = g_.stage(s);
     const auto &vars = stage.loopVars();
@@ -747,7 +756,7 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
         // emitLoopNest right before the innermost loop opens.
         HoistSink sink;
         HoistSink *saved = hoist_;
-        if (opts_.hoistBases && !nest.dims.empty()) {
+        if (!nest.dims.empty()) {
             sink.innerVar = nest.dims.back().var;
             sink.counter = hoistTmp_;
             sink.cseCounter = cseTmp_;
@@ -763,12 +772,10 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
         // still active: vector loads route through the same pm_base
         // locals the scalar tail uses.
         const std::optional<VecResult> vres = tryVectorizeNest(
-            gi, s, cs, env, nest, target, parallel_outer, task_outer);
+            s, cs, env, nest, target, parallel_outer, task_outer);
         hoistTmp_ = std::max(hoistTmp_, sink.counter);
         cseTmp_ = std::max(cseTmp_, sink.cseCounter);
         hoist_ = saved;
-        const bool masked = opts_.maskedEpilogue && vres &&
-                            !vres->maskedLines.empty();
         if (!instr_ && !task_) {
             if (nest.guards.empty())
                 ++interiorNests_;
@@ -782,8 +789,6 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
                 if (vres) {
                     ++gv.vectorNests;
                     ++explicitNests_;
-                    if (masked)
-                        ++maskedEpilogues_;
                     if (vres->lanes > gv.lanes) {
                         gv.lanes = vres->lanes;
                         gv.elem = vres->elemTag;
@@ -799,8 +804,7 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
         emitLoopNest(nest.dims, nest.guards, body, parallel_outer,
                      task_outer, phase_, sink.lines,
                      vres ? &vres->lines : nullptr,
-                     vres ? vres->lanes : 0,
-                     masked ? &vres->maskedLines : nullptr);
+                     vres ? vres->lanes : 0);
         if (task_ && task_outer) {
             w_.line("return 0;");
             w_.close();
@@ -833,23 +837,12 @@ Generator::emitLoopNest(const std::vector<LoopDim> &dims,
                         bool parallel_outer, bool task_outer, int phase,
                         const std::vector<std::string> &hoisted,
                         const std::vector<std::string> *vec_lines,
-                        int vec_lanes,
-                        const std::vector<std::string> *masked_lines)
+                        int vec_lanes)
 {
-    // The parallel loop: the first dimension long enough to feed the
-    // worker pool (a 3-wide channel axis outermost must not cap the
-    // parallelism; the paper's baselines parallelise rows).
-    std::size_t par_d = 0;
-    for (std::size_t d = 0; d < dims.size(); ++d) {
-        par_d = d;
-        if (dims[d].estExtent < 0 ||
-            dims[d].estExtent >= opts_.minParallelExtent)
-            break;
-    }
+    const std::size_t par_d = parallelDim(dims);
 
     // Bound locals, then nested loops.
     int opened = 0;
-    const std::string sched = scheduleClause();
     std::size_t d0 = 0;
     if (task_ && task_outer && !dims.empty()) {
         // Task-ABI root: the dimensions up to and including the
@@ -955,29 +948,6 @@ Generator::emitLoopNest(const std::vector<LoopDim> &dims,
             for (const auto &l : *vec_lines)
                 w_.line(l);
             w_.close();
-            if (masked_lines != nullptr) {
-                // Masked epilogue: when a remainder exists and the row
-                // holds at least one full vector, back the final
-                // iteration up to end exactly at the bound and blend
-                // the store so the pm_vskip already-written leading
-                // lanes keep their values.  Rows shorter than one
-                // vector fall through to the scalar tail.  The guard
-                // condition lives in a named pm_tail local so source
-                // inspection (and the partition tests) can tell this
-                // single per-row branch apart from per-point guards.
-                const std::string back = ub + " - " + lanes1;
-                w_.line("const bool pm_tail = " + dims[d].var +
-                        " <= " + ub + " && " + back + " >= " + start +
-                        ";");
-                w_.open("if (pm_tail)");
-                w_.line("const int pm_vskip = " + dims[d].var + " - (" +
-                        back + ");");
-                w_.line(dims[d].var + " = " + back + ";");
-                for (const auto &l : *masked_lines)
-                    w_.line(l);
-                w_.line(dims[d].var + " = " + ub + " + 1;");
-                w_.close();
-            }
             w_.open("for (; " + dims[d].var + " <= " + ub + "; ++" +
                     dims[d].var + ")");
             opened += 2; // wrapper block + tail loop
@@ -992,12 +962,12 @@ Generator::emitLoopNest(const std::vector<LoopDim> &dims,
             d + 1 == dims.size() && vec_ && guards.empty();
         if (outer_par && inner_vec) {
             w_.line(ompForOnly_
-                        ? "#pragma omp for simd " + sched + " nowait"
-                        : "#pragma omp parallel for simd " + sched);
+                        ? "#pragma omp for simd " + kSchedule + " nowait"
+                        : "#pragma omp parallel for simd " + kSchedule);
         } else if (outer_par) {
             w_.line(ompForOnly_
-                        ? "#pragma omp for " + sched + " nowait"
-                        : "#pragma omp parallel for " + sched);
+                        ? "#pragma omp for " + kSchedule + " nowait"
+                        : "#pragma omp parallel for " + kSchedule);
         } else if (inner_vec) {
             // omp simd carries the no-loop-carried-dependence promise
             // the paper expresses with icc's ivdep.
@@ -1063,7 +1033,7 @@ Generator::emitUntiledStage(int gi, int s)
         for (const auto &v : vars)
             idx.push_back(var_names[v.id()]);
         emitCaseNests(gi, s, cs, env, idx, dims,
-                      /*parallel_outer=*/opts_.parallelize,
+                      /*parallel_outer=*/true,
                       /*task_outer=*/true);
         // Free the claimed loop-variable names for reuse elsewhere.
         for (const auto &[id, nm] : var_names) {
@@ -1134,7 +1104,7 @@ Generator::emitTiledGroup(int gi)
         grouping_.groups.size() &&
         storage_.groupScratchBytes.count(gi) &&
         storage_.groupScratchBytes.at(gi) > opts_.maxStackScratchBytes;
-    const bool par_tiles = opts_.parallelize && !instr_ && !task_;
+    const bool par_tiles = !instr_ && !task_;
 
     if (task_) {
         // Task count resolves before the heap arena (if any) is
@@ -1185,9 +1155,9 @@ Generator::emitTiledGroup(int gi)
                     ");");
         }
         if (par_tiles)
-            w_.line("#pragma omp for " + scheduleClause());
+            w_.line("#pragma omp for " + kSchedule);
     } else if (par_tiles) {
-        w_.line("#pragma omp parallel for " + scheduleClause());
+        w_.line("#pragma omp parallel for " + kSchedule);
     }
 
     // Tile loops.
@@ -1399,8 +1369,7 @@ Generator::emitAccumulator(int gi, int s)
         for (const auto &t : a.targetIndices())
             scan(t);
     }
-    const bool privatised =
-        opts_.parallelize && !instr_ && !task_ && !self_ref;
+    const bool privatised = !instr_ && !task_ && !self_ref;
 
     {
         std::map<int, std::string> var_names;
@@ -1796,8 +1765,7 @@ Generator::run()
           "pm_serial_acc", "pm_t0", "T0", "T1", "T2", "T3", "T4", "T5",
           "T6", "T7", "pm_tau0", "pm_tau1", "pm_tau2", "pm_tau3",
           "pm_tau4", "pm_tau5", "pm_tau6", "pm_tau7", "pm_phase",
-          "pm_lo", "pm_hi", "pm_t", "pm_te", "pm_tr", "pm_n",
-          "pm_vskip", "pm_vm", "pm_tail"}) {
+          "pm_lo", "pm_hi", "pm_t", "pm_te", "pm_tr", "pm_n"}) {
         used_.insert(n);
     }
     // Shape-generic mode: one runtime tile-size parameter per tiled
@@ -1848,8 +1816,6 @@ Generator::run()
         out.taskEntry = out.entry + "_pm_task";
     out.phaseGroup = phaseGroup_;
     out.heapArenaBytes = heapArenaBytes_;
-    out.tileSchedule =
-        opts_.tileSchedule == OmpSchedule::Dynamic ? "dynamic" : "static";
     out.partition = opts_.partition;
     out.interiorNests = interiorNests_;
     out.guardedNests = guardedNests_;
@@ -1862,7 +1828,6 @@ Generator::run()
         out.vectorBits = machine::machineInfo().vectorBits;
     }
     out.explicitNests = explicitNests_;
-    out.maskedEpilogues = maskedEpilogues_;
     for (const auto &[gi, gv] : groupVec_)
         out.groupVector.push_back(gv);
     if (ranges_ != nullptr)
@@ -1877,7 +1842,6 @@ vectorizeModeName(VectorizeMode m)
 {
     switch (m) {
     case VectorizeMode::Off: return "off";
-    case VectorizeMode::Pragma: return "pragma";
     case VectorizeMode::Explicit: return "explicit";
     }
     return "off";

@@ -20,28 +20,20 @@
 
 namespace polymage::cg {
 
-/** OpenMP worksharing schedule of the parallel loops. */
-enum class OmpSchedule
-{
-    Static,
-    Dynamic,
-};
-
 /**
- * How innermost loops are vectorised (docs/VECTORIZATION.md).
- * Env-overridable via POLYMAGE_VECTORIZE={off,pragma,explicit}.
+ * How innermost loops are vectorised (docs/VECTORIZATION.md): the
+ * paper's vec on/off axis.  Env-overridable via
+ * POLYMAGE_VECTORIZE={off,explicit}.
  */
 enum class VectorizeMode
 {
     /** Scalar code, autovectorisation suppressed in the JIT flags. */
     Off,
-    /** Scalar code with `omp simd` pragmas (the pre-explicit path). */
-    Pragma,
     /**
      * Emit typed fixed-width vector operations (pm_vec prelude over
      * compiler vector extensions) on guard-free interior nests, with a
      * scalar tail loop; nests the emitter cannot prove safe fall back
-     * to the Pragma path.  The default.
+     * to scalar code under an `omp simd` pragma.  The default.
      */
     Explicit,
 };
@@ -63,8 +55,6 @@ struct CodegenOptions
     bool storageOpt = true;
     /** Innermost-loop vectorisation strategy (see VectorizeMode). */
     VectorizeMode vectorize = VectorizeMode::Explicit;
-    /** Emit `omp parallel for` on the outermost loops. */
-    bool parallelize = true;
     /**
      * Also emit an instrumented entry `<name>_pm_instr` that runs
      * serially and records per-parallel-task times, for the multicore
@@ -92,36 +82,9 @@ struct CodegenOptions
      * a per-point `if`.  The interior stays one dense, guard-free,
      * vectorizable nest; boundaries become narrow strips.  Off keeps
      * the per-point guards (the ablation baseline; also forced by
-     * POLYMAGE_NO_PARTITION=1, which disables hoistBases too).
+     * POLYMAGE_NO_PARTITION=1).
      */
     bool partition = true;
-    /**
-     * Hoist loop-invariant address arithmetic out of the innermost
-     * loop: the row-major stride terms of every access that do not
-     * involve the innermost loop variable are bound once per row to a
-     * `pm_base*` local, so the steady-state loop indexes
-     * `buf[pm_baseK + y]` instead of re-multiplying full strides at
-     * every point.  Disabled together with partition by
-     * POLYMAGE_NO_PARTITION=1.
-     */
-    bool hoistBases = true;
-    /**
-     * Worksharing schedule of the parallel loops (tile loops and
-     * untiled per-stage loops).  Dynamic is the default: clamped
-     * boundary tiles and rows do measurably less work than interior
-     * ones, so static chunking leaves threads idle at the edges.
-     * Env-overridable via POLYMAGE_TILE_SCHEDULE={static,dynamic}.
-     */
-    OmpSchedule tileSchedule = OmpSchedule::Dynamic;
-    /**
-     * Minimum estimated extent for a loop dimension to host the
-     * parallel pragma.  A short outermost dimension -- typically the
-     * 3-wide channel axis of an RGB pipeline -- must not cap the
-     * worker pool at 3 threads, so the generator skips past any
-     * dimension estimated shorter than this and parallelises the
-     * first long one (the paper's baselines parallelise rows).
-     */
-    std::int64_t minParallelExtent = 16;
     /**
      * Shape-generic variant (docs/SHAPES.md): tile sizes become
      * runtime arguments instead of folded constants.  The entry reads
@@ -146,16 +109,6 @@ struct CodegenOptions
      * single-task phases.
      */
     bool taskABI = false;
-    /**
-     * Explicit-vectorisation epilogue (docs/VECTORIZATION.md): absorb
-     * the scalar tail into one masked, re-aligned final vector
-     * iteration whenever a row holds at least one full vector.  The
-     * final iteration is backed up to end exactly at the row bound and
-     * a lane mask keeps the already-written leading lanes, so no lane
-     * touches memory outside the row.  Off (or POLYMAGE_MASKED_EPILOGUE=0)
-     * keeps the scalar remainder loop.
-     */
-    bool maskedEpilogue = true;
 };
 
 /** The generated translation unit. */
@@ -217,14 +170,12 @@ struct GeneratedCode
     std::int64_t heapArenaBytes = 0;
     /**
      * Codegen-strategy observability (the `codegen` object of
-     * polymage-profile-v1 entries): the schedule clause emitted on
-     * parallel loops, whether partitioning/hoisting ran, and the
+     * polymage-profile-v1 entries): whether partitioning ran, and the
      * loop-nest census of the primary entry -- `interiorNests` counts
      * guard-free function-stage nests, `guardedNests` those that kept
      * a residual per-point `if`, and `partitionedCases` the cases
      * split into union-of-box strips.
      */
-    std::string tileSchedule;
     bool partition = true;
     int interiorNests = 0;
     int guardedNests = 0;
@@ -270,12 +221,10 @@ struct GeneratedCode
     std::string vectorIsa;
     /** SIMD register bits backing the lane choice. */
     int vectorBits = 0;
-    /** Mode actually used ("off", "pragma", "explicit"). */
+    /** Mode actually used ("off", "explicit"). */
     std::string vectorizeMode;
     /** Total nests emitted through the explicit vector path. */
     int explicitNests = 0;
-    /** Vector nests whose scalar tail folded into a masked epilogue. */
-    int maskedEpilogues = 0;
     /** Stages stored in a range-narrowed type, as "name:u16". */
     std::vector<std::string> narrowedStages;
     double explicitFraction() const

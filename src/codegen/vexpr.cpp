@@ -629,32 +629,6 @@ VecEmitter::run()
     const std::string uvt = types_.name(se, lanes_, true);
 
     VecResult res;
-    // Masked epilogue: identical body, but the store keeps the lanes
-    // below pm_vskip (function cases are pure and idempotent, so the
-    // overlapped re-compute is value-identical; the mask only avoids
-    // the redundant writes).  Built before the plain store is appended.
-    {
-        VElem me;
-        switch (se.size) {
-        case 1: me = VElem{"signed char", "i8", 1, false, true}; break;
-        case 2: me = VElem{"short", "i16", 2, false, true}; break;
-        case 4: me = VElem{"int", "i32", 4, false, true}; break;
-        default: me = VElem{"long long", "i64", 8, false, true}; break;
-        }
-        const std::string mvt = types_.name(me, lanes_);
-        std::string io = "((" + mvt + "){";
-        for (int i = 0; i < lanes_; ++i)
-            io += (i ? ", " : "") + std::to_string(i);
-        io += "})";
-        res.maskedLines = lines_;
-        res.maskedLines.push_back(
-            "const " + mvt + " pm_vm = " + io + " >= (" + mvt +
-            "{} + (" + std::string(me.cname) + ")pm_vskip);");
-        res.maskedLines.push_back("*(" + uvt + " *)&(" + req_.target +
-                                  ") = pm_vm ? " + sv + " : *(" + uvt +
-                                  " *)&(" + req_.target + ");");
-    }
-
     lines_.push_back("*(" + uvt + " *)&(" + req_.target + ") = " + sv +
                      ";");
     res.lines = std::move(lines_);

@@ -99,14 +99,6 @@ struct VecResult
     std::string elemTag;
     /** Lane count (the main loop advances by this). */
     int lanes = 0;
-    /**
-     * Masked-epilogue body: the same computation with the final store
-     * blended through a lane mask so the `pm_vskip` leading lanes --
-     * already written by the main loop before the iteration was backed
-     * up to end exactly at the row bound -- keep their values.  The
-     * generator declares `const int pm_vskip` in the enclosing scope.
-     */
-    std::vector<std::string> maskedLines;
 };
 
 /**

@@ -10,12 +10,11 @@ namespace polymage {
 
 namespace {
 
-/** True when an env var is set to anything but "" or "0". */
+/** True when a switch value is anything but "" or "0". */
 bool
-envFlag(const char *name)
+isSet(const std::string &v)
 {
-    const char *v = std::getenv(name);
-    return v != nullptr && v[0] != '\0' && std::string(v) != "0";
+    return !v.empty() && v != "0";
 }
 
 /** Parse "32,256"-style POLYMAGE_TILE_SIZES; nullopt when malformed. */
@@ -46,6 +45,86 @@ parseTileSizes(const std::string &spec)
     if (!flush())
         return std::nullopt;
     return out;
+}
+
+/**
+ * The caller's options after the environment overrides: ablation
+ * switches that benches and tests flip without a rebuild.  The tile
+ * overrides win over the tile cost model, so they are kept aside and
+ * applied after it; the other switches fold into the options or name
+ * a driver decision.
+ */
+struct Effective
+{
+    CompileOptions opts;
+    /** Off under POLYMAGE_NO_TILE_MODEL: the fixed-size behaviour. */
+    bool tileModel = true;
+    /** Off under POLYMAGE_NARROW=0: declared-type storage and lanes. */
+    bool narrow = true;
+    std::optional<std::vector<std::int64_t>> tileSizes;
+    std::optional<double> overlapThreshold;
+};
+
+/** One environment override: its variable and how a value applies.
+ * Malformed values are ignored. */
+struct EnvOverride
+{
+    const char *name;
+    void (*apply)(const std::string &value, Effective &e);
+};
+
+const EnvOverride kEnvOverrides[] = {
+    {"POLYMAGE_NO_TILE_MODEL",
+     [](const std::string &v, Effective &e) {
+         if (isSet(v))
+             e.tileModel = false;
+     }},
+    {"POLYMAGE_TILE_SIZES",
+     [](const std::string &v, Effective &e) {
+         e.tileSizes = parseTileSizes(v);
+     }},
+    {"POLYMAGE_OVERLAP_THRESH",
+     [](const std::string &v, Effective &e) {
+         char *end = nullptr;
+         const double f = std::strtod(v.c_str(), &end);
+         if (*end == '\0' && f > 0.0 && f <= 1.0)
+             e.overlapThreshold = f;
+     }},
+    {"POLYMAGE_NARROW",
+     [](const std::string &v, Effective &e) {
+         if (v == "0")
+             e.narrow = false;
+     }},
+    {"POLYMAGE_NO_REUSE",
+     [](const std::string &v, Effective &e) {
+         if (isSet(v))
+             e.opts.codegen.bufferReuse = false;
+     }},
+    {"POLYMAGE_NO_PARTITION",
+     [](const std::string &v, Effective &e) {
+         if (isSet(v))
+             e.opts.codegen.partition = false;
+     }},
+    {"POLYMAGE_VECTORIZE",
+     [](const std::string &v, Effective &e) {
+         if (v == "off")
+             e.opts.codegen.vectorize = cg::VectorizeMode::Off;
+         else if (v == "explicit")
+             e.opts.codegen.vectorize = cg::VectorizeMode::Explicit;
+     }},
+};
+
+/** Read every override once, before the first compile phase. */
+Effective
+applyEnvOverrides(const CompileOptions &opts)
+{
+    Effective e;
+    e.opts = opts;
+    for (const EnvOverride &o : kEnvOverrides) {
+        if (const char *v = std::getenv(o.name))
+            o.apply(v, e);
+    }
+    return e;
 }
 
 } // namespace
@@ -136,7 +215,8 @@ CompiledPipeline::report() const
 }
 
 CompiledPipeline
-compilePipeline(const dsl::PipelineSpec &spec, const CompileOptions &opts)
+compilePipeline(const dsl::PipelineSpec &spec,
+                const CompileOptions &opts_in)
 {
     // Trace every phase.  When the caller (e.g. Executable::build)
     // already installed a registry, report into it so the compile
@@ -148,6 +228,8 @@ compilePipeline(const dsl::PipelineSpec &spec, const CompileOptions &opts)
         reg = &local;
     obs::ScopedCurrent install(reg);
     const std::size_t span_base = reg->spans().size();
+    const Effective eff = applyEnvOverrides(opts_in);
+    const CompileOptions &opts = eff.opts;
 
     CompiledPipeline out{dsl::PipelineSpec(spec.name()), {}, {}, {},
                          {}, {}, {}, {}, {}, {}, {}, {}};
@@ -196,7 +278,7 @@ compilePipeline(const dsl::PipelineSpec &spec, const CompileOptions &opts)
         tm.overlapThreshold = gopts.overlapThreshold;
         if (!gopts.autoTile) {
             tm.reason = "auto tiling not requested";
-        } else if (envFlag("POLYMAGE_NO_TILE_MODEL")) {
+        } else if (!eff.tileModel) {
             // Ablation switch: exactly the historical fixed-size
             // behaviour, without a rebuild.
             tm.reason = "disabled (POLYMAGE_NO_TILE_MODEL)";
@@ -207,18 +289,11 @@ compilePipeline(const dsl::PipelineSpec &spec, const CompileOptions &opts)
                 gopts.overlapThreshold = tm.overlapThreshold;
             }
         }
-        // Explicit environment overrides win over the model (mirror of
-        // the POLYMAGE_TILE_SCHEDULE pattern below).
-        if (const char *ts = std::getenv("POLYMAGE_TILE_SIZES")) {
-            if (auto sizes = parseTileSizes(ts))
-                gopts.tileSizes = std::move(*sizes);
-        }
-        if (const char *th = std::getenv("POLYMAGE_OVERLAP_THRESH")) {
-            char *end = nullptr;
-            const double f = std::strtod(th, &end);
-            if (end != nullptr && *end == '\0' && f > 0.0 && f <= 1.0)
-                gopts.overlapThreshold = f;
-        }
+        // Explicit environment overrides win over the model.
+        if (eff.tileSizes)
+            gopts.tileSizes = *eff.tileSizes;
+        if (eff.overlapThreshold)
+            gopts.overlapThreshold = *eff.overlapThreshold;
         out.effectiveGrouping = std::move(gopts);
         out.tileModel = std::move(tm);
     }
@@ -227,75 +302,25 @@ compilePipeline(const dsl::PipelineSpec &spec, const CompileOptions &opts)
         out.grouping =
             core::groupStages(out.graph, out.effectiveGrouping);
     }
-    // Range-driven bitwidth narrowing is on by default; POLYMAGE_NARROW=0
-    // is the ablation switch (declared-type storage and compute lanes).
-    const char *narrow_env = std::getenv("POLYMAGE_NARROW");
-    const bool narrow =
-        !(narrow_env != nullptr && narrow_env[0] != '\0' &&
-          std::string(narrow_env) == "0");
     {
         obs::ScopedTrace phase(reg, "range_analysis");
         out.ranges = core::analyzeRanges(out.graph);
     }
     {
         obs::ScopedTrace phase(reg, "storage");
-        // POLYMAGE_NO_REUSE=1 forces the no-sharing ablation plan
-        // without a rebuild (benches compare peak footprints with it).
-        const char *no_reuse = std::getenv("POLYMAGE_NO_REUSE");
-        const bool reuse = opts.codegen.bufferReuse &&
-                           !(no_reuse != nullptr && no_reuse[0] != '\0' &&
-                             std::string(no_reuse) != "0");
         out.storage = core::planStorage(out.graph, out.grouping,
                                         out.effectiveGrouping,
                                         opts.codegen.tile &&
                                             opts.codegen.storageOpt,
-                                        reuse,
-                                        narrow ? &out.ranges : nullptr);
+                                        opts.codegen.bufferReuse,
+                                        eff.narrow ? &out.ranges : nullptr);
     }
     {
         obs::ScopedTrace phase(reg, "codegen");
-        // POLYMAGE_NO_PARTITION=1 forces the guarded-sweep ablation
-        // (no boundary/interior split, no invariant hoisting);
-        // POLYMAGE_TILE_SCHEDULE={static,dynamic} overrides the
-        // worksharing clause.  Both without a rebuild, for benches.
-        cg::CodegenOptions copts = opts.codegen;
-        const char *no_part = std::getenv("POLYMAGE_NO_PARTITION");
-        if (no_part != nullptr && no_part[0] != '\0' &&
-            std::string(no_part) != "0") {
-            copts.partition = false;
-            copts.hoistBases = false;
-        }
-        if (const char *sched = std::getenv("POLYMAGE_TILE_SCHEDULE")) {
-            if (std::string(sched) == "static")
-                copts.tileSchedule = cg::OmpSchedule::Static;
-            else if (std::string(sched) == "dynamic")
-                copts.tileSchedule = cg::OmpSchedule::Dynamic;
-        }
-        // POLYMAGE_VECTORIZE={off,pragma,explicit} overrides the
-        // innermost-loop strategy without a rebuild (the scalar vs
-        // pragma vs explicit ablation axis of bench_table2).
-        if (const char *vm = std::getenv("POLYMAGE_VECTORIZE")) {
-            const std::string v(vm);
-            if (v == "off")
-                copts.vectorize = cg::VectorizeMode::Off;
-            else if (v == "pragma")
-                copts.vectorize = cg::VectorizeMode::Pragma;
-            else if (v == "explicit")
-                copts.vectorize = cg::VectorizeMode::Explicit;
-        }
-        // POLYMAGE_MASKED_EPILOGUE=0 keeps the scalar remainder loop
-        // (the masked-tail ablation; the default folds the tail into
-        // one masked, re-aligned vector iteration).
-        const char *mep = std::getenv("POLYMAGE_MASKED_EPILOGUE");
-        if (mep != nullptr && mep[0] != '\0' && std::string(mep) == "0")
-            copts.maskedEpilogue = false;
-        // POLYMAGE_TASK_ABI=1 forces the task-granular entry on for
-        // builds that did not request it (dump/debug tooling).
-        if (envFlag("POLYMAGE_TASK_ABI"))
-            copts.taskABI = true;
         out.code = cg::generate(out.graph, out.grouping,
                                 out.effectiveGrouping, out.storage,
-                                copts, narrow ? &out.ranges : nullptr);
+                                opts.codegen,
+                                eff.narrow ? &out.ranges : nullptr);
     }
     // Keep only this compilation's spans (an outer registry may hold
     // earlier compilations).

@@ -134,11 +134,30 @@ publishToCache(const std::string &src, const std::string &dst)
         fs::remove(tmp, ec);
 }
 
+/**
+ * Load the OpenMP runtime into the global namespace, once per process,
+ * before the first generated object.  Host binaries that reference no
+ * `omp_*` symbol are linked without libgomp (the --as-needed link drops
+ * it), so it would otherwise arrive first as a dependency of a
+ * dlopen'ed pipeline, whose multi-threaded regions then crash.
+ */
+void
+loadOpenMPRuntime()
+{
+    static std::once_flag once;
+    std::call_once(once, [] {
+        if (dlopen("libgomp.so.1", RTLD_NOW | RTLD_GLOBAL) == nullptr)
+            warn(std::string("cannot preload libgomp: ") + dlerror());
+    });
+}
+
 } // namespace
 
 JitModule
 JitModule::compile(const std::string &source, const JitOptions &opts)
 {
+    if (opts.openmp)
+        loadOpenMPRuntime();
     std::ostringstream flags;
     // -fno-math-errno lets gcc vectorise transcendental calls (expf,
     // powf) under omp simd via libmvec, matching what icc does by

@@ -23,32 +23,6 @@ fnv1a(const std::string &data, std::uint64_t h = 14695981039346656037ULL)
 }
 
 /**
- * Serialize every knob of CompileOptions that shapes the generated
- * code.  New fields must be appended here, otherwise distinct variants
- * would alias one cache entry.
- */
-std::string
-optionsFingerprint(const CompileOptions &o)
-{
-    std::ostringstream os;
-    os << o.inlining.enable << ',' << o.inlining.maxBodyNodes << ';';
-    os << o.grouping.enable << ',';
-    for (std::int64_t t : o.grouping.tileSizes)
-        os << t << '/';
-    os << ',' << o.grouping.overlapThreshold << ','
-       << o.grouping.minSize << ',' << o.grouping.minTiledExtent << ','
-       << o.grouping.autoTile << ';';
-    const auto &c = o.codegen;
-    os << c.tile << ',' << c.storageOpt << ',' << int(c.vectorize) << ','
-       << c.parallelize << ',' << c.instrument << ','
-       << c.maxStackScratchBytes << ',' << c.bufferReuse << ','
-       << c.partition << ',' << c.hoistBases << ','
-       << int(c.tileSchedule) << ',' << c.minParallelExtent << ','
-       << c.shapeGeneric;
-    return os.str();
-}
-
-/**
  * Process-portable fingerprint of a specification's *interface*: the
  * pipeline name plus the names, dtypes, and ranks of its parameters,
  * inputs, and outputs.  Deliberately excludes parameter estimate
@@ -87,7 +61,7 @@ variantKey(const std::string &name, std::uint64_t gen,
     std::snprintf(hex, sizeof hex, "%llu%c%016llx%c%016llx",
                   (unsigned long long)gen, kKeySep,
                   (unsigned long long)specFingerprint(spec), kKeySep,
-                  (unsigned long long)fnv1a(optionsFingerprint(use)));
+                  (unsigned long long)optionsFingerprint(use));
     return name + kKeySep + hex;
 }
 
@@ -97,6 +71,25 @@ std::uint64_t
 specInterfaceFingerprint(const dsl::PipelineSpec &spec)
 {
     return specFingerprint(spec);
+}
+
+std::uint64_t
+optionsFingerprint(const CompileOptions &o)
+{
+    std::ostringstream os;
+    os << o.inlining.enable << ',' << o.inlining.maxBodyNodes << ';';
+    os << o.grouping.enable << ',';
+    for (std::int64_t t : o.grouping.tileSizes)
+        os << t << '/';
+    os << ',' << o.grouping.overlapThreshold << ','
+       << o.grouping.minSize << ',' << o.grouping.minTiledExtent << ','
+       << o.grouping.autoTile << ';';
+    const auto &c = o.codegen;
+    os << c.tile << ',' << c.storageOpt << ',' << int(c.vectorize) << ','
+       << c.instrument << ',' << c.maxStackScratchBytes << ','
+       << c.bufferReuse << ',' << c.partition << ',' << c.shapeGeneric
+       << ',' << c.taskABI;
+    return fnv1a(os.str());
 }
 
 PipelineRegistry::PipelineRegistry(RegistryOptions opts)

@@ -46,6 +46,14 @@ namespace polymage::serve {
  */
 std::uint64_t specInterfaceFingerprint(const dsl::PipelineSpec &spec);
 
+/**
+ * Hash of every CompileOptions field that shapes the generated code:
+ * the options component of the registry's variant keys.  New fields
+ * must be added to it, otherwise distinct variants would alias one
+ * cache entry.
+ */
+std::uint64_t optionsFingerprint(const CompileOptions &opts);
+
 /** Registry knobs. */
 struct RegistryOptions
 {

@@ -206,10 +206,11 @@ TEST(Apps, HarrisBaselineVariantsAgree)
 
 TEST(Apps, CodegenVariantsMatchInterpreter)
 {
-    // The partitioning/hoisting ablation and both tile schedules must
-    // be bit-tolerant against the interpreter for real apps, not just
-    // the synthetic boundary pipelines (the env vars exercise the
-    // driver plumbing end to end).
+    // The partitioning, vectorisation and narrowing ablations must be
+    // bit-tolerant against the interpreter for real apps, not just the
+    // synthetic boundary pipelines (the env vars exercise the driver
+    // plumbing end to end).  The default build is covered by the
+    // per-app tests above.
     struct Variant
     {
         const char *name;
@@ -218,16 +219,11 @@ TEST(Apps, CodegenVariantsMatchInterpreter)
     };
     const Variant variants[] = {
         {"no-partition", "POLYMAGE_NO_PARTITION", "1"},
-        {"static-schedule", "POLYMAGE_TILE_SCHEDULE", "static"},
-        {"dynamic-schedule", "POLYMAGE_TILE_SCHEDULE", "dynamic"},
-        // The vectorisation ladder (docs/VECTORIZATION.md): all three
-        // modes and the narrowing kill-switch must agree with the
+        // Scalar code and the narrowing kill-switch must agree with the
         // interpreter on every app -- exact for the integer apps
         // (camera's tolerance covers its gamma LUT quantisation, not
         // vector drift), epsilon for the float pyramids.
         {"vec-off", "POLYMAGE_VECTORIZE", "off"},
-        {"vec-pragma", "POLYMAGE_VECTORIZE", "pragma"},
-        {"vec-explicit", "POLYMAGE_VECTORIZE", "explicit"},
         {"no-narrow", "POLYMAGE_NARROW", "0"},
     };
 

@@ -4,9 +4,8 @@
  * (`x <= 0 || x >= R-1 || ...`) must become one guard-free nest per
  * box clause -- a dense vectorizable interior plus narrow boundary
  * strips -- instead of a full-domain sweep with a per-point `if`.
- * Also covers the invariant-hoisting (`pm_base*`) locals, the
- * worksharing-schedule knob, and the POLYMAGE_NO_PARTITION /
- * POLYMAGE_TILE_SCHEDULE driver overrides.
+ * Also covers the invariant-hoisting (`pm_base*`) locals, the dynamic
+ * worksharing schedule, and the POLYMAGE_NO_PARTITION driver override.
  */
 #include <cstdlib>
 
@@ -59,16 +58,12 @@ TEST(Partition, BorderCaseSplitsIntoGuardFreeStrips)
     auto t = testing::makeBoundaryStencil(256);
     auto c = compilePipeline(t.spec);
     // Four half-plane clauses plus the interior case: >= 5 nests, all
-    // guard-free.  The masked vector epilogue contributes exactly one
-    // `if (pm_tail)` boundary branch per vectorised row; every other
-    // `if` would be a per-point guard, of which there must be none.
+    // guard-free, so the entry holds no `if` at all.
     EXPECT_EQ(c.code.partitionedCases, 1);
     EXPECT_EQ(c.code.guardedNests, 0);
     EXPECT_GE(c.code.interiorNests, 5);
     EXPECT_DOUBLE_EQ(c.code.interiorFraction(), 1.0);
-    const std::string body = entryBody(c);
-    EXPECT_EQ(countOccurrences(body, "if ("),
-              countOccurrences(body, "if (pm_tail)"));
+    EXPECT_EQ(countOccurrences(entryBody(c), "if ("), 0);
 }
 
 TEST(Partition, AblationKeepsThePerPointGuard)
@@ -109,11 +104,7 @@ TEST(Partition, WorksInsideOverlappedTileGroups)
         << "expected the two stages to fuse into a tiled group";
     EXPECT_EQ(c.code.partitionedCases, 1);
     EXPECT_EQ(c.code.guardedNests, 0);
-    // As above: the only branches are the tagged per-row vector tail
-    // guards, never per-point case guards.
-    const std::string body = entryBody(c);
-    EXPECT_EQ(countOccurrences(body, "if ("),
-              countOccurrences(body, "if (pm_tail)"));
+    EXPECT_EQ(countOccurrences(entryBody(c), "if ("), 0);
 }
 
 TEST(Partition, HoistsInvariantAddressBases)
@@ -135,42 +126,29 @@ TEST(Partition, HoistsInvariantAddressBases)
         pos = eol;
     }
     EXPECT_GT(stores, 0);
-
-    CompileOptions opts;
-    opts.codegen.hoistBases = false;
-    auto plain = compilePipeline(t.spec, opts);
-    EXPECT_EQ(entryBody(plain).find("pm_base"), std::string::npos);
 }
 
-TEST(Partition, ScheduleKnobDrivesEveryParallelLoop)
+TEST(Partition, EveryParallelLoopIsScheduledDynamically)
 {
     auto t = testing::makeBoundaryChain(256);
-    auto dyn = compilePipeline(t.spec);
-    EXPECT_EQ(dyn.code.tileSchedule, "dynamic");
-    EXPECT_GE(countOccurrences(entryBody(dyn), "schedule(dynamic)"), 1);
-    EXPECT_EQ(countOccurrences(entryBody(dyn), "schedule(static)"), 0);
-
-    CompileOptions opts;
-    opts.codegen.tileSchedule = OmpSchedule::Static;
-    auto st = compilePipeline(t.spec, opts);
-    EXPECT_EQ(st.code.tileSchedule, "static");
-    EXPECT_GE(countOccurrences(entryBody(st), "schedule(static)"), 1);
-    EXPECT_EQ(countOccurrences(entryBody(st), "schedule(dynamic)"), 0);
+    auto c = compilePipeline(t.spec);
+    const std::string body = entryBody(c);
+    EXPECT_GE(countOccurrences(body, "schedule(dynamic)"), 1);
+    EXPECT_EQ(countOccurrences(body, "#pragma omp parallel for"),
+              countOccurrences(body, "schedule(dynamic)"));
 }
 
 TEST(Partition, EnvVarsOverrideTheDriver)
 {
     auto t = testing::makeBoundaryStencil(256);
     ::setenv("POLYMAGE_NO_PARTITION", "1", 1);
-    ::setenv("POLYMAGE_TILE_SCHEDULE", "static", 1);
     auto c = compilePipeline(t.spec);
     ::unsetenv("POLYMAGE_NO_PARTITION");
-    ::unsetenv("POLYMAGE_TILE_SCHEDULE");
     EXPECT_FALSE(c.code.partition);
     EXPECT_EQ(c.code.partitionedCases, 0);
     EXPECT_GE(c.code.guardedNests, 1);
-    EXPECT_EQ(c.code.tileSchedule, "static");
-    EXPECT_EQ(entryBody(c).find("pm_base"), std::string::npos);
+    // The switch turns off partitioning only; hoisting stays on.
+    EXPECT_NE(entryBody(c).find("pm_base"), std::string::npos);
 }
 
 /** Partitioned and guarded code must agree with the interpreter. */
@@ -184,23 +162,11 @@ TEST(Partition, MatchesInterpreterUnderEveryVariant)
         auto g = pg::PipelineGraph::build(t.spec);
         auto ref = interp::evaluate(g, params, {&in});
 
-        struct Variant
-        {
-            const char *name;
-            bool partition;
-            OmpSchedule sched;
-        };
-        for (const Variant &v :
-             {Variant{"split+dynamic", true, OmpSchedule::Dynamic},
-              Variant{"split+static", true, OmpSchedule::Static},
-              Variant{"guarded+dynamic", false, OmpSchedule::Dynamic},
-              Variant{"guarded+static", false, OmpSchedule::Static}}) {
+        for (bool partition : {true, false}) {
             SCOPED_TRACE(std::string(chain ? "chain/" : "single/") +
-                         v.name);
+                         (partition ? "split" : "guarded"));
             CompileOptions opts;
-            opts.codegen.partition = v.partition;
-            opts.codegen.hoistBases = v.partition;
-            opts.codegen.tileSchedule = v.sched;
+            opts.codegen.partition = partition;
             rt::Executable exe = rt::Executable::build(t.spec, opts);
             auto outs = exe.run(params, {&in});
             ASSERT_EQ(outs.size(), ref.outputs.size());

@@ -93,14 +93,6 @@ TEST_F(HarrisSource, VectorisationModes)
     EXPECT_GT(compiled_->code.explicitNests, 0);
     EXPECT_EQ(compiled_->code.vectorizeMode, "explicit");
 
-    // Pragma: the pre-explicit path, `omp simd` and no vector types.
-    CompileOptions pragma_mode;
-    pragma_mode.grouping.autoTile = true;
-    pragma_mode.codegen.vectorize = VectorizeMode::Pragma;
-    auto p = compilePipeline(apps::buildHarris(256, 256), pragma_mode);
-    EXPECT_GT(countOccurrences(p.code.source, "#pragma omp simd"), 0);
-    EXPECT_EQ(countOccurrences(p.code.source, "pm_v_"), 0);
-
     // Off: scalar, neither pragmas nor vector types.
     CompileOptions novec = CompileOptions::optNoVec();
     auto c = compilePipeline(apps::buildHarris(256, 256), novec);
@@ -200,11 +192,7 @@ TEST(GoldenInterior, AppsEmitGuardFreeInnermostLoops)
 {
     // Every case condition of these apps folds into loop bounds or
     // strided residue loops: the generated entries must contain no
-    // per-point `if` -- the interior innermost loops are dense and
-    // branch-free (ISSUE: guard-free interior codegen).  The only
-    // branches permitted are the per-row masked-epilogue guards (one
-    // `if` introducing each `pm_vskip` masked final vector iteration);
-    // with the epilogue ablated the bodies must be entirely `if`-free.
+    // `if` -- the interior innermost loops are dense and branch-free.
     struct App
     {
         const char *name;
@@ -215,24 +203,10 @@ TEST(GoldenInterior, AppsEmitGuardFreeInnermostLoops)
                    App{"pyramid", apps::buildPyramidBlend(512, 512, 3)}}) {
         SCOPED_TRACE(a.name);
         auto c = compilePipeline(a.spec);
-        const std::string body = entryBodyOf(c);
-        EXPECT_EQ(countOccurrences(body, "if ("),
-                  countOccurrences(body, "const int pm_vskip"));
-        // Each of those branches is the tagged per-row tail guard
-        // (`if (pm_tail)`), distinguishable from per-point guards.
-        EXPECT_EQ(countOccurrences(body, "if ("),
-                  countOccurrences(body, "if (pm_tail)"));
-        EXPECT_EQ(c.code.maskedEpilogues,
-                  countOccurrences(body, "const int pm_vskip"));
-        EXPECT_GT(c.code.maskedEpilogues, 0);
+        EXPECT_EQ(countOccurrences(entryBodyOf(c), "if ("), 0);
+        EXPECT_GT(c.code.explicitNests, 0);
         EXPECT_EQ(c.code.guardedNests, 0);
         EXPECT_DOUBLE_EQ(c.code.interiorFraction(), 1.0);
-
-        CompileOptions scalar_tail;
-        scalar_tail.codegen.maskedEpilogue = false;
-        auto s = compilePipeline(a.spec, scalar_tail);
-        EXPECT_EQ(countOccurrences(entryBodyOf(s), "if ("), 0);
-        EXPECT_EQ(s.code.maskedEpilogues, 0);
     }
 }
 
@@ -286,12 +260,6 @@ TEST(CodegenFeatures, ReductionsPrivatisedUnderOpenMP)
     EXPECT_NE(c.code.source.find("pm_priv"), std::string::npos);
     EXPECT_NE(c.code.source.find("#pragma omp critical"),
               std::string::npos);
-
-    // Without parallelisation the loop stays sequential and direct.
-    CompileOptions serial;
-    serial.codegen.parallelize = false;
-    auto c2 = compilePipeline(t.spec, serial);
-    EXPECT_EQ(c2.code.source.find("pm_priv"), std::string::npos);
 }
 
 TEST(CodegenFeatures, SelfRecurrentScanStaysSequentialAndDirect)

@@ -4,6 +4,9 @@
  * LRU eviction of ready variants, background preparation, and
  * invalidation on re-registration.
  */
+#include <set>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "common/test_pipelines.hpp"
@@ -69,6 +72,86 @@ TEST(Registry, DistinctOptionsCompileDistinctVariants)
     EXPECT_NE(a.get(), b.get());
     EXPECT_EQ(reg.variantCount(), 2u);
     EXPECT_EQ(reg.stats().misses, 2u);
+}
+
+TEST(Registry, EveryOptionFieldSeparatesVariants)
+{
+    // Flipping any one field must change the variant key; a field the
+    // fingerprint missed would alias two variants in one cache entry.
+    using Flip = void (*)(CompileOptions &);
+    const std::pair<const char *, Flip> flips[] = {
+        {"inlining.enable",
+         [](CompileOptions &o) { o.inlining.enable = !o.inlining.enable; }},
+        {"inlining.maxBodyNodes",
+         [](CompileOptions &o) { o.inlining.maxBodyNodes += 1; }},
+        {"grouping.enable",
+         [](CompileOptions &o) { o.grouping.enable = !o.grouping.enable; }},
+        {"grouping.tileSizes",
+         [](CompileOptions &o) { o.grouping.tileSizes = {16, 128}; }},
+        {"grouping.autoTile",
+         [](CompileOptions &o) {
+             o.grouping.autoTile = !o.grouping.autoTile;
+         }},
+        {"grouping.overlapThreshold",
+         [](CompileOptions &o) { o.grouping.overlapThreshold = 0.25; }},
+        {"grouping.minSize",
+         [](CompileOptions &o) { o.grouping.minSize += 1; }},
+        {"grouping.minTiledExtent",
+         [](CompileOptions &o) { o.grouping.minTiledExtent += 1; }},
+        {"codegen.tile",
+         [](CompileOptions &o) { o.codegen.tile = !o.codegen.tile; }},
+        {"codegen.storageOpt",
+         [](CompileOptions &o) {
+             o.codegen.storageOpt = !o.codegen.storageOpt;
+         }},
+        {"codegen.vectorize",
+         [](CompileOptions &o) {
+             o.codegen.vectorize = cg::VectorizeMode::Off;
+         }},
+        {"codegen.instrument",
+         [](CompileOptions &o) {
+             o.codegen.instrument = !o.codegen.instrument;
+         }},
+        {"codegen.maxStackScratchBytes",
+         [](CompileOptions &o) { o.codegen.maxStackScratchBytes = 0; }},
+        {"codegen.bufferReuse",
+         [](CompileOptions &o) {
+             o.codegen.bufferReuse = !o.codegen.bufferReuse;
+         }},
+        {"codegen.partition",
+         [](CompileOptions &o) {
+             o.codegen.partition = !o.codegen.partition;
+         }},
+        {"codegen.shapeGeneric",
+         [](CompileOptions &o) {
+             o.codegen.shapeGeneric = !o.codegen.shapeGeneric;
+         }},
+        {"codegen.taskABI",
+         [](CompileOptions &o) { o.codegen.taskABI = !o.codegen.taskABI; }},
+    };
+    const CompileOptions base = CompileOptions::optimized();
+    std::set<std::uint64_t> keys{optionsFingerprint(base)};
+    for (const auto &[field, flip] : flips) {
+        SCOPED_TRACE(field);
+        CompileOptions o = base;
+        flip(o);
+        EXPECT_TRUE(keys.insert(optionsFingerprint(o)).second);
+    }
+}
+
+TEST(Registry, TaskABIVariantCarriesTheTaskEntry)
+{
+    // Whether a variant has the task entry must not depend on which of
+    // the two option sets was compiled first.
+    PipelineRegistry reg;
+    reg.add("pw", testing::makePointwise(16).spec);
+    CompileOptions task = CompileOptions::optimized();
+    task.codegen.taskABI = true;
+    auto plain = reg.get("pw", CompileOptions::optimized());
+    auto tasked = reg.get("pw", task);
+    EXPECT_FALSE(plain->hasTaskEntry());
+    EXPECT_TRUE(tasked->hasTaskEntry());
+    EXPECT_EQ(reg.variantCount(), 2u);
 }
 
 TEST(Registry, CompiledVariantRunsCorrectly)
