@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <optional>
 #include <set>
 
@@ -189,9 +188,11 @@ matchResidue(const dsl::Condition &cond,
 }
 
 /**
- * One body the pipeline is emitted as: every group gets a function of
- * each requested flavour, and the flavour's extern "C" entry calls them
- * in group order.  All flavours share the leading four arguments.
+ * One way the pipeline is entered: every group gets a function of each
+ * requested flavour, and the flavour's extern "C" entry calls them in
+ * group order.  A flavour function walks tiles or tasks and calls the
+ * group's shared stage functions (GroupDriver).  All flavours, and the
+ * shared functions, take the leading four arguments of kPlain.
  */
 struct Flavour
 {
@@ -229,13 +230,62 @@ const Flavour kTask = {
  * Group functions link across translation units of one shared object
  * but stay out of its dynamic symbol table.
  */
-const std::string kGroupLinkage = "__attribute__((visibility(\"hidden\")))";
+const std::string kGroupLinkage = "__attribute__((visibility(\"hidden\"), noinline, noclone))";
+
+/**
+ * Shared stage functions are never inlined into or cloned for a caller
+ * in their own unit: every flavour then runs the same machine code
+ * (bitwise-equal results however the compiler contracts floating-point
+ * expressions), and no body is optimised twice.
+ */
+const std::string kStageLinkage =
+    "__attribute__((visibility(\"hidden\"), noinline, noclone))";
 
 /** A local of the entry preamble and the statement declaring it. */
 struct PreambleLine
 {
     std::string name;
     std::string text;
+};
+
+/**
+ * The flavour-specific rest of an untiled loop nest: its dimensions up
+ * to and including the parallel one, whose body is one call to the
+ * shared function running the dimensions below.
+ */
+struct OuterNest
+{
+    std::vector<LoopDim> dims;
+    std::string call;
+};
+
+/**
+ * One group as its flavour functions see it.  The stage loop nests are
+ * emitted once, as flavour-neutral shared functions (`functions`); a
+ * flavour function only adds its tile or task loop, its scratchpad
+ * allocation and one call per stage.  Accumulators keep their
+ * per-flavour bodies: the privatised reduction of the OpenMP flavour
+ * really differs from the serial one.
+ */
+struct GroupDriver
+{
+    enum class Kind
+    {
+        Tiled,       // overlapped tiles, one shared function per stage
+        Untiled,     // one shared function per case nest
+        Serial,      // self-recurrent stage: one serial shared nest
+        Accumulator, // per-flavour body
+    };
+    Kind kind = Kind::Untiled;
+    /** First parallel phase of the group (GeneratedCode::phaseGroup). */
+    int firstPhase = 0;
+    /** Shared function definitions, and their declarations. */
+    std::vector<std::string> functions;
+    std::string decls;
+    /** Tiled and Serial: one call statement per stage, level order. */
+    std::vector<std::string> calls;
+    /** Untiled: the outer loops of every case nest, emission order. */
+    std::vector<OuterNest> nests;
 };
 
 /** Add every identifier token of @p text (numeric literals skipped). */
@@ -296,13 +346,35 @@ class Generator
     void emitPrelude();
     std::vector<PreambleLine> preambleLines();
     std::string groupFunctionName(int gi, const Flavour &f) const;
-    std::string emitGroupFunction(int gi, const Flavour &f);
+    std::string stageFunctionName(int gi, int j) const;
+    /**
+     * The preamble locals (and @p extra locals) @p body reads, directly
+     * or through a kept line (a stride reads its extents), so each
+     * function stays as small as its loops.
+     */
+    std::string trimmedLocals(const std::string &body,
+                              const std::vector<PreambleLine> &extra = {});
+    /**
+     * Define the shared function @p name running @p body (rendered one
+     * block deep) and record its definition and declaration in
+     * driver_.  @p extra_params follow the four leading entry
+     * arguments.
+     */
+    void addSharedFunction(const std::string &name,
+                           const std::string &extra_params,
+                           const std::string &body,
+                           const std::vector<PreambleLine> &extra = {});
+    GroupDriver emitShared(int gi);
+    std::string emitGroupFunction(int gi, const Flavour &f,
+                                  const GroupDriver &d);
     std::string emitEntryPoints(const std::vector<const Flavour *> &fl);
-    void emitGroup(int gi);
-    void emitTiledGroup(int gi);
-    void emitUntiledStage(int gi, int s);
+    void emitTiledStage(int gi, int s, int j);
+    void emitTiledDriver(int gi, const GroupDriver &d);
+    void emitUntiledStage(int gi, int s, int j);
+    void emitOuterNest(const OuterNest &n);
     void emitAccumulator(int gi, int s);
     void emitSelfRecurrent(int gi, int s);
+    void emitSerialPhase(const std::string &call);
 
     /**
      * Loop nest emission with bound locals, pragmas, and the body.
@@ -346,13 +418,18 @@ class Generator
     /**
      * Emit the loop nests of one function case: hoist sink setup, the
      * per-nest body rendering, and nest-census bookkeeping.  Shared by
-     * the untiled and tiled stage emitters.
+     * the untiled and tiled stage emitters.  With @p outline empty the
+     * nests go inline into w_ (a tiled stage function); otherwise each
+     * nest owns a parallel phase and is split below its parallel
+     * dimension (never below the innermost): the dimensions below
+     * become the shared function `<outline>_n<m>`, the rest an
+     * OuterNest of driver_.
      */
     void emitCaseNests(int gi, int s, const dsl::Case &cs,
                        const EmitEnv &env,
                        const std::vector<std::string> &idx,
                        const std::vector<LoopDim> &base_dims,
-                       bool parallel_outer, bool task_outer);
+                       const std::string &outline);
 
     /**
      * Attempt explicit vector emission for one guard-free nest
@@ -364,8 +441,7 @@ class Generator
     std::optional<VecResult>
     tryVectorizeNest(int s, const dsl::Case &cs,
                      const EmitEnv &env, const CaseNest &nest,
-                     const std::string &target, bool parallel_outer,
-                     bool task_outer);
+                     const std::string &target);
 
     EmitEnv makeEnv(const std::map<int, std::string> &var_names, int gi);
 
@@ -401,6 +477,11 @@ class Generator
 
     std::string storeTarget(int gi, int s,
                             const std::vector<std::string> &idx);
+    /**
+     * Declarator of stage @p s's scratchpad array type around @p inner:
+     * `float scr_x[N]`, `float (&scr_x)[N]`, `float (*)[N]`.
+     */
+    std::string scratchArray(int s, const std::string &inner) const;
 
     /** Scaled ceil/floor division renderers for tile bounds. */
     std::string
@@ -435,14 +516,17 @@ class Generator
     std::map<int, std::string> imageName_; // image entity id -> name
     std::map<int, std::string> paramName_; // param entity id -> name
 
-    /** Locals every group function may read (trimmed per function). */
+    /** Locals every generated function may read (trimmed per function). */
     std::vector<PreambleLine> preamble_;
     bool instr_ = false; // currently emitting the instrumented body
     bool task_ = false;  // currently emitting the task-ABI body
     bool vec_ = false;   // simd/ivdep pragmas currently enabled
     bool ompForOnly_ = false; // emit `omp for` (inside a parallel region)
-    int phase_ = 0;      // parallel-phase counter, per flavour
+    int phase_ = 0;      // parallel phase the flavour function is at
     int tmp_ = 0;        // unique counter for bound locals
+    /** Group whose shared functions are being emitted. */
+    GroupDriver *driver_ = nullptr;
+    int nestNo_ = 0; // case-nest counter of the untiled stage emitted
     /**
      * Active invariant-hoist collector; flatIndexStr/scratchIndex
      * route their terms through it while a loop body renders.  Null
@@ -451,7 +535,7 @@ class Generator
     HoistSink *hoist_ = nullptr;
     int hoistTmp_ = 0; // unique counter for pm_base locals, per function
     int cseTmp_ = 0;   // unique counter for hoistable pm_cse locals
-    /** phase id -> owning group, filled on the first emission pass. */
+    /** phase id -> owning group, filled as shared functions emit. */
     std::vector<int> phaseGroup_;
     /** Largest padded per-thread heap scratch arena emitted. */
     std::int64_t heapArenaBytes_ = 0;
@@ -656,6 +740,21 @@ Generator::storeTarget(int gi, int s, const std::vector<std::string> &idx)
     return fullIndex(s, false, idx);
 }
 
+std::string
+Generator::scratchArray(int s, const std::string &inner) const
+{
+    const core::StageStorage &st = storage_.stages.at(s);
+    std::int64_t elems = 1;
+    for (std::int64_t e : st.scratchExtent)
+        elems *= e;
+    const std::string decl =
+        std::isalpha(static_cast<unsigned char>(inner[0]))
+            ? inner
+            : "(" + inner + ")";
+    return std::string(dsl::dtypeCName(st.dtype)) + " " + decl + "[" +
+           std::to_string(elems) + "]";
+}
+
 void
 Generator::applyBox(const poly::CondBox &box, const pg::Stage &stage,
                     const EmitEnv &env, std::vector<LoopDim> &dims,
@@ -710,16 +809,10 @@ Generator::applyBox(const poly::CondBox &box, const pg::Stage &stage,
 std::optional<VecResult>
 Generator::tryVectorizeNest(int s, const dsl::Case &cs,
                             const EmitEnv &env, const CaseNest &nest,
-                            const std::string &target,
-                            bool parallel_outer, bool task_outer)
+                            const std::string &target)
 {
     if (!vec_ || !nest.guards.empty() || nest.dims.empty() ||
         nest.dims.back().step != 1)
-        return std::nullopt;
-    // The innermost loop cannot both host the parallel pragma (or the
-    // instrumented task timer) and be split into main + tail.
-    if ((parallel_outer || task_outer) &&
-        parallelDim(nest.dims) + 1 == nest.dims.size())
         return std::nullopt;
 
     const pg::Stage &stage = g_.stage(s);
@@ -801,8 +894,7 @@ Generator::caseNests(const pg::Stage &stage, const dsl::Case &cs,
         // Only worth emitting when at least one clause dropped its
         // guard; otherwise the split just duplicates guarded sweeps.
         if (any_clean) {
-            if (!instr_ && !task_)
-                ++partitionedCases_;
+            ++partitionedCases_;
             return split;
         }
     }
@@ -815,11 +907,17 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
                          const EmitEnv &env,
                          const std::vector<std::string> &idx,
                          const std::vector<LoopDim> &base_dims,
-                         bool parallel_outer, bool task_outer)
+                         const std::string &outline)
 {
     const pg::Stage &stage = g_.stage(s);
     const auto &f = stage.func();
+    const bool untiled = !outline.empty();
     for (CaseNest &nest : caseNests(stage, cs, env, base_dims)) {
+        if (untiled) {
+            // Each untiled nest is a function of its own.
+            hoistTmp_ = 0;
+            cseTmp_ = 0;
+        }
         // Render the body with the invariant-hoist sink active: every
         // flat-index prefix not involving the innermost loop variable
         // lands in sink.lines as a pm_base local, declared by
@@ -841,48 +939,73 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
         // Attempt the explicit vector body while the hoist sink is
         // still active: vector loads route through the same pm_base
         // locals the scalar tail uses.
-        const std::optional<VecResult> vres = tryVectorizeNest(
-            s, cs, env, nest, target, parallel_outer, task_outer);
+        const std::optional<VecResult> vres =
+            tryVectorizeNest(s, cs, env, nest, target);
         hoistTmp_ = std::max(hoistTmp_, sink.counter);
         cseTmp_ = std::max(cseTmp_, sink.cseCounter);
         hoist_ = saved;
-        if (!instr_ && !task_) {
-            if (nest.guards.empty())
-                ++interiorNests_;
-            else
-                ++guardedNests_;
-            if (opts_.vectorize == VectorizeMode::Explicit &&
-                nest.guards.empty()) {
-                GeneratedCode::GroupVectorInfo &gv = groupVec_[gi];
-                gv.group = gi;
-                ++gv.interiorNests;
-                if (vres) {
-                    ++gv.vectorNests;
-                    ++explicitNests_;
-                    if (vres->lanes > gv.lanes) {
-                        gv.lanes = vres->lanes;
-                        gv.elem = vres->elemTag;
-                    }
+        if (nest.guards.empty())
+            ++interiorNests_;
+        else
+            ++guardedNests_;
+        if (opts_.vectorize == VectorizeMode::Explicit &&
+            nest.guards.empty()) {
+            GeneratedCode::GroupVectorInfo &gv = groupVec_[gi];
+            gv.group = gi;
+            ++gv.interiorNests;
+            if (vres) {
+                ++gv.vectorNests;
+                ++explicitNests_;
+                if (vres->lanes > gv.lanes) {
+                    gv.lanes = vres->lanes;
+                    gv.elem = vres->elemTag;
                 }
             }
         }
-        // Task mode: each untiled nest is its own dispatch phase; the
-        // guard block scopes the phase's task-count locals.
-        if (task_ && task_outer) {
-            w_.open("if (pm_phase == " + std::to_string(phase_) + ")");
+        const std::vector<std::string> *vec_lines =
+            vres ? &vres->lines : nullptr;
+        const int vec_lanes = vres ? vres->lanes : 0;
+        if (!untiled) {
+            // Inside a tiled group the flavours' tile loop owns the
+            // (single) phase.
+            emitLoopNest(nest.dims, nest.guards, body,
+                         /*parallel_outer=*/false, /*task_outer=*/false,
+                         0, sink.lines, vec_lines, vec_lanes);
+            continue;
         }
-        emitLoopNest(nest.dims, nest.guards, body, parallel_outer,
-                     task_outer, phase_, sink.lines,
-                     vres ? &vres->lines : nullptr,
-                     vres ? vres->lanes : 0);
-        if (task_ && task_outer) {
-            w_.line("return 0;");
-            w_.close();
+        // Untiled nests each own a parallel phase.  The flavours differ
+        // only in how they walk the dimensions up to the parallel one
+        // (worksharing loop, timed serial loop, task range), so the
+        // dimensions below it run in one shared function taking the
+        // outer indices.  That function keeps at least the innermost
+        // loop, so it can vectorise: a nest whose only long dimension
+        // is the innermost (a border row, a 1-D table) is walked in
+        // parallel over its short outer dimensions, or is one serial
+        // call when it has none.
+        const std::size_t split =
+            nest.dims.empty()
+                ? 0
+                : std::min(parallelDim(nest.dims) + 1, nest.dims.size() - 1);
+        OuterNest outer;
+        outer.dims.assign(nest.dims.begin(), nest.dims.begin() + split);
+        const std::vector<LoopDim> inner(nest.dims.begin() + split,
+                                         nest.dims.end());
+        const std::string name =
+            outline + "_n" + std::to_string(nestNo_++);
+        std::string params, args = kPlain.args;
+        for (const LoopDim &d : outer.dims) {
+            params += ", int " + d.var;
+            args += ", " + d.var;
         }
-        // Untiled nests each own a parallel phase; inside a tiled
-        // group the surrounding tile loop owns the (single) phase.
-        if (task_outer)
-            ++phase_;
+        w_ = CodeWriter(1);
+        tmp_ = 0;
+        emitLoopNest(inner, nest.guards, body, /*parallel_outer=*/false,
+                     /*task_outer=*/false, 0, sink.lines, vec_lines,
+                     vec_lanes);
+        addSharedFunction(name, params, w_.str());
+        outer.call = name + "(" + args + ");";
+        driver_->nests.push_back(std::move(outer));
+        phaseGroup_.push_back(gi);
     }
 }
 
@@ -973,10 +1096,13 @@ Generator::emitLoopNest(const std::vector<LoopDim> &dims,
                 w_.line("pm_tr /= " + counts[i] + ";");
         }
         d0 = par_d + 1;
-        if (d0 == dims.size()) {
-            for (const auto &l : hoisted)
-                w_.line(l);
-        }
+    }
+    // No loop left to open (the task range covered every dimension, or
+    // the shared function below a parallel innermost dimension): the
+    // bases go right before the body.
+    if (d0 == dims.size()) {
+        for (const auto &l : hoisted)
+            w_.line(l);
     }
     for (std::size_t d = d0; d < dims.size(); ++d) {
         // Loop-invariant address bases: declared once per iteration of
@@ -1070,7 +1196,7 @@ Generator::emitLoopNest(const std::vector<LoopDim> &dims,
 }
 
 void
-Generator::emitUntiledStage(int gi, int s)
+Generator::emitUntiledStage(int gi, int s, int j)
 {
     const pg::Stage &stage = g_.stage(s);
     const auto &f = stage.func();
@@ -1078,6 +1204,7 @@ Generator::emitUntiledStage(int gi, int s)
 
     const bool saved_vec = vec_;
     vec_ = vec_ && innermostVectorizable(stage);
+    nestNo_ = 0;
     for (const auto &cs : f.cases()) {
         std::map<int, std::string> var_names;
         std::vector<LoopDim> dims(vars.size());
@@ -1102,9 +1229,7 @@ Generator::emitUntiledStage(int gi, int s)
         std::vector<std::string> idx;
         for (const auto &v : vars)
             idx.push_back(var_names[v.id()]);
-        emitCaseNests(gi, s, cs, env, idx, dims,
-                      /*parallel_outer=*/true,
-                      /*task_outer=*/true);
+        emitCaseNests(gi, s, cs, env, idx, dims, stageFunctionName(gi, j));
         // Free the claimed loop-variable names for reuse elsewhere.
         for (const auto &[id, nm] : var_names) {
             (void)id;
@@ -1115,16 +1240,154 @@ Generator::emitUntiledStage(int gi, int s)
 }
 
 void
-Generator::emitTiledGroup(int gi)
+Generator::emitOuterNest(const OuterNest &n)
+{
+    if (n.dims.empty()) {
+        emitSerialPhase(n.call);
+        return;
+    }
+    // Task mode: each untiled nest is its own dispatch phase; the guard
+    // block scopes the phase's task-count locals.
+    if (task_)
+        w_.open("if (pm_phase == " + std::to_string(phase_) + ")");
+    emitLoopNest(n.dims, {}, {n.call}, /*parallel_outer=*/true,
+                 /*task_outer=*/true, phase_);
+    if (task_) {
+        w_.line("return 0;");
+        w_.close();
+    }
+    ++phase_;
+}
+
+/** Tile size of each of a group's @p tiled dimensions. */
+std::vector<std::int64_t>
+tileSizes(std::size_t tiled, const core::GroupingOptions &gopts)
+{
+    std::vector<std::int64_t> tau;
+    for (std::size_t i = 0; i < tiled; ++i)
+        tau.push_back(core::tileSizeFor(gopts, int(i)));
+    return tau;
+}
+
+void
+Generator::emitTiledStage(int gi, int s, int j)
+{
+    const GroupSchedule &grp = grouping_.groups[gi];
+    const auto tiled = core::tiledDimsFor(grp, g_, gopts_);
+    const std::vector<std::int64_t> tau = tileSizes(tiled.size(), gopts_);
+    const pg::Stage &stage = g_.stage(s);
+    const auto &f = stage.func();
+    const auto &vars = f.vars();
+    const StageMapping &m = grp.mapping.at(s);
+    const int lvl = grp.localLevel.at(s);
+
+    w_ = CodeWriter(1);
+    tmp_ = 0;
+    hoistTmp_ = 0;
+    cseTmp_ = 0;
+    const bool saved_vec = vec_;
+    vec_ = vec_ && innermostVectorizable(stage);
+    for (const auto &cs : f.cases()) {
+        std::map<int, std::string> var_names;
+        std::vector<LoopDim> dims(vars.size());
+        for (std::size_t d = 0; d < vars.size(); ++d) {
+            var_names[vars[d].id()] = claim(sanitize(vars[d].name()));
+            dims[d].var = var_names[vars[d].id()];
+        }
+        EmitEnv env = makeEnv(var_names, gi);
+        for (std::size_t d = 0; d < vars.size(); ++d) {
+            dims[d].lb.push_back(emitExpr(f.dom()[d].lower(), env));
+            dims[d].ub.push_back(emitExpr(f.dom()[d].upper(), env));
+            // Tile-region clamps for tiled dims.
+            auto pos = std::find(tiled.begin(), tiled.end(),
+                                 m.groupDim[d]);
+            if (pos == tiled.end())
+                continue;
+            const std::size_t ti = pos - tiled.begin();
+            const int gd = tiled[ti];
+            const auto &info = grp.dims[gd];
+            const std::string t = "T" + std::to_string(ti);
+            const std::string lo_raw =
+                "(" + tauTermLL(ti, tau[ti]) + " * " + t + " - " +
+                std::to_string(info.extLeft[lvl]) + ")";
+            const std::string hi_add =
+                tauDefault_.empty()
+                    ? std::to_string(tau[ti] - 1 + info.extRight[lvl])
+                    : tauTermLL(ti, tau[ti]) + " - 1 + " +
+                          std::to_string(info.extRight[lvl]);
+            const std::string hi_raw = "(" + tauTermLL(ti, tau[ti]) +
+                                       " * " + t + " + " + hi_add + ")";
+            dims[d].lb.push_back(ceilDivStr(lo_raw, m.scale[d]));
+            dims[d].ub.push_back(floorDivStr(hi_raw, m.scale[d]));
+        }
+        std::vector<std::string> idx;
+        for (const auto &v : vars)
+            idx.push_back(var_names[v.id()]);
+        emitCaseNests(gi, s, cs, env, idx, dims, /*outline=*/"");
+        for (const auto &[id, nm] : var_names) {
+            (void)id;
+            used_.erase(nm);
+        }
+    }
+    vec_ = saved_vec;
+    const std::string body = w_.str();
+
+    // Scratchpad origins, ceil((tau*T - extLeft[level]) / scale), are
+    // locals of the stage function like the preamble's: kept when read.
+    std::vector<PreambleLine> origins;
+    for (int sp : grp.stages) {
+        if (!storage_.isScratch(sp))
+            continue;
+        const StageMapping &mp = grp.mapping.at(sp);
+        const int lp = grp.localLevel.at(sp);
+        for (std::size_t ti = 0; ti < tiled.size(); ++ti) {
+            for (std::size_t d = 0; d < mp.groupDim.size(); ++d) {
+                if (mp.groupDim[d] != tiled[ti])
+                    continue;
+                const std::string raw =
+                    "(" + tauTermLL(ti, tau[ti]) + " * T" +
+                    std::to_string(ti) + " - " +
+                    std::to_string(grp.dims[tiled[ti]].extLeft[lp]) + ")";
+                const std::string name =
+                    "ob_" + stageName(sp) + "_" + std::to_string(ti);
+                origins.push_back({name, "const int " + name + " = (int)" +
+                                             ceilDivStr(raw, mp.scale[d]) +
+                                             ";"});
+            }
+        }
+    }
+
+    // Arguments: the tile indices, then the scratchpads the stage
+    // touches, as restrict references to arrays of their fixed size.
+    // The stage then sees them as the distinct, bounded per-thread
+    // arrays they are: loads under a select stay unconditional loads
+    // that vectorise, as when the arrays were locals of one function.
+    std::set<std::string> used;
+    collectIdentifiers(body, used);
+    std::string params, args = kPlain.args;
+    for (std::size_t ti = 0; ti < tiled.size(); ++ti) {
+        params += ", long long T" + std::to_string(ti);
+        args += ", T" + std::to_string(ti);
+    }
+    for (int sp : grp.stages) {
+        const std::string scr = "scr_" + stageName(sp);
+        if (!storage_.isScratch(sp) || !used.count(scr))
+            continue;
+        params += ", " + scratchArray(sp, "&__restrict__ " + scr);
+        args += ", " + scr;
+    }
+    const std::string name = stageFunctionName(gi, j);
+    addSharedFunction(name, params, body, origins);
+    driver_->calls.push_back(name + "(" + args + ");");
+}
+
+void
+Generator::emitTiledDriver(int gi, const GroupDriver &drv)
 {
     const GroupSchedule &grp = grouping_.groups[gi];
     const auto tiled = core::tiledDimsFor(grp, g_, gopts_);
     PM_ASSERT(!tiled.empty(), "tiled group without tiled dims");
-
-    // Tile sizes per tiled dim.
-    std::vector<std::int64_t> tau;
-    for (std::size_t i = 0; i < tiled.size(); ++i)
-        tau.push_back(core::tileSizeFor(gopts_, int(i)));
+    const std::vector<std::int64_t> tau = tileSizes(tiled.size(), gopts_);
 
     EmitEnv param_env = makeEnv({}, gi);
 
@@ -1171,7 +1434,6 @@ Generator::emitTiledGroup(int gi)
     }
 
     const bool heap_scratch =
-        grouping_.groups.size() &&
         storage_.groupScratchBytes.count(gi) &&
         storage_.groupScratchBytes.at(gi) > opts_.maxStackScratchBytes;
     const bool par_tiles = !instr_ && !task_;
@@ -1218,11 +1480,9 @@ Generator::emitTiledGroup(int gi)
                     std::to_string(arena_bytes) + ");");
         }
         for (const auto &[s, off] : arena_off) {
-            const std::string ty =
-                dsl::dtypeCName(storage_.stages.at(s).dtype);
-            w_.line(std::string(ty) + " *scr_" + stageName(s) + " = (" +
-                    ty + " *)(" + arena + " + " + std::to_string(off) +
-                    ");");
+            w_.line(scratchArray(s, "&scr_" + stageName(s)) + " = *(" +
+                    scratchArray(s, "*") + ")(" + arena + " + " +
+                    std::to_string(off) + ");");
         }
         if (par_tiles)
             w_.line("#pragma omp for " + kSchedule);
@@ -1245,16 +1505,9 @@ Generator::emitTiledGroup(int gi)
     // Stack scratchpads: thread-private, reused across inner tiles.
     if (!heap_scratch) {
         for (int s : grp.stages) {
-            if (!storage_.isScratch(s))
-                continue;
-            const auto &st = storage_.stages.at(s);
-            std::int64_t total = 1;
-            for (auto e : st.scratchExtent)
-                total *= e;
-            const std::string ty =
-                dsl::dtypeCName(storage_.stages.at(s).dtype);
-            w_.line("alignas(64) " + std::string(ty) + " scr_" +
-                    stageName(s) + "[" + std::to_string(total) + "];");
+            if (storage_.isScratch(s))
+                w_.line("alignas(64) " +
+                        scratchArray(s, "scr_" + stageName(s)) + ";");
         }
     }
 
@@ -1263,93 +1516,9 @@ Generator::emitTiledGroup(int gi)
                 tlo[ti] + "; T" + std::to_string(ti) + " <= " + thi[ti] +
                 "; ++T" + std::to_string(ti) + ")");
     }
-
-    // Scratchpad origins: ceil((tau*T - extLeft[level]) / scale).
-    for (int s : grp.stages) {
-        if (!storage_.isScratch(s))
-            continue;
-        const StageMapping &m = grp.mapping.at(s);
-        const int lvl = grp.localLevel.at(s);
-        for (std::size_t ti = 0; ti < tiled.size(); ++ti) {
-            const int gd = tiled[ti];
-            for (std::size_t d = 0; d < m.groupDim.size(); ++d) {
-                if (m.groupDim[d] != gd)
-                    continue;
-                const std::string raw =
-                    "(" + tauTermLL(ti, tau[ti]) + " * T" +
-                    std::to_string(ti) + " - " +
-                    std::to_string(grp.dims[gd].extLeft[lvl]) + ")";
-                w_.line("const int ob_" + stageName(s) + "_" +
-                        std::to_string(ti) + " = (int)" +
-                        ceilDivStr(raw, m.scale[d]) + ";");
-            }
-        }
-    }
-
-    // Stages in level order.
-    std::vector<int> order = grp.stages;
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-        return grp.localLevel.at(a) < grp.localLevel.at(b);
-    });
-
-    for (int s : order) {
-        const pg::Stage &stage = g_.stage(s);
-        const auto &f = stage.func();
-        const auto &vars = f.vars();
-        const StageMapping &m = grp.mapping.at(s);
-        const int lvl = grp.localLevel.at(s);
-
-        const bool saved_vec = vec_;
-        vec_ = vec_ && innermostVectorizable(stage);
-        for (const auto &cs : f.cases()) {
-            std::map<int, std::string> var_names;
-            std::vector<LoopDim> dims(vars.size());
-            for (std::size_t d = 0; d < vars.size(); ++d) {
-                var_names[vars[d].id()] = claim(sanitize(vars[d].name()));
-                dims[d].var = var_names[vars[d].id()];
-            }
-            EmitEnv env = makeEnv(var_names, gi);
-            for (std::size_t d = 0; d < vars.size(); ++d) {
-                dims[d].lb.push_back(emitExpr(f.dom()[d].lower(), env));
-                dims[d].ub.push_back(emitExpr(f.dom()[d].upper(), env));
-                // Tile-region clamps for tiled dims.
-                auto pos = std::find(tiled.begin(), tiled.end(),
-                                     m.groupDim[d]);
-                if (pos == tiled.end())
-                    continue;
-                const std::size_t ti = pos - tiled.begin();
-                const int gd = tiled[ti];
-                const auto &info = grp.dims[gd];
-                const std::string t = "T" + std::to_string(ti);
-                const std::string lo_raw =
-                    "(" + tauTermLL(ti, tau[ti]) + " * " + t + " - " +
-                    std::to_string(info.extLeft[lvl]) + ")";
-                const std::string hi_add =
-                    tauDefault_.empty()
-                        ? std::to_string(tau[ti] - 1 +
-                                         info.extRight[lvl])
-                        : tauTermLL(ti, tau[ti]) + " - 1 + " +
-                              std::to_string(info.extRight[lvl]);
-                const std::string hi_raw =
-                    "(" + tauTermLL(ti, tau[ti]) + " * " + t + " + " +
-                    hi_add + ")";
-                dims[d].lb.push_back(ceilDivStr(lo_raw, m.scale[d]));
-                dims[d].ub.push_back(floorDivStr(hi_raw, m.scale[d]));
-            }
-            std::vector<std::string> idx;
-            for (const auto &v : vars)
-                idx.push_back(var_names[v.id()]);
-            emitCaseNests(gi, s, cs, env, idx, dims,
-                          /*parallel_outer=*/false,
-                          /*task_outer=*/false);
-            for (const auto &[id, nm] : var_names) {
-                (void)id;
-                used_.erase(nm);
-            }
-        }
-        vec_ = saved_vec;
-    }
-
+    // The stages, in level order.
+    for (const std::string &call : drv.calls)
+        w_.line(call);
     for (std::size_t ti = 1; ti < tiled.size(); ++ti)
         w_.close();
     if (instr_) {
@@ -1557,18 +1726,8 @@ Generator::emitSelfRecurrent(int gi, int s)
     const auto &f = stage.func();
     const auto &vars = f.vars();
 
-    if (task_) {
-        // The recurrence's lexicographic order is inherently serial:
-        // one phase, one task.
-        w_.open("if (pm_phase == " + std::to_string(phase_) + ")");
-        w_.line("if (pm_lo < 0) return 1;");
-        w_.open("if (pm_lo == 0)");
-    } else {
-        w_.open("");
-    }
-    if (instr_)
-        w_.line("const double pm_t0 = pm_now();");
-
+    w_ = CodeWriter(1);
+    tmp_ = 0;
     std::map<int, std::string> var_names;
     std::vector<LoopDim> dims(vars.size());
     for (std::size_t d = 0; d < vars.size(); ++d) {
@@ -1609,12 +1768,33 @@ Generator::emitSelfRecurrent(int gi, int s)
     const bool saved_vec = vec_;
     vec_ = false;
     emitLoopNest(dims, {}, body, /*parallel_outer=*/false,
-                 /*task_outer=*/false, phase_);
+                 /*task_outer=*/false, 0);
     vec_ = saved_vec;
     for (const auto &[id, nm] : var_names) {
         (void)id;
         used_.erase(nm);
     }
+    const std::string name = stageFunctionName(gi, 0);
+    addSharedFunction(name, "", w_.str());
+    driver_->calls.push_back(name + "(" + kPlain.args + ");");
+}
+
+void
+Generator::emitSerialPhase(const std::string &call)
+{
+    if (task_) {
+        // One phase, one task: a recurrence's lexicographic order is
+        // inherently serial, and an untiled nest with no dimension
+        // above its innermost has nothing to split.
+        w_.open("if (pm_phase == " + std::to_string(phase_) + ")");
+        w_.line("if (pm_lo < 0) return 1;");
+        w_.open("if (pm_lo == 0)");
+    } else {
+        w_.open("");
+    }
+    if (instr_)
+        w_.line("const double pm_t0 = pm_now();");
+    w_.line(call);
     if (instr_)
         w_.line("pm_serial_acc += pm_now() - pm_t0;");
     w_.close();
@@ -1625,42 +1805,50 @@ Generator::emitSelfRecurrent(int gi, int s)
     ++phase_;
 }
 
-void
-Generator::emitGroup(int gi)
+GroupDriver
+Generator::emitShared(int gi)
 {
     const GroupSchedule &grp = grouping_.groups[gi];
-    w_.line("// ---- group " + std::to_string(gi) + ": " +
-            [&] {
-                std::string s;
-                for (int st : grp.stages)
-                    s += stageName(st) + " ";
-                return s;
-            }());
+    GroupDriver d;
+    d.firstPhase = int(phaseGroup_.size());
+    driver_ = &d;
+    instr_ = task_ = false;
+    vec_ = opts_.vectorize != VectorizeMode::Off;
     if (grp.stages.size() == 1) {
         const int s = grp.stages[0];
         const pg::Stage &stage = g_.stage(s);
         if (stage.isAccumulator()) {
-            emitAccumulator(gi, s);
-            return;
-        }
-        if (stage.selfRecurrent) {
+            d.kind = GroupDriver::Kind::Accumulator;
+            phaseGroup_.push_back(gi);
+        } else if (stage.selfRecurrent) {
+            d.kind = GroupDriver::Kind::Serial;
             emitSelfRecurrent(gi, s);
-            return;
+            phaseGroup_.push_back(gi);
+        } else {
+            emitUntiledStage(gi, s, 0);
         }
-        emitUntiledStage(gi, s);
-        return;
+    } else {
+        // Stages in level order.
+        std::vector<int> order = grp.stages;
+        std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+            return grp.localLevel.at(a) < grp.localLevel.at(b);
+        });
+        const bool tiled =
+            opts_.tile && !core::tiledDimsFor(grp, g_, gopts_).empty();
+        if (tiled) {
+            d.kind = GroupDriver::Kind::Tiled;
+            phaseGroup_.push_back(gi);
+        }
+        // Untiled fallback: per-stage loops in level order.
+        for (std::size_t j = 0; j < order.size(); ++j) {
+            if (tiled)
+                emitTiledStage(gi, order[j], int(j));
+            else
+                emitUntiledStage(gi, order[j], int(j));
+        }
     }
-    if (opts_.tile && !core::tiledDimsFor(grp, g_, gopts_).empty()) {
-        emitTiledGroup(gi);
-        return;
-    }
-    // Fallback: per-stage loops in level order.
-    std::vector<int> order = grp.stages;
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-        return grp.localLevel.at(a) < grp.localLevel.at(b);
-    });
-    for (int s : order)
-        emitUntiledStage(gi, s);
+    driver_ = nullptr;
+    return d;
 }
 
 std::vector<PreambleLine>
@@ -1766,37 +1954,90 @@ Generator::groupFunctionName(int gi, const Flavour &f) const
 }
 
 std::string
-Generator::emitGroupFunction(int gi, const Flavour &f)
+Generator::stageFunctionName(int gi, int j) const
+{
+    return "polymage_" + sanitize(g_.name()) + "_g" + std::to_string(gi) +
+           "_s" + std::to_string(j);
+}
+
+std::string
+Generator::trimmedLocals(const std::string &body,
+                         const std::vector<PreambleLine> &extra)
+{
+    std::vector<const PreambleLine *> locals;
+    for (const PreambleLine &l : preamble_)
+        locals.push_back(&l);
+    for (const PreambleLine &l : extra)
+        locals.push_back(&l);
+    // Later locals read earlier ones, never the reverse.
+    std::set<std::string> used;
+    collectIdentifiers(body, used);
+    std::vector<bool> keep(locals.size(), false);
+    for (std::size_t i = locals.size(); i-- > 0;) {
+        if (used.count(locals[i]->name)) {
+            keep[i] = true;
+            collectIdentifiers(locals[i]->text, used);
+        }
+    }
+    CodeWriter w(1);
+    for (std::size_t i = 0; i < locals.size(); ++i)
+        if (keep[i])
+            w.line(locals[i]->text);
+    w.blank();
+    return w.str();
+}
+
+void
+Generator::addSharedFunction(const std::string &name,
+                             const std::string &extra_params,
+                             const std::string &body,
+                             const std::vector<PreambleLine> &extra)
+{
+    const std::string sig = kStageLinkage + " void " + name + "(" +
+                            kPlain.params + extra_params + ")";
+    driver_->decls += sig + ";\n";
+    driver_->functions.push_back(sig + "\n{\n" +
+                                 trimmedLocals(body, extra) + body +
+                                 "}\n\n");
+}
+
+std::string
+Generator::emitGroupFunction(int gi, const Flavour &f,
+                             const GroupDriver &d)
 {
     instr_ = f.instr;
     task_ = f.task;
-    vec_ = opts_.vectorize != VectorizeMode::Off;
+    // Only an accumulator's own nests are emitted here; any other
+    // flavour loop's body is a call, with nothing to vectorise.
+    vec_ = d.kind == GroupDriver::Kind::Accumulator &&
+           opts_.vectorize != VectorizeMode::Off;
     tmp_ = 0;
     hoistTmp_ = 0;
     cseTmp_ = 0;
+    phase_ = d.firstPhase;
 
+    const GroupSchedule &grp = grouping_.groups[gi];
     w_ = CodeWriter(1);
-    const int phase_start = phase_;
-    emitGroup(gi);
-    // Every flavour walks the groups identically; record the phase
-    // ownership once.
-    while (int(phaseGroup_.size()) < phase_ &&
-           int(phaseGroup_.size()) >= phase_start)
-        phaseGroup_.push_back(gi);
-    const std::string body = w_.str();
-
-    // The preamble is trimmed to the locals the body reads, directly or
-    // through a kept line (a stride reads its extents), so each
-    // function stays as small as its group.
-    std::set<std::string> used;
-    collectIdentifiers(body, used);
-    std::vector<bool> keep(preamble_.size(), false);
-    for (std::size_t i = preamble_.size(); i-- > 0;) {
-        if (used.count(preamble_[i].name)) {
-            keep[i] = true;
-            collectIdentifiers(preamble_[i].text, used);
-        }
+    std::string names;
+    for (int st : grp.stages)
+        names += stageName(st) + " ";
+    w_.line("// ---- group " + std::to_string(gi) + ": " + names);
+    switch (d.kind) {
+    case GroupDriver::Kind::Tiled:
+        emitTiledDriver(gi, d);
+        break;
+    case GroupDriver::Kind::Untiled:
+        for (const OuterNest &n : d.nests)
+            emitOuterNest(n);
+        break;
+    case GroupDriver::Kind::Serial:
+        emitSerialPhase(d.calls.front());
+        break;
+    case GroupDriver::Kind::Accumulator:
+        emitAccumulator(gi, grp.stages.front());
+        break;
     }
+    const std::string body = w_.str();
 
     CodeWriter head(1), tail(1);
     if (task_)
@@ -1808,14 +2049,12 @@ Generator::emitGroupFunction(int gi, const Flavour &f)
         tail.line("*pm_count = pm_task;");
         tail.line("*pm_serial = pm_serial_acc;");
     }
-    for (std::size_t i = 0; i < preamble_.size(); ++i)
-        if (keep[i])
-            head.line(preamble_[i].text);
-    head.blank();
     if (task_)
         tail.line("return 0;");
-    return kGroupLinkage + " " + f.ret + " " + groupFunctionName(gi, f) +
-           "(" + f.params + ")\n{\n" + head.str() + body + tail.str() +
+    // The shared functions called may live in other translation units.
+    return d.decls + kGroupLinkage + " " + f.ret + " " +
+           groupFunctionName(gi, f) + "(" + f.params + ")\n{\n" +
+           head.str() + trimmedLocals(body) + body + tail.str() +
            "}\n\n";
 }
 
@@ -1920,18 +2159,20 @@ Generator::run()
     preamble_ = preambleLines();
 
     GeneratedCode out;
-    // Group functions first: the plain flavour records the phase map
-    // the task entry dispatches on, and rendering registers the vector
-    // typedefs the prelude must declare.
+    // Group functions first: emitting the shared stage functions
+    // records the phase map the task entry dispatches on and registers
+    // the vector typedefs the prelude must declare.
     std::vector<const Flavour *> flavours = {&kPlain};
     if (opts_.instrument)
         flavours.push_back(&kInstr);
     if (opts_.taskABI)
         flavours.push_back(&kTask);
-    for (const Flavour *f : flavours) {
-        phase_ = 0;
-        for (std::size_t gi = 0; gi < grouping_.groups.size(); ++gi)
-            out.functions.push_back(emitGroupFunction(int(gi), *f));
+    for (std::size_t gi = 0; gi < grouping_.groups.size(); ++gi) {
+        GroupDriver d = emitShared(int(gi));
+        for (std::string &fn : d.functions)
+            out.functions.push_back(std::move(fn));
+        for (const Flavour *f : flavours)
+            out.functions.push_back(emitGroupFunction(int(gi), *f, d));
     }
     instr_ = task_ = false;
     out.entryPoints = emitEntryPoints(flavours);
@@ -1993,15 +2234,13 @@ GeneratedCode::translationUnits(int n) const
     n = std::clamp(n, 1, int(pieces.size()));
 
     // Costliest piece first onto the least loaded unit; every unit gets
-    // a piece since n <= pieces.  The compiler's time grows faster than
-    // a function's length (about lines^1.4 over the paper apps' group
-    // functions, EXPERIMENTS.md "Parallel JIT"), so a large group
-    // function gets a unit of its own instead of company.
-    std::vector<double> cost;
-    for (const std::string *p : pieces) {
-        const double lines = double(std::count(p->begin(), p->end(), '\n'));
-        cost.push_back(lines * std::sqrt(lines));
-    }
+    // a piece since n <= pieces.  A piece costs its line count: with
+    // each stage's loops in a function of their own no piece is large,
+    // and weighting long ones up (lines^1.5) balanced the units no
+    // better (EXPERIMENTS.md "Parallel JIT").
+    std::vector<std::size_t> cost;
+    for (const std::string *p : pieces)
+        cost.push_back(std::size_t(std::count(p->begin(), p->end(), '\n')));
     std::vector<std::size_t> order(pieces.size());
     for (std::size_t i = 0; i < order.size(); ++i)
         order[i] = i;
@@ -2010,7 +2249,7 @@ GeneratedCode::translationUnits(int n) const
                          return cost[a] > cost[b];
                      });
     std::vector<std::vector<std::size_t>> members(static_cast<std::size_t>(n));
-    std::vector<double> load(static_cast<std::size_t>(n), 0.0);
+    std::vector<std::size_t> load(static_cast<std::size_t>(n), 0);
     for (std::size_t i : order) {
         const std::size_t k = std::size_t(
             std::min_element(load.begin(), load.end()) - load.begin());

@@ -4,9 +4,12 @@
  * pipeline into C++ structured like the paper's Figure 7 -- parallel
  * overlapped-tile loops, per-tile scratchpads with relative indexing,
  * clamped per-level bounds, and vectorisation on unit-stride innermost
- * loops.  Each fused group becomes its own function, and the pipeline
- * entry calls them in order, so the program splits into translation
- * units that compile concurrently (GeneratedCode::translationUnits).
+ * loops.  Each stage's loop nest is emitted once, as a function shared
+ * by every entry flavour; each fused group gets one small function per
+ * flavour that walks its tiles or tasks and calls them, and the
+ * pipeline entry calls the groups in order.  The program thus splits
+ * into translation units that compile concurrently
+ * (GeneratedCode::translationUnits).
  */
 #ifndef POLYMAGE_CODEGEN_GENERATE_HPP
 #define POLYMAGE_CODEGEN_GENERATE_HPP
@@ -122,10 +125,17 @@ struct GeneratedCode
     std::string source;
     /**
      * The program in pieces that compile independently.  `prelude`
-     * (helpers and vector typedefs) opens every unit; `functions` holds
-     * one function per group and entry flavour (`<entry>_g<k>`,
-     * `<entry>_g<k>_pm_instr`, `<entry>_g<k>_pm_task`, hidden
-     * visibility); `entryPoints` declares them all and defines the
+     * (helpers and vector typedefs) opens every unit.  `functions`
+     * holds, per group, the flavour-neutral stage functions -- one per
+     * stage of a tiled group, `<entry>_g<k>_s<j>(..., T0[, T1...],
+     * scratchpads)`, one per case nest of an untiled stage,
+     * `<entry>_g<k>_s<j>_n<m>(..., outer indices)` -- then one function
+     * per entry flavour (`<entry>_g<k>`, `<entry>_g<k>_pm_instr`,
+     * `<entry>_g<k>_pm_task`) holding only its tile or task loop, its
+     * scratchpad allocation and the calls; accumulators keep a
+     * per-flavour body.  All are hidden; a flavour function's piece
+     * opens with declarations of the stage functions it calls.
+     * `entryPoints` declares the flavour functions and defines the
      * extern "C" entries that call them, plus the module's one
      * per-thread task arena (`pm_task_arena`) under taskABI.
      */
@@ -134,9 +144,9 @@ struct GeneratedCode
     std::string entryPoints;
     /**
      * Split the program into min(@p n, functions + 1) translation units
-     * of about equal estimated compile time, each opening with the
-     * prelude; unit 0 holds the entry points.  Linked together they
-     * define exactly the symbols of `source`.
+     * of about equal line count, each opening with the prelude; unit 0
+     * holds the entry points.  Linked together they define exactly the
+     * symbols of `source`.
      */
     std::vector<std::string> translationUnits(int n) const;
     /**

@@ -310,7 +310,8 @@ Executable::run(const std::vector<std::int64_t> &params,
 
 TaskProfile
 Executable::profile(const std::vector<std::int64_t> &params,
-                    const std::vector<const Buffer *> &inputs) const
+                    const std::vector<const Buffer *> &inputs,
+                    std::vector<Buffer> *outputs_out) const
 {
     PM_ASSERT(instrFn_ != nullptr,
               "pipeline built without codegen.instrument");
@@ -404,6 +405,8 @@ Executable::profile(const std::vector<std::int64_t> &params,
         prof.groups[std::size_t(gi)].seconds += prof.costs[i];
         prof.groups[std::size_t(gi)].tasks += 1;
     }
+    if (outputs_out != nullptr)
+        *outputs_out = std::move(outputs);
     return prof;
 }
 

@@ -249,10 +249,12 @@ class Executable
 
     /**
      * Run the instrumented entry (serial) and collect per-task costs.
-     * Requires opts.codegen.instrument at build time.
+     * Requires opts.codegen.instrument at build time.  The run's
+     * outputs are discarded unless @p outputs is given.
      */
     TaskProfile profile(const std::vector<std::int64_t> &params,
-                        const std::vector<const Buffer *> &inputs) const;
+                        const std::vector<const Buffer *> &inputs,
+                        std::vector<Buffer> *outputs = nullptr) const;
 
     /** Shapes of the output buffers under the given parameters. */
     std::vector<std::vector<std::int64_t>>

@@ -5,45 +5,102 @@
  * host compiler's vectorisation report, and handy for eyeballing what
  * the codegen produces:
  *
- *   ./polymage_dump_source harris [rows cols] > harris.gen.cpp
+ *   ./polymage_dump_source harris [rows cols] [serving] > harris.gen.cpp
+ *
+ * `serving` compiles with CompileOptions::serving() (the variant the
+ * serving engine JITs: shape-generic, with the task entry) instead of
+ * CompileOptions::optimized().  The header lists every generated
+ * function with its line count, the pieces the JIT spreads over
+ * translation units (GeneratedCode::translationUnits).
  */
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "apps/apps.hpp"
 #include "driver/compiler.hpp"
 
 using namespace polymage;
 
+namespace {
+
+long
+lineCount(const std::string &text)
+{
+    return long(std::count(text.begin(), text.end(), '\n'));
+}
+
+/** Name of the function a piece defines (it may open with declarations). */
+std::string
+definedName(const std::string &piece)
+{
+    std::size_t bol = 0;
+    while (bol < piece.size()) {
+        const std::size_t eol = piece.find('\n', bol);
+        const std::string line = piece.substr(bol, eol - bol);
+        // Every generated symbol starts with the entry's "polymage_".
+        const std::size_t name = line.find(" polymage_");
+        if (name != std::string::npos && line.back() != ';') {
+            const std::size_t paren = line.find('(', name);
+            return line.substr(name + 1, paren - name - 1);
+        }
+        if (eol == std::string::npos)
+            break;
+        bol = eol + 1;
+    }
+    return "?";
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
     const std::string app = argc > 1 ? argv[1] : "harris";
-    const std::int64_t r = argc > 2 ? std::atoll(argv[2]) : 2048;
-    const std::int64_t c = argc > 3 ? std::atoll(argv[3]) : 2048;
+    bool serving = false;
+    std::vector<std::int64_t> dims;
+    for (int i = 2; i < argc; ++i) {
+        if (std::strcmp(argv[i], "serving") == 0)
+            serving = true;
+        else
+            dims.push_back(std::atoll(argv[i]));
+    }
+    const std::int64_t r = dims.size() > 0 ? dims[0] : 2048;
+    const std::int64_t c = dims.size() > 1 ? dims[1] : 2048;
 
     dsl::PipelineSpec spec("unset");
-    if (app == "harris")
+    if (app == "harris") {
         spec = apps::buildHarris(r, c);
-    else if (app == "unsharp")
+    } else if (app == "unsharp") {
         spec = apps::buildUnsharpMask(r, c);
-    else if (app == "bilateral")
+    } else if (app == "bilateral") {
         spec = apps::buildBilateralGrid(r, c);
-    else if (app == "camera")
+    } else if (app == "camera") {
         spec = apps::buildCameraPipeline(r, c);
-    else if (app == "pyramid")
+    } else if (app == "pyramid") {
         spec = apps::buildPyramidBlend(r, c, 4);
-    else {
+    } else if (app == "interp") {
+        // As deep as the image allows, up to 8 scales.
+        int levels = 8;
+        while (levels > 2 && (std::min(r, c) >> (levels - 1)) < 4)
+            --levels;
+        spec = apps::buildMultiscaleInterp(r, c, levels);
+    } else if (app == "laplacian") {
+        spec = apps::buildLocalLaplacian(r, c, 4, 8);
+    } else {
         std::fprintf(stderr,
                      "usage: %s {harris|unsharp|bilateral|camera|"
-                     "pyramid} [rows cols]\n",
+                     "pyramid|interp|laplacian} [rows cols] [serving]\n",
                      argv[0]);
         return 2;
     }
 
-    auto compiled = compilePipeline(spec);
+    auto compiled = compilePipeline(spec, serving
+                                              ? CompileOptions::serving()
+                                              : CompileOptions::optimized());
     const auto &code = compiled.code;
 
     // Vectorisation header: what the explicit emitter chose, so a dump
@@ -68,6 +125,18 @@ main(int argc, char **argv)
             std::printf(" %s", s.c_str());
     }
     std::printf("\n");
+
+    // Function sizes: the pieces the JIT spreads over its units.
+    long largest = 0;
+    for (const std::string &f : code.functions)
+        largest = std::max(largest, lineCount(f));
+    std::printf("// source: %ld lines, prelude %ld, %zu functions "
+                "(largest %ld lines), entry points %ld\n",
+                lineCount(code.source), lineCount(code.prelude),
+                code.functions.size(), largest,
+                lineCount(code.entryPoints));
+    for (const std::string &f : code.functions)
+        std::printf("//   %5ld %s\n", lineCount(f), definedName(f).c_str());
     std::fputs(code.source.c_str(), stdout);
     return 0;
 }
