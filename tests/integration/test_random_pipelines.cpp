@@ -1,10 +1,10 @@
 /**
  * @file
  * Property-based integration tests: randomly generated pipelines --
- * stencil DAGs and up/down-sampling chains -- are compiled through the
- * full optimising stack (random tile sizes and thresholds included)
- * and must match the reference interpreter exactly (up to float
- * tolerance).  This fuzzes grouping, alignment/scaling, overlapped
+ * stencil DAGs, up/down-sampling chains and data-dependent lookups --
+ * are compiled through the full optimising stack (random tile sizes
+ * and thresholds included) and must match the reference interpreter
+ * exactly (up to float tolerance).  This fuzzes grouping, alignment/scaling, overlapped
  * tiling, scratchpad allocation, and code generation together.
  */
 #include <gtest/gtest.h>
@@ -185,6 +185,64 @@ TEST(RandomPipelines, SamplingChains)
 
         Buffer in = randomInput(rng, {size});
         checkPipeline(spec, {}, {&in}, rng, 1e-4);
+    }
+}
+
+/**
+ * Random data-dependent reads: a table indexed by a clamped cast of
+ * pixel values (a non-affine index), and border handling where select
+ * picks the neighbour to read (affine indices that only the taken
+ * branch evaluates), guarded by position or by data.
+ */
+TEST(RandomPipelines, DataDependentLookups)
+{
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng rng(seed * 15485863);
+        const std::int64_t n = 40 + rng.uniformInt(0, 24);
+        const std::int64_t bins = 8 + rng.uniformInt(0, 40);
+        Parameter N("N");
+        Image I("I", DType::Float, {Expr(N), Expr(N)});
+        Variable i("i"), x("x"), y("y");
+
+        Function table("table", {i}, {Interval(Expr(0), Expr(bins - 1))},
+                       DType::Float);
+        table.define(cast(DType::Float, Expr(i) * Expr(i)) *
+                     Expr(rng.uniformReal(-0.1, 0.1)));
+
+        // Inputs lie in [-1, 1), so the scaled index runs below 0 and
+        // past the last bin: the clamp engages at both ends.
+        const Interval full(Expr(0), Expr(N) - 1);
+        Function mapped("mapped", {x, y}, {full, full}, DType::Float);
+        const double scale = double(bins) * rng.uniformReal(0.6, 1.2);
+        mapped.define(
+            table(clamp(cast(DType::Int,
+                             (I(Expr(x), Expr(y)) + Expr(0.75)) *
+                                 Expr(scale)),
+                        Expr(0), Expr(bins - 1))) +
+            I(Expr(x), Expr(y)));
+
+        const Interval inner(Expr(1), Expr(N) - 2);
+        Function edge("edge", {x, y}, {inner, inner}, DType::Float);
+        const Condition by_data =
+            I(Expr(x), Expr(y)) > Expr(rng.uniformReal(-0.5, 0.5));
+        edge.define(
+            select(Expr(y) >= 2, mapped(Expr(x), Expr(y) - 1),
+                   mapped(Expr(x), Expr(y) + 1)) +
+            select((Expr(x) <= Expr(N) - 3) & by_data,
+                   mapped(Expr(x) + 1, Expr(y)),
+                   mapped(Expr(x) - 1, Expr(y))) *
+                Expr(0.5));
+
+        PipelineSpec spec("fuzz_lookup_" + std::to_string(seed));
+        spec.addParam(N);
+        spec.addInput(I);
+        spec.addOutput(edge);
+        if (rng.chance(0.5))
+            spec.addOutput(mapped);
+        spec.estimate(N, n);
+
+        Buffer in = randomInput(rng, {n, n});
+        checkPipeline(spec, {n}, {&in}, rng, 1e-4);
     }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "apps/apps.hpp"
 #include "common/test_pipelines.hpp"
@@ -246,6 +248,163 @@ TEST(Interpreter, UCharWrapsLikeC)
     auto res = evaluate(g, {4}, {&in});
     EXPECT_EQ(res.outputs[0].dataAs<unsigned char>()[0], 44);
     EXPECT_EQ(res.outputs[0].dataAs<unsigned char>()[1], 210);
+}
+
+/** Message of the SpecError @p f raises, or "" if it raises none. */
+template <typename F>
+std::string
+specErrorOf(F f)
+{
+    try {
+        f();
+    } catch (const SpecError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Interpreter, FaultsRaiseOnlyWhenReached)
+{
+    // f(x, y) over [0, R-1]^2 reads I(x, y) where x < K and a faulting
+    // expression elsewhere, once through select and once through a
+    // second case.  K = R never reaches the fault; K = 3 reaches it
+    // first at (3, 0).
+    const std::int64_t n = 8;
+    Parameter R("R"), K("K");
+    Variable x("x"), y("y"), z("z");
+    Image I("I", DType::Float, {Expr(R), Expr(R)});
+    const Expr zero = Expr(K) - Expr(K);
+    struct Fault
+    {
+        const char *name;
+        Expr value;
+        std::string message;
+    };
+    const Fault faults[] = {
+        {"out of bounds", I(Expr(x), Expr(y) + Expr(R)),
+         "runtime out-of-bounds access to 'I' at (3, 8)"},
+        {"division by zero", cast(DType::Float, Expr(x) / zero),
+         "integer division by zero in pipeline"},
+        {"constant modulo by zero", cast(DType::Float, Expr(R) % zero),
+         "integer modulo by zero in pipeline"},
+        {"variable outside its domain", cast(DType::Float, Expr(z)),
+         "expression references a variable outside its function domain"},
+    };
+    Buffer in = rampImage(n, n);
+    for (const Fault &fault : faults) {
+        for (bool as_case : {false, true}) {
+            SCOPED_TRACE(std::string(fault.name) +
+                         (as_case ? " (case)" : " (select)"));
+            Function f("f", {x, y},
+                       {Interval(Expr(0), Expr(R) - 1),
+                        Interval(Expr(0), Expr(R) - 1)},
+                       DType::Float);
+            const Condition taken = Expr(x) < Expr(K);
+            if (as_case) {
+                f.define({Case(taken, I(Expr(x), Expr(y))),
+                          Case(Expr(x) >= Expr(K), fault.value)});
+            } else {
+                f.define(select(taken, I(Expr(x), Expr(y)), fault.value));
+            }
+            PipelineSpec spec("faults");
+            spec.addParam(R);
+            spec.addParam(K);
+            spec.addInput(I);
+            spec.addOutput(f);
+            spec.estimate(R, n);
+            spec.estimate(K, n);
+            auto g = pg::PipelineGraph::build(spec);
+
+            auto res = evaluate(g, {n, n}, {&in});
+            EXPECT_EQ(res.outputs[0].maxAbsDiff(in), 0.0);
+            EXPECT_EQ(specErrorOf([&] { evaluate(g, {n, 3}, {&in}); }),
+                      "polymage: invalid specification: " + fault.message);
+        }
+    }
+}
+
+/** out(x) = I(index(x)) over [0, R-1] on a ramp I(x) = x of size R. */
+Buffer
+gather(const std::function<Expr(Expr)> &index, std::int64_t n)
+{
+    Parameter R("R");
+    Variable x("x");
+    Image I("I", DType::Int, {Expr(R)});
+    Function f("f", {x}, {Interval(Expr(0), Expr(R) - 1)}, DType::Int);
+    f.define(I(index(Expr(x))));
+    PipelineSpec spec("gather");
+    spec.addParam(R);
+    spec.addInput(I);
+    spec.addOutput(f);
+    spec.estimate(R, n);
+    Buffer in(DType::Int, {n});
+    for (std::int64_t i = 0; i < n; ++i)
+        in.dataAs<int>()[i] = int(i);
+    return evaluate(pg::PipelineGraph::build(spec), {n}, {&in})
+        .outputs[0];
+}
+
+TEST(Interpreter, AffineIndexGuardKeepsInt32Wrap)
+{
+    // Every intermediate is an Int: the products leave int32 for large
+    // x and wrap, and the wrapped difference is x again.
+    const std::int64_t n = 40000;
+    Buffer a = gather([](Expr x) { return x * 70000 - x * 69999; }, n);
+    for (std::int64_t i = 0; i < n; i += 997)
+        EXPECT_EQ(a.dataAs<int>()[i], int(i));
+    EXPECT_EQ(a.dataAs<int>()[n - 1], int(n - 1));
+
+    // x * 2^32 wraps to 0 in int32, so the index is x; evaluated
+    // exactly in int64 it would be out of bounds for every x > 0.
+    Buffer b = gather([](Expr x) { return x * 65536 * 65536 + x; }, 16);
+    for (int i = 0; i < 16; ++i)
+        EXPECT_EQ(b.dataAs<int>()[i], i);
+}
+
+TEST(Interpreter, LongAndParameterScaledIndices)
+{
+    // A row-major R x S table stored flat, read through x * S + y (an
+    // affine index with a parameter coefficient), through a Long-typed
+    // index, and with the rows flipped (negative coefficient).
+    const std::int64_t rows = 5, cols = 7;
+    Parameter R("R"), S("S");
+    Variable x("x"), y("y");
+    Image I("I", DType::Float, {Expr(R) * Expr(S)});
+    const std::vector<Interval> dom{Interval(Expr(0), Expr(R) - 1),
+                                    Interval(Expr(0), Expr(S) - 1)};
+    Function direct("direct", {x, y}, dom, DType::Float);
+    direct.define(I(Expr(x) * Expr(S) + Expr(y)));
+    Function wide("wide", {x, y}, dom, DType::Float);
+    wide.define(I(cast(DType::Long, Expr(x)) * Expr(S) + Expr(y)));
+    Function flipped("flipped", {x, y}, dom, DType::Float);
+    flipped.define(I((Expr(R) - 1 - Expr(x)) * Expr(S) + Expr(y)));
+    PipelineSpec spec("table");
+    spec.addParam(R);
+    spec.addParam(S);
+    spec.addInput(I);
+    spec.addOutput(direct);
+    spec.addOutput(wide);
+    spec.addOutput(flipped);
+    spec.estimate(R, rows);
+    spec.estimate(S, cols);
+    auto g = pg::PipelineGraph::build(spec);
+
+    Buffer in(DType::Float, {rows * cols});
+    for (std::int64_t i = 0; i < rows * cols; ++i)
+        in.dataAs<float>()[i] = float(i) + 0.5f;
+    auto res = evaluate(g, {rows, cols}, {&in});
+    ASSERT_EQ(res.outputs.size(), 3u);
+    ASSERT_EQ(res.outputs[0].dims(),
+              (std::vector<std::int64_t>{rows, cols}));
+    for (std::int64_t i = 0; i < rows; ++i) {
+        for (std::int64_t j = 0; j < cols; ++j) {
+            const std::int64_t at = i * cols + j;
+            EXPECT_EQ(res.outputs[0].loadAsDouble(at), double(at) + 0.5);
+            EXPECT_EQ(res.outputs[1].loadAsDouble(at), double(at) + 0.5);
+            EXPECT_EQ(res.outputs[2].loadAsDouble(at),
+                      double((rows - 1 - i) * cols + j) + 0.5);
+        }
+    }
 }
 
 } // namespace
