@@ -181,8 +181,9 @@ struct ColdShapeResult
 
 /**
  * Cold-start scenario (docs/SHAPES.md): a fresh registry with the JIT
- * disk cache off (the compile really runs), one shape-generic Harris
- * variant, a tiered single-worker engine.  The first request at each
+ * disk cache off (the compile really runs), one serving Harris
+ * variant (extents are runtime values, so it serves every shape), a
+ * tiered single-worker engine.  The first request at each
  * of @p nShapes distinct shapes is timed — the tiered engine answers
  * from the interpreter while the one background compile is in flight,
  * so no first request pays the compile.  Afterwards requests are
@@ -281,8 +282,8 @@ runColdStart(obs::JsonWriter &w, double scale, int nShapes)
  * thread budget -- PerRequestOMP (workers' own OpenMP teams) vs
  * SharedTileQueue (engine workers orchestrate, one work-stealing tile
  * pool of @p budget threads owns the compute).  Both modes use the
- * same shape-generic serving variant so the generated tile code is
- * identical; only the placement of tiles onto threads differs.
+ * same serving variant so the generated tile code is identical; only
+ * the placement of tiles onto threads differs.
  */
 void
 runSchedulerCompare(obs::JsonWriter &w,

@@ -97,8 +97,10 @@ fi
 
 # ---------------------------------------------------------------- 5.
 # Shape/variant docs: docs/SHAPES.md must exist, be cross-linked from
-# the docs that touch shape-generic serving, and its cold-start fields
-# must be emitted by the benchmark.
+# the docs that touch serving across shapes, and its cold-start fields
+# must be emitted by the benchmark.  The deleted runtime tile-size ABI
+# must not come back under its old names (history files -- CHANGES,
+# EXPERIMENTS, ROADMAP -- may still name it).
 shdoc=docs/SHAPES.md
 [ -f "$shdoc" ] || err "$shdoc missing"
 if [ -f "$shdoc" ]; then
@@ -113,6 +115,10 @@ if [ -f "$shdoc" ]; then
         grep -rq "\"$field\"" src/ bench/ \
             || err "field \"$field\" not emitted by src/ or bench/"
     done
+fi
+stale='shapeGeneric|pm_tau|tileParam(Count|Defaults)|dispatchTileSizes|tileSizesForShape'
+if grep -rnE "$stale" README.md docs/ src/ bench/ tools/; then
+    err "deleted runtime tile-size names (above) are back"
 fi
 
 # ---------------------------------------------------------------- 6.

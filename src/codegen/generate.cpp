@@ -549,32 +549,6 @@ class Generator
     /** Per-group explicit-vectorisation census of the primary entry. */
     std::map<int, GeneratedCode::GroupVectorInfo> groupVec_;
     int explicitNests_ = 0;
-    /**
-     * Shape-generic mode: compile-time tile sizes, one per runtime
-     * tile parameter (max tiled-dim count over the tiled groups).
-     * Empty when tile sizes are folded as literal constants.
-     */
-    std::vector<std::int64_t> tauDefault_;
-
-    /** Tile-size term for tiled dim @p ti of a group: the `pm_tau<k>`
-     * local in shape-generic mode, the literal otherwise. */
-    std::string
-    tauTerm(std::size_t ti, std::int64_t literal) const
-    {
-        if (tauDefault_.empty())
-            return std::to_string(literal);
-        const std::size_t k = std::min(ti, tauDefault_.size() - 1);
-        return "pm_tau" + std::to_string(k);
-    }
-
-    /** Same, as a long long multiplicand (`32LL` vs `pm_tau0`). */
-    std::string
-    tauTermLL(std::size_t ti, std::int64_t literal) const
-    {
-        if (tauDefault_.empty())
-            return std::to_string(literal) + "LL";
-        return tauTerm(ti, literal);
-    }
 };
 
 std::string
@@ -1307,16 +1281,13 @@ Generator::emitTiledStage(int gi, int s, int j)
             const int gd = tiled[ti];
             const auto &info = grp.dims[gd];
             const std::string t = "T" + std::to_string(ti);
+            const std::string tau_ll = std::to_string(tau[ti]) + "LL";
             const std::string lo_raw =
-                "(" + tauTermLL(ti, tau[ti]) + " * " + t + " - " +
+                "(" + tau_ll + " * " + t + " - " +
                 std::to_string(info.extLeft[lvl]) + ")";
-            const std::string hi_add =
-                tauDefault_.empty()
-                    ? std::to_string(tau[ti] - 1 + info.extRight[lvl])
-                    : tauTermLL(ti, tau[ti]) + " - 1 + " +
-                          std::to_string(info.extRight[lvl]);
-            const std::string hi_raw = "(" + tauTermLL(ti, tau[ti]) +
-                                       " * " + t + " + " + hi_add + ")";
+            const std::string hi_raw =
+                "(" + tau_ll + " * " + t + " + " +
+                std::to_string(tau[ti] - 1 + info.extRight[lvl]) + ")";
             dims[d].lb.push_back(ceilDivStr(lo_raw, m.scale[d]));
             dims[d].ub.push_back(floorDivStr(hi_raw, m.scale[d]));
         }
@@ -1345,7 +1316,7 @@ Generator::emitTiledStage(int gi, int s, int j)
                 if (mp.groupDim[d] != tiled[ti])
                     continue;
                 const std::string raw =
-                    "(" + tauTermLL(ti, tau[ti]) + " * T" +
+                    "(" + std::to_string(tau[ti]) + "LL * T" +
                     std::to_string(ti) + " - " +
                     std::to_string(grp.dims[tiled[ti]].extLeft[lp]) + ")";
                 const std::string name =
@@ -1424,10 +1395,10 @@ Generator::emitTiledDriver(int gi, const GroupDriver &drv)
         const std::string ghi = foldMinMax(ghi_terms, "pm_max_i");
         const std::string t = std::to_string(ti);
         w_.line("const long long tlo" + t + "_g" + std::to_string(gi) +
-                " = pm_floordiv(" + glo + ", " + tauTerm(ti, tau[ti]) +
+                " = pm_floordiv(" + glo + ", " + std::to_string(tau[ti]) +
                 ");");
         w_.line("const long long thi" + t + "_g" + std::to_string(gi) +
-                " = pm_floordiv(" + ghi + ", " + tauTerm(ti, tau[ti]) +
+                " = pm_floordiv(" + ghi + ", " + std::to_string(tau[ti]) +
                 ");");
         tlo[ti] = "tlo" + t + "_g" + std::to_string(gi);
         thi[ti] = "thi" + t + "_g" + std::to_string(gi);
@@ -1865,18 +1836,6 @@ Generator::preambleLines()
         add(name, "const int " + name + " = (int)params[" +
                       std::to_string(i) + "];");
     }
-    // Shape-generic tile sizes: trailing params entries, clamped to
-    // [1, compile-time size] so the compile-time-sized scratchpads and
-    // arenas stay a safe max footprint; out-of-range values fall back
-    // to the estimate-tuned defaults.
-    for (std::size_t i = 0; i < tauDefault_.size(); ++i) {
-        const std::string arg =
-            "params[" + std::to_string(g_.params().size() + i) + "]";
-        const std::string d = std::to_string(tauDefault_[i]);
-        const std::string name = "pm_tau" + std::to_string(i);
-        add(name, "const long long " + name + " = (" + arg + " >= 1 && " +
-                      arg + " <= " + d + ") ? " + arg + " : " + d + ";");
-    }
 
     // Extent and row-major stride locals of a buffer.
     auto add_shape = [&](const std::string &base,
@@ -2130,24 +2089,9 @@ Generator::run()
          {"params", "inputs", "outputs", "pm_slots", "pm_costs",
           "pm_gids", "pm_cap", "pm_count", "pm_serial", "pm_task",
           "pm_serial_acc", "pm_t0", "T0", "T1", "T2", "T3", "T4", "T5",
-          "T6", "T7", "pm_tau0", "pm_tau1", "pm_tau2", "pm_tau3",
-          "pm_tau4", "pm_tau5", "pm_tau6", "pm_tau7", "pm_phase",
-          "pm_lo", "pm_hi", "pm_t", "pm_te", "pm_tr", "pm_n"}) {
+          "T6", "T7", "pm_phase", "pm_lo", "pm_hi", "pm_t", "pm_te",
+          "pm_tr", "pm_n"}) {
         used_.insert(n);
-    }
-    // Shape-generic mode: one runtime tile-size parameter per tiled
-    // dimension (max over the overlapped-tile groups), defaulting to
-    // the compile-time sizes with tileSizeFor's repeat-last semantics.
-    if (opts_.shapeGeneric && opts_.tile) {
-        std::size_t dims = 0;
-        for (const auto &grp : grouping_.groups) {
-            if (grp.stages.size() <= 1)
-                continue;
-            dims = std::max(dims,
-                            core::tiledDimsFor(grp, g_, gopts_).size());
-        }
-        for (std::size_t i = 0; i < dims; ++i)
-            tauDefault_.push_back(core::tileSizeFor(gopts_, int(i)));
     }
     // Claim global names.
     for (const auto &p : g_.params())
@@ -2197,8 +2141,6 @@ Generator::run()
     out.interiorNests = interiorNests_;
     out.guardedNests = guardedNests_;
     out.partitionedCases = partitionedCases_;
-    out.tileParamCount = int(tauDefault_.size());
-    out.tileParamDefaults = tauDefault_;
     out.vectorizeMode = vectorizeModeName(opts_.vectorize);
     if (opts_.vectorize == VectorizeMode::Explicit) {
         out.vectorIsa = machine::machineInfo().isa;

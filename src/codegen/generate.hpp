@@ -90,18 +90,6 @@ struct CodegenOptions
      */
     bool partition = true;
     /**
-     * Shape-generic variant (docs/SHAPES.md): tile sizes become
-     * runtime arguments instead of folded constants.  The entry reads
-     * GeneratedCode::tileParamCount extra trailing entries of `params`
-     * (after the graph parameters) as per-dimension tile sizes.  Each
-     * is clamped to [1, compile-time size]; zero or out-of-range
-     * values fall back to the compile-time (estimate-tuned) size, so
-     * the compile-time-sized scratchpads and heap arenas remain a
-     * conservative max footprint for every call.  Off (the default)
-     * folds tile sizes as literals -- byte-identical to prior output.
-     */
-    bool shapeGeneric = false;
-    /**
      * Also emit a task-granular entry `<name>_pm_task` (docs/SERVING.md
      * "Scheduling"): the pipeline's parallel phases become closed task
      * lists a caller-owned scheduler executes, instead of the entry
@@ -153,15 +141,14 @@ struct GeneratedCode
      * Entry symbol:
      * void entry(const long long *params, void *const *inputs,
      *            void **outputs, void *const *slots);
-     * Parameters/inputs/outputs follow graph order; under
-     * CodegenOptions::shapeGeneric, `params` carries tileParamCount
-     * additional trailing tile-size entries after the graph
-     * parameters.  Output buffers are
-     * caller-allocated (shape via interp::stageShape).  `slots` holds
-     * one 64-byte-aligned caller-provided allocation per entry of
-     * StoragePlan::slots, sized to the largest member stage under the
-     * call's parameters (rt::Executable services it from a BufferPool,
-     * so steady-state calls perform no heap allocation).
+     * Parameters/inputs/outputs follow graph order; `params` holds
+     * exactly the graph parameters (tile sizes are folded constants,
+     * docs/SHAPES.md).  Output buffers are caller-allocated (shape via
+     * interp::stageShape).  `slots` holds one 64-byte-aligned
+     * caller-provided allocation per entry of StoragePlan::slots, sized
+     * to the largest member stage under the call's parameters
+     * (rt::Executable services it from a BufferPool, so steady-state
+     * calls perform no heap allocation).
      */
     std::string entry;
     /**
@@ -214,15 +201,6 @@ struct GeneratedCode
     int interiorNests = 0;
     int guardedNests = 0;
     int partitionedCases = 0;
-    /**
-     * Shape-generic ABI: number of trailing runtime tile-size entries
-     * the entry reads from `params` after the graph parameters (0 when
-     * tile sizes are folded constants).  The i-th entry defaults to
-     * tileParamDefaults[i] -- the compile-time, estimate-tuned size --
-     * whenever the bound value lies outside [1, tileParamDefaults[i]].
-     */
-    int tileParamCount = 0;
-    std::vector<std::int64_t> tileParamDefaults;
     double interiorFraction() const
     {
         const int total = interiorNests + guardedNests;

@@ -303,24 +303,4 @@ TileModelResult::toJson() const
     return w.str();
 }
 
-std::vector<std::int64_t>
-tileSizesForShape(const std::vector<std::int64_t> &defaults,
-                  const std::vector<std::int64_t> &shape)
-{
-    std::vector<std::int64_t> out = defaults;
-    // Tiled dims follow the outer spatial axes of the widest stage, so
-    // tile dim i aligns with the matching trailing shape dim (leading
-    // shape dims -- e.g. a 3-wide channel axis -- are never tiled).
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        const std::int64_t sd = std::int64_t(shape.size()) -
-                                std::int64_t(out.size()) +
-                                std::int64_t(i);
-        if (sd >= 0 && sd < std::int64_t(shape.size()) &&
-            shape[std::size_t(sd)] >= 1)
-            out[i] = std::min(out[i], shape[std::size_t(sd)]);
-        out[i] = std::max<std::int64_t>(1, out[i]);
-    }
-    return out;
-}
-
 } // namespace polymage::core

@@ -143,22 +143,6 @@ chooseTileConfig(const pg::PipelineGraph &g,
                  const GroupingOptions &base = {},
                  const machine::MachineInfo &m = machine::machineInfo());
 
-/**
- * Dispatch-time tile sizes for a shape-generic variant
- * (docs/SHAPES.md): clamp each compile-time size in @p defaults to the
- * matching trailing extent of @p shape (the largest output), so small
- * inputs collapse to one tile per dimension instead of mostly-empty
- * overlapped tiles.  Correctness never depends on the result -- the
- * generated code clamps every tile region to the stage domain and
- * falls back to the compile-time sizes for out-of-range values -- so
- * this is purely the cost model's per-shape refinement.  Every
- * returned size stays in [1, defaults[i]], keeping the variant's
- * compile-time-sized scratchpads a valid max footprint.
- */
-std::vector<std::int64_t>
-tileSizesForShape(const std::vector<std::int64_t> &defaults,
-                  const std::vector<std::int64_t> &shape);
-
 } // namespace polymage::core
 
 #endif // POLYMAGE_CORE_TILE_MODEL_HPP

@@ -161,7 +161,6 @@ CompileOptions
 CompileOptions::serving()
 {
     CompileOptions o = optimized();
-    o.codegen.shapeGeneric = true;
     // Serving variants also carry the task-granular entry so the
     // engine's shared work-stealing scheduler (docs/SERVING.md
     // "Scheduling") can decompose requests into tile tasks.

@@ -36,10 +36,10 @@ struct CompileOptions
      */
     static CompileOptions baseline(bool vectorize);
     /**
-     * optimized() plus shape-generic codegen (docs/SHAPES.md): tile
-     * sizes become runtime parameters so one compiled variant serves
-     * every input shape, with Executable binding model-chosen sizes
-     * per call.  The serving registry's preferred configuration.
+     * optimized() plus the task-granular entry (docs/SERVING.md
+     * "Scheduling").  Extents stay runtime values, so one compiled
+     * variant serves every input shape (docs/SHAPES.md).  The serving
+     * registry's preferred configuration.
      */
     static CompileOptions serving();
 };

@@ -57,32 +57,6 @@ Executable::outputShapes(const std::vector<std::int64_t> &params) const
     return shapes;
 }
 
-std::vector<std::int64_t>
-Executable::dispatchTileSizes(
-    const std::vector<std::int64_t> &params) const
-{
-    const auto &code = compiled_->code;
-    if (code.tileParamCount == 0)
-        return {};
-    // The largest output is the shape proxy the tile model refines
-    // against; the generated code falls back to the compile-time sizes
-    // for anything out of range, so this can only tune, not break.
-    const auto &g = compiled_->graph;
-    std::vector<std::int64_t> shape;
-    std::int64_t best = -1;
-    for (int out : g.outputs()) {
-        auto s = interp::stageShape(g.stage(out), g, params);
-        std::int64_t numel = 1;
-        for (std::int64_t d : s)
-            numel *= d;
-        if (numel > best) {
-            best = numel;
-            shape = std::move(s);
-        }
-    }
-    return core::tileSizesForShape(code.tileParamDefaults, shape);
-}
-
 namespace {
 
 void
@@ -187,8 +161,6 @@ Executable::runInto(const std::vector<std::int64_t> &params,
     for (Buffer &b : outputs)
         out_ptrs.push_back(b.data());
     std::vector<long long> p(params.begin(), params.end());
-    for (std::int64_t t : dispatchTileSizes(params))
-        p.push_back((long long)t);
     SlotLease slots(*compiled_, pool, params);
     fn_(p.data(), in_ptrs.data(), out_ptrs.data(), slots.data());
 }
@@ -269,8 +241,6 @@ Executable::prepareTasks(const std::vector<std::int64_t> &params,
     for (Buffer &b : outputs)
         inv.outs_.push_back(b.data());
     inv.params_.assign(params.begin(), params.end());
-    for (std::int64_t t : dispatchTileSizes(params))
-        inv.params_.push_back((long long)t);
     // Same sizing as SlotLease, but the lease must outlive this call
     // frame (the scheduler's workers execute later), so the
     // invocation owns the raw acquisitions directly.
@@ -331,8 +301,6 @@ Executable::profile(const std::vector<std::int64_t> &params,
     for (Buffer &b : outputs)
         out_ptrs.push_back(b.data());
     std::vector<long long> p(params.begin(), params.end());
-    for (std::int64_t t : dispatchTileSizes(params))
-        p.push_back((long long)t);
 
     SlotLease slots(*compiled_, *pool_, params);
 

@@ -133,10 +133,9 @@ struct MemoryStats
 
 /**
  * One prepared task-granular call (docs/SERVING.md "Scheduling"):
- * the resolved parameter array (graph parameters plus dispatch tile
- * sizes), input/output pointer tables, and a held slot lease, bound
- * so a caller-owned scheduler can execute the pipeline's phases as
- * closed task lists.  The lease returns to its pool on destruction;
+ * the resolved graph parameters, input/output pointer tables, and a
+ * held slot lease, bound so a caller-owned scheduler can execute the
+ * pipeline's phases as closed task lists.  The lease returns to its pool on destruction;
  * the invocation must not outlive the Executable, the inputs, or the
  * output buffers it was prepared against.
  */
@@ -235,9 +234,8 @@ class Executable
 
     /**
      * Prepare a task-granular call against caller-allocated
-     * @p outputs: validates the request, binds parameters (plus
-     * dispatch tile sizes) and pointer tables, and leases the
-     * intermediate slots from @p pool.  The returned invocation's
+     * @p outputs: validates the request, binds parameters and pointer
+     * tables, and leases the intermediate slots from @p pool.  The returned invocation's
      * run(phase, lo, hi) is what a tile scheduler's workers execute;
      * the caller must keep inputs/outputs alive until it is done and
      * destroyed.  Requires hasTaskEntry().
@@ -259,16 +257,6 @@ class Executable
     /** Shapes of the output buffers under the given parameters. */
     std::vector<std::vector<std::int64_t>>
     outputShapes(const std::vector<std::int64_t> &params) const;
-
-    /**
-     * Tile sizes this executable binds for a call at @p params: empty
-     * for shape-specialized builds (sizes are folded constants);
-     * otherwise the compile-time sizes refined per shape by
-     * core::tileSizesForShape and passed as the trailing entries of
-     * the generated entry's params array (docs/SHAPES.md).
-     */
-    std::vector<std::int64_t>
-    dispatchTileSizes(const std::vector<std::int64_t> &params) const;
 
     /**
      * Memory-system statistics: the storage reuse plan plus live

@@ -87,8 +87,7 @@ optionsFingerprint(const CompileOptions &o)
     const auto &c = o.codegen;
     os << c.tile << ',' << c.storageOpt << ',' << int(c.vectorize) << ','
        << c.instrument << ',' << c.maxStackScratchBytes << ','
-       << c.bufferReuse << ',' << c.partition << ',' << c.shapeGeneric
-       << ',' << c.taskABI;
+       << c.bufferReuse << ',' << c.partition << ',' << c.taskABI;
     return fnv1a(os.str());
 }
 

@@ -345,7 +345,6 @@ TEST(Exec, SplitUnitsLinkIntoOneModule)
     EXPECT_THROW(mod.symbol(code.entry + "_g0"), InternalError);
 
     std::vector<long long> params = {64, 64};
-    params.resize(params.size() + std::size_t(code.tileParamCount), 0);
     const long long phases =
         task(params.data(), nullptr, nullptr, nullptr, -1, 0, 0);
     EXPECT_EQ(phases, (long long)code.phaseGroup.size());

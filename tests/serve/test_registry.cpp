@@ -122,10 +122,6 @@ TEST(Registry, EveryOptionFieldSeparatesVariants)
          [](CompileOptions &o) {
              o.codegen.partition = !o.codegen.partition;
          }},
-        {"codegen.shapeGeneric",
-         [](CompileOptions &o) {
-             o.codegen.shapeGeneric = !o.codegen.shapeGeneric;
-         }},
         {"codegen.taskABI",
          [](CompileOptions &o) { o.codegen.taskABI = !o.codegen.taskABI; }},
     };

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shape-generic serving tests (docs/SHAPES.md): one compiled variant
+ * Serving across shapes (docs/SHAPES.md): one compiled variant
  * built with CompileOptions::serving() answers many input shapes
  * interpreter-equal, the registry keys variants by interface (not
  * estimates) so a second shape is a cache *hit*, and the tiered
@@ -14,7 +14,7 @@
 
 #include "apps/apps.hpp"
 #include "common/test_pipelines.hpp"
-#include "core/tile_model.hpp"
+#include "core/grouping.hpp"
 #include "interp/interpreter.hpp"
 #include "pipeline/graph.hpp"
 #include "runtime/synth.hpp"
@@ -48,30 +48,9 @@ expectMatchesInterp(const dsl::PipelineSpec &spec,
             << what << " output " << i;
 }
 
-TEST(Shapes, TileSizesForShapeClampToTrailingExtents)
-{
-    // Trailing alignment: a 2-D tiling of a 3-D output ignores the
-    // leading (channel) dimension.
-    const auto t =
-        core::tileSizesForShape({32, 32}, {3, 16, 8});
-    ASSERT_EQ(t.size(), 2u);
-    EXPECT_EQ(t[0], 16);
-    EXPECT_EQ(t[1], 8);
-
-    // Shapes at or above the compile-time sizes keep the defaults.
-    const auto big = core::tileSizesForShape({32, 64}, {100, 100});
-    EXPECT_EQ(big[0], 32);
-    EXPECT_EQ(big[1], 64);
-
-    // Degenerate extents never produce a tile size below 1.
-    const auto tiny = core::tileSizesForShape({32, 32}, {1, 1});
-    EXPECT_EQ(tiny[0], 1);
-    EXPECT_EQ(tiny[1], 1);
-}
-
 TEST(Shapes, OneVariantMatchesInterpreterAcrossShapes)
 {
-    // One shape-generic build per tiny pipeline; estimates stay at 32
+    // One serving() build per tiny pipeline; estimates stay at 32
     // while the shapes range both below and above them.
     const std::vector<std::pair<std::int64_t, std::int64_t>> shapes = {
         {16, 16}, {32, 32}, {48, 40}};
@@ -113,14 +92,31 @@ TEST(Shapes, PaperAppsServeThreeShapesFromOneVariant)
         }
     }
 
-    // Harris corners: input of (R+2) x (C+2).
+    // Harris corners: input of (R+2) x (C+2).  At the 64 x 64
+    // estimate the stages fuse and fixed 16 x 16 tiles tile both
+    // spatial dims, so the shapes run from below one tile in both
+    // tiled dims (domain-clamped tiles) to more than 4x the estimate
+    // (more tiles of the same size).
     {
-        dsl::PipelineSpec spec = apps::buildHarris(32, 32);
-        rt::Executable exe =
-            rt::Executable::build(spec, CompileOptions::serving());
+        dsl::PipelineSpec spec = apps::buildHarris(64, 64);
+        CompileOptions o = CompileOptions::serving();
+        o.grouping.autoTile = false;
+        o.grouping.tileSizes = {16, 16};
+        rt::Executable exe = rt::Executable::build(spec, o);
+        const CompiledPipeline &info = exe.info();
+        std::size_t tiled = 0;
+        for (const auto &grp : info.grouping.groups) {
+            if (grp.stages.size() > 1) {
+                tiled = std::max(tiled, core::tiledDimsFor(
+                                            grp, info.graph,
+                                            info.effectiveGrouping)
+                                            .size());
+            }
+        }
+        ASSERT_EQ(tiled, 2u) << "harris must tile both spatial dims";
         for (const auto &[r, c] :
              std::vector<std::pair<std::int64_t, std::int64_t>>{
-                 {16, 24}, {32, 32}, {48, 40}}) {
+                 {8, 12}, {16, 24}, {32, 32}, {48, 40}, {264, 272}}) {
             rt::Buffer in = rt::synth::photo(r + 2, c + 2);
             auto outs = exe.run({r, c}, {&in});
             expectMatchesInterp(spec, {r, c}, {&in}, outs, tol,
@@ -142,35 +138,6 @@ TEST(Shapes, PaperAppsServeThreeShapesFromOneVariant)
                                 "bilateral");
         }
     }
-}
-
-TEST(Shapes, DispatchTileSizesStayWithinCompileTimeBounds)
-{
-    auto t = testing::makeBlurChain(64);
-    rt::Executable exe =
-        rt::Executable::build(t.spec, CompileOptions::serving());
-    const auto &defaults = exe.info().code.tileParamDefaults;
-    if (defaults.empty())
-        GTEST_SKIP() << "no tiled multi-stage group to parameterize";
-
-    // A small shape shrinks the bound sizes; they never exceed the
-    // compile-time sizes (the generated clamp's upper bound) and
-    // never drop below 1.
-    const auto small = exe.dispatchTileSizes({8, 8});
-    ASSERT_EQ(small.size(), defaults.size());
-    for (std::size_t i = 0; i < small.size(); ++i) {
-        EXPECT_GE(small[i], 1);
-        EXPECT_LE(small[i], defaults[i]);
-    }
-    const auto large = exe.dispatchTileSizes({512, 512});
-    ASSERT_EQ(large.size(), defaults.size());
-    for (std::size_t i = 0; i < large.size(); ++i)
-        EXPECT_EQ(large[i], defaults[i]);
-
-    // Shape-specialized builds bind nothing.
-    rt::Executable fixed =
-        rt::Executable::build(t.spec, CompileOptions::optimized());
-    EXPECT_TRUE(fixed.dispatchTileSizes({8, 8}).empty());
 }
 
 TEST(Shapes, InterfaceFingerprintIgnoresEstimatesAndAddresses)

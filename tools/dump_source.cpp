@@ -8,7 +8,7 @@
  *   ./polymage_dump_source harris [rows cols] [serving] > harris.gen.cpp
  *
  * `serving` compiles with CompileOptions::serving() (the variant the
- * serving engine JITs: shape-generic, with the task entry) instead of
+ * serving engine JITs: optimized() plus the task entry) instead of
  * CompileOptions::optimized().  The header lists every generated
  * function with its line count, the pieces the JIT spreads over
  * translation units (GeneratedCode::translationUnits).
