@@ -1,24 +1,38 @@
 /**
  * @file
  * Reference interpreter.  Each stage's expressions are lowered once per
- * evaluate() call into a flat, index-linked node array (Program); the
- * per-point loop then walks that array.  Loop variables live in a slot
- * array indexed by their position in the stage's vars() or redVars(),
- * parameters are folded into constants, every call's buffer, shape and
- * dtype are resolved up front, and integer index expressions that are
- * provably affine and int32-safe skip the double carrier entirely.
+ * evaluate() call into a flat, index-linked node array (Program), which
+ * is then evaluated a batch at a time: up to kLanes consecutive points
+ * of the stage's innermost loop, lane l holding innermost index base + l.
+ * Each node writes its lanes into a column of kLanes doubles (a register
+ * reused along the tree, or a shared constant column), so a node is
+ * dispatched once per batch rather than once per point.  Loop variables
+ * live in a slot array indexed by their position in the stage's vars()
+ * or redVars(), parameters are folded into constants, every call's
+ * buffer, shape and dtype are resolved up front, and integer index
+ * expressions that are provably affine and int32-safe skip the double
+ * carrier entirely (and, when every index of a call is affine, its loads
+ * are a strided gather).
  *
- * Semantics are those of a direct tree walk over the double carrier:
- * every node's value is coerced to its dtype, operands evaluate left to
- * right, & and | short-circuit, only the taken select branch runs, and
- * a runtime error (out-of-bounds access, case overlap, integer division
- * by zero, a variable outside its domain) is raised when the faulting
- * node is reached, never at lowering time.
+ * Semantics are those of a direct tree walk over the double carrier,
+ * point after point in loop order: every node's value is coerced to its
+ * dtype, operands evaluate left to right, & and | short-circuit, only
+ * the taken select branch runs, and a runtime error (out-of-bounds
+ * access, case overlap, integer division by zero, a variable outside
+ * its domain) is raised when the faulting node is reached, never at
+ * lowering time.  Within a batch this holds lane by lane: an operation
+ * runs only on the lanes that reach it (a selection vector), and a
+ * fault in a batch of several points abandons the batch, which stores
+ * nothing until all its values are known, and replays it one point at
+ * a time so the first fault in loop order is the one raised.  A stage
+ * that reads its own buffer sees the points before it, so it runs one
+ * point per batch.
  */
 #include "interp/interpreter.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -62,25 +76,110 @@ coerce(DType t, double v)
     internalError("unknown dtype");
 }
 
-/** Element @p flat of raw storage of type @p t, as a double. */
-double
-loadAs(DType t, const void *data, std::int64_t flat)
+/** Points per batch: consecutive indices of a stage's innermost loop. */
+constexpr int kLanes = 256;
+
+/**
+ * The lanes of a batch an operation runs on: at[0..n) in increasing
+ * order, or every lane 0..n-1 when at is null (the dense case).
+ */
+struct Lanes
+{
+    const std::uint16_t *at = nullptr;
+    int n = 0;
+};
+
+template <typename F>
+inline void
+forLanes(Lanes s, const F &f)
+{
+    if (s.at == nullptr) {
+        for (int l = 0; l < s.n; ++l)
+            f(l);
+    } else {
+        for (int k = 0; k < s.n; ++k)
+            f(int(s.at[k]));
+    }
+}
+
+/**
+ * The lanes of @p s where keep(lane) holds, listed in @p buf (which may
+ * be s.at itself); a dense @p s stays dense when every lane is kept.
+ */
+template <typename Keep>
+Lanes
+filter(Lanes s, std::uint16_t *buf, const Keep &keep)
+{
+    int k = 0;
+    forLanes(s, [&](int l) {
+        buf[k] = std::uint16_t(l);
+        k += keep(l) ? 1 : 0;
+    });
+    if (s.at == nullptr && k == s.n)
+        return s;
+    return {buf, k};
+}
+
+/**
+ * Raised by a fault inside a batch of several points: forEachBatch()
+ * replays the batch one point at a time to raise the first fault in
+ * loop order with its exact message.
+ */
+struct BatchFault
+{};
+
+/** Coerce lanes @p s of @p v to @p t (see coerce()). */
+template <typename T>
+void
+coerceAs(double *v, Lanes s)
+{
+    forLanes(s, [&](int l) {
+        v[l] = double(static_cast<T>(static_cast<std::int64_t>(v[l])));
+    });
+}
+
+void
+coerceLanes(DType t, double *v, Lanes s)
 {
     switch (t) {
-      case DType::UChar:
-        return static_cast<const unsigned char *>(data)[flat];
-      case DType::Short:
-        return static_cast<const short *>(data)[flat];
-      case DType::UShort:
-        return static_cast<const unsigned short *>(data)[flat];
-      case DType::Int:
-        return static_cast<const int *>(data)[flat];
+      case DType::UChar: coerceAs<unsigned char>(v, s); return;
+      case DType::Short: coerceAs<short>(v, s); return;
+      case DType::UShort: coerceAs<unsigned short>(v, s); return;
+      case DType::Int: coerceAs<int>(v, s); return;
       case DType::Long:
-        return double(static_cast<const long long *>(data)[flat]);
+        forLanes(s, [&](int l) {
+            v[l] = double(static_cast<long long>(v[l]));
+        });
+        return;
       case DType::Float:
-        return static_cast<const float *>(data)[flat];
-      case DType::Double:
-        return static_cast<const double *>(data)[flat];
+        forLanes(s, [&](int l) { v[l] = double(static_cast<float>(v[l])); });
+        return;
+      case DType::Double: return;
+    }
+    internalError("unknown dtype");
+}
+
+/** v[lane] = element at(lane) of raw storage of type T, on lanes @p s. */
+template <typename T, typename At>
+void
+gatherAs(const void *data, Lanes s, double *v, const At &at)
+{
+    const T *p = static_cast<const T *>(data);
+    forLanes(s, [&](int l) { v[l] = double(p[at(l)]); });
+}
+
+template <typename At>
+void
+gather(DType t, const void *data, Lanes s, double *v, const At &at)
+{
+    switch (t) {
+      case DType::UChar: gatherAs<unsigned char>(data, s, v, at); return;
+      case DType::Short: gatherAs<short>(data, s, v, at); return;
+      case DType::UShort: gatherAs<unsigned short>(data, s, v, at); return;
+      case DType::Int: gatherAs<int>(data, s, v, at); return;
+      case DType::Long: gatherAs<long long>(data, s, v, at); return;
+      case DType::Float: gatherAs<float>(data, s, v, at); return;
+      case DType::Double: gatherAs<double>(data, s, v, at); return;
     }
     internalError("unknown dtype");
 }
@@ -92,7 +191,7 @@ struct Env
     std::map<int, const rt::Buffer *> bufs; // callable id -> buffer
 };
 
-/** Node operations.  Lt..Or are conditions, evaluated by test(). */
+/** Node operations.  Lt..Or are conditions, valued 0 or 1. */
 enum class Op : std::uint8_t {
     Const, Slot, Load, Fail,
     Add, Sub, Mul, Div, Mod, IDiv, IMod, Min, Max,
@@ -112,18 +211,20 @@ struct Node
     DType type; // coerce target of the node's value
     int a = -1, b = -1, c = -1;
     double k = 0.0; // Const value
+    int col = -1;   // column holding the node's lanes
 };
 
 /**
  * Index of one call dimension: llround of node's value (generic path),
  * or, when node < 0, c0 + sum of coef * slot over terms [term0, termEnd)
- * (affine path).
+ * (affine path), which grows by step from one lane to the next.
  */
 struct Index
 {
     int node = -1;
     int term0 = 0, termEnd = 0;
     std::int64_t c0 = 0;
+    std::int64_t step = 0;
 };
 
 struct Term
@@ -133,7 +234,7 @@ struct Term
 };
 
 /**
- * A resolved call: dimension d uses args_, dims_, strides_ and coords_
+ * A resolved call: dimension d uses args_, dims_, strides_ and starts_
  * at dim0 + d.
  */
 struct Load
@@ -190,7 +291,8 @@ scale(Affine &a, std::int64_t f)
 
 /**
  * The lowered expressions of one stage, bound to one slot per loop
- * variable.  Lowering never throws a SpecError: a node whose evaluation
+ * variable; the last slot is the innermost loop, whose lanes a batch
+ * spans.  Lowering never throws a SpecError: a node whose evaluation
  * must fail becomes a Fail node that throws when it is reached.
  */
 class Program
@@ -200,7 +302,8 @@ class Program
     Program(const Env &env, const std::vector<dsl::Variable> &vars,
             const std::vector<std::int64_t> &lo,
             const std::vector<std::int64_t> &hi)
-        : env_(env), slots_(vars.size()), lo_(lo), hi_(hi)
+        : env_(env), slots_(vars.size()), inner_(int(vars.size()) - 1),
+          lo_(lo), hi_(hi)
     {
         for (std::size_t d = 0; d < vars.size(); ++d)
             slotOf_[vars[d].id()] = int(d);
@@ -208,6 +311,8 @@ class Program
 
     /** Slot of a bound variable (its last position in vars). */
     int slotOf(const dsl::Variable &v) const { return slotOf_.at(v.id()); }
+    /** Slot of the innermost loop, -1 without loops. */
+    int inner() const { return inner_; }
 
     std::int64_t *slots() { return slots_.data(); }
 
@@ -215,9 +320,61 @@ class Program
     int lower(const dsl::Condition &c);
     Index lowerIndex(const Expr &e);
 
-    double eval(int i);
-    bool test(int i);
-    std::int64_t index(const Index &ix);
+    /** Whether a lowered call reads @p c. */
+    bool reads(const dsl::CallableData *c) const;
+
+    /**
+     * Start a batch of @p n points whose innermost index is @p base at
+     * lane 0; the outer slots hold the batch's outer indices.
+     */
+    void
+    batch(std::int64_t base, int n)
+    {
+        if (inner_ >= 0)
+            slots_[std::size_t(inner_)] = base;
+        n_ = n;
+    }
+
+    /**
+     * Make node @p i (or the node of @p ix) a root evaluated on its own,
+     * its value in register @p reg; the caller keeps every register it
+     * still reads below those of the roots it evaluates next.
+     */
+    int root(int i, int reg = 0);
+    Index root(const Index &ix, int reg);
+
+    /** Evaluate root or operand @p i on lanes @p s into values(i). */
+    void eval(int i, Lanes s);
+    const double *values(int i) const { return col(i); }
+
+    /**
+     * Evaluate the node of index @p ix on lanes @p s; returns the value
+     * at lane 0 of an affine index.  laneIndex() then gives each lane's.
+     */
+    std::int64_t index(const Index &ix, Lanes s);
+    std::int64_t
+    laneIndex(const Index &ix, std::int64_t start, int lane) const
+    {
+        // Index expressions are integer-typed; their double carrier is
+        // exact, so rounding recovers the integer.
+        if (ix.node >= 0)
+            return std::llround(col(ix.node)[lane]);
+        return std::int64_t(std::uint64_t(start) +
+                            std::uint64_t(ix.step) * std::uint64_t(lane));
+    }
+
+    /**
+     * Raise SpecError(args...) at the single point of a one-point batch;
+     * in a larger batch, throw BatchFault so the batch is replayed.
+     */
+    template <typename... A>
+    [[noreturn]] void
+    fault(const A &...args) const
+    {
+        if (n_ > 1)
+            throw BatchFault{};
+        specError(args...);
+    }
 
   private:
     int push(const Node &n);
@@ -225,26 +382,115 @@ class Program
     int lowerCall(const dsl::CallNode &call);
     int fold(int mark, int i);
     bool affine(const Expr &e, Affine &out) const;
-    double load(const Load &l);
+    void load(int li, Lanes s, double *v);
+    [[noreturn]] void outOfBounds(const Load &l, int lane) const;
+    int newColumn();
+
+    double *
+    col(int i)
+    {
+        return &cols_[std::size_t(nodes_[std::size_t(i)].col) * kLanes];
+    }
+    const double *
+    col(int i) const
+    {
+        return &cols_[std::size_t(nodes_[std::size_t(i)].col) * kLanes];
+    }
+    std::uint16_t *
+    lanes(int i)
+    {
+        return &lanes_[std::size_t(nodes_[std::size_t(i)].col) * kLanes];
+    }
 
     const Env &env_;
     std::vector<std::int64_t> slots_;
+    int inner_;
+    int n_ = 1; // points in the current batch
     std::vector<std::int64_t> lo_, hi_;
     std::map<int, int> slotOf_; // var id -> slot
 
     std::vector<Node> nodes_;
+    std::vector<double> cols_;           // kLanes values per column
+    std::vector<std::uint16_t> lanes_;   // kLanes lane list per column
+    std::vector<int> regs_;              // register -> column
+    std::map<std::uint64_t, int> consts_; // constant bits -> column
     std::vector<Load> loads_;
+    std::vector<std::int64_t> flats_;   // kLanes element indices per load
     std::vector<std::string> fails_;
     std::vector<Term> terms_;
     std::vector<Index> args_;
-    std::vector<std::int64_t> dims_, strides_, coords_;
+    std::vector<std::int64_t> dims_, strides_, starts_;
 };
+
+int
+Program::newColumn()
+{
+    const int c = int(cols_.size() / kLanes);
+    cols_.resize(cols_.size() + kLanes);
+    lanes_.resize(cols_.size());
+    return c;
+}
 
 int
 Program::push(const Node &n)
 {
     nodes_.push_back(n);
-    return int(nodes_.size()) - 1;
+    const int i = int(nodes_.size()) - 1;
+    if (n.op == Op::Const) {
+        // Equal constants share one read-only column holding the value
+        // in every lane.
+        std::uint64_t bits;
+        std::memcpy(&bits, &n.k, sizeof bits);
+        auto [it, fresh] = consts_.emplace(bits, 0);
+        if (fresh) {
+            it->second = newColumn();
+            std::fill_n(&cols_[std::size_t(it->second) * kLanes], kLanes,
+                        n.k);
+        }
+        nodes_.back().col = it->second;
+    }
+    return i;
+}
+
+/**
+ * Registers follow the evaluation order: an operation's value overwrites
+ * its first operand's register, later operands take the registers above
+ * it, so every value is kept until its consumer runs and a program needs
+ * about as many columns as its expressions are deep.
+ */
+int
+Program::root(int i, int reg)
+{
+    Node &n = nodes_[std::size_t(i)];
+    if (n.op == Op::Const)
+        return i;
+    while (int(regs_.size()) <= reg)
+        regs_.push_back(newColumn());
+    n.col = regs_[std::size_t(reg)];
+    switch (n.op) {
+      case Op::Slot:
+      case Op::Fail: break;
+      case Op::Load: {
+        const Load &l = loads_[std::size_t(n.a)];
+        for (int d = 0; d < l.rank; ++d)
+            root(args_[std::size_t(l.dim0 + d)], reg + d);
+        break;
+      }
+      default:
+        for (int op : {n.a, n.b, n.c}) {
+            if (op >= 0)
+                root(op, reg++);
+        }
+    }
+    return i;
+}
+
+Index
+Program::root(const Index &ix, int reg)
+{
+    if (ix.node >= 0)
+        root(ix.node, reg);
+    return ix;
 }
 
 int
@@ -270,12 +516,12 @@ Program::fold(int mark, int i)
             return i;
     }
     const DType type = n.type;
-    double v;
     try {
-        v = eval(i);
+        eval(root(i), {nullptr, 1});
     } catch (const SpecError &) {
         return i;
     }
+    const double v = col(i)[0];
     nodes_.resize(std::size_t(mark));
     return push({Op::Const, type, -1, -1, -1, v});
 }
@@ -334,8 +580,9 @@ Program::lowerCall(const dsl::CallNode &call)
         strides_[d] = stride;
         stride *= dims_[d];
     }
-    coords_.resize(dims_.size());
+    starts_.resize(dims_.size());
     loads_.push_back(l);
+    flats_.resize(loads_.size() * kLanes);
     return push({Op::Load, call.callee->dtype(), int(loads_.size()) - 1});
 }
 
@@ -525,6 +772,8 @@ Program::lowerIndex(const Expr &e)
         for (const auto &[s, k] : a.coef) {
             if (k != 0)
                 terms_.push_back({s, k});
+            if (s == inner_)
+                ix.step = k;
         }
         ix.termEnd = int(terms_.size());
     } else {
@@ -533,13 +782,19 @@ Program::lowerIndex(const Expr &e)
     return ix;
 }
 
+bool
+Program::reads(const dsl::CallableData *c) const
+{
+    return std::any_of(loads_.begin(), loads_.end(),
+                       [&](const Load &l) { return l.callee == c; });
+}
+
 std::int64_t
-Program::index(const Index &ix)
+Program::index(const Index &ix, Lanes s)
 {
     if (ix.node >= 0) {
-        // Index expressions are integer-typed; their double carrier is
-        // exact, so rounding recovers the integer.
-        return std::llround(eval(ix.node));
+        eval(ix.node, s);
+        return 0;
     }
     std::uint64_t v = std::uint64_t(ix.c0);
     for (int t = ix.term0; t < ix.termEnd; ++t) {
@@ -550,109 +805,202 @@ Program::index(const Index &ix)
     return std::int64_t(v);
 }
 
-double
-Program::load(const Load &l)
+void
+Program::outOfBounds(const Load &l, int lane) const
 {
+    if (n_ > 1)
+        throw BatchFault{};
     const std::size_t d0 = std::size_t(l.dim0);
-    std::int64_t *coords = coords_.data() + d0;
-    for (int d = 0; d < l.rank; ++d)
-        coords[d] = index(args_[d0 + std::size_t(d)]);
-    std::int64_t flat = 0;
+    std::string pos;
+    for (int e = 0; e < l.rank; ++e) {
+        const std::size_t d = d0 + std::size_t(e);
+        pos += (e ? ", " : "") +
+               std::to_string(laneIndex(args_[d], starts_[d], lane));
+    }
+    specError("runtime out-of-bounds access to '", l.callee->name(),
+              "' at (", pos, ")");
+}
+
+/**
+ * Load call @p li on lanes @p s into @p v.  Every index is evaluated
+ * before any is bounds-checked.  When all indices are affine, each
+ * coordinate is linear in the lane, so checking the first and the last
+ * lane bounds them all and the load is a strided gather.
+ */
+void
+Program::load(int li, Lanes s, double *v)
+{
+    const Load &l = loads_[std::size_t(li)];
+    const std::size_t d0 = std::size_t(l.dim0);
+    const Index *args = args_.data() + d0;
+    const std::int64_t *dims = dims_.data() + d0;
+    const std::int64_t *strides = strides_.data() + d0;
+    std::int64_t *starts = starts_.data() + d0;
+    bool linear = true;
     for (int d = 0; d < l.rank; ++d) {
-        if (coords[d] < 0 || coords[d] >= dims_[d0 + std::size_t(d)]) {
-            std::string pos;
-            for (int e = 0; e < l.rank; ++e)
-                pos += (e ? ", " : "") + std::to_string(coords[e]);
-            specError("runtime out-of-bounds access to '",
-                      l.callee->name(), "' at (", pos, ")");
+        starts[d] = index(args[d], s);
+        linear = linear && args[d].node < 0;
+    }
+
+    if (linear) {
+        const int ends[2] = {s.at ? s.at[0] : 0,
+                             s.at ? s.at[s.n - 1] : s.n - 1};
+        std::int64_t flat0 = 0, step = 0;
+        for (int d = 0; d < l.rank; ++d) {
+            for (int lane : ends) {
+                const std::int64_t c = laneIndex(args[d], starts[d], lane);
+                if (c < 0 || c >= dims[d])
+                    outOfBounds(l, lane);
+            }
+            flat0 += starts[d] * strides[d];
+            step += args[d].step * strides[d];
         }
-        flat += coords[d] * strides_[d0 + std::size_t(d)];
+        gather(l.type, l.data, s, v,
+               [&](int lane) { return flat0 + step * lane; });
+        return;
     }
-    return loadAs(l.type, l.data, flat);
+
+    std::int64_t *flat = flats_.data() + std::size_t(li) * kLanes;
+    forLanes(s, [&](int lane) {
+        std::int64_t f = 0;
+        for (int d = 0; d < l.rank; ++d) {
+            const std::int64_t c = laneIndex(args[d], starts[d], lane);
+            if (c < 0 || c >= dims[d])
+                outOfBounds(l, lane);
+            f += c * strides[d];
+        }
+        flat[lane] = f;
+    });
+    gather(l.type, l.data, s, v, [&](int lane) { return flat[lane]; });
 }
 
-bool
-Program::test(int i)
+void
+Program::eval(int i, Lanes s)
 {
+    if (s.n == 0)
+        return;
     const Node &n = nodes_[std::size_t(i)];
+    double *v = col(i);
+    // Const, Slot, Load and Fail have no operand node.
+    const double *x = n.op > Op::Fail ? col(n.a) : nullptr;
+    // v[l] = f(x[l]) on the lanes, coerced to the node's type.
+    auto unary = [&](const auto &f) {
+        eval(n.a, s);
+        forLanes(s, [&](int l) { v[l] = f(x[l]); });
+        coerceLanes(n.type, v, s);
+    };
     switch (n.op) {
-      case Op::And: return test(n.a) && test(n.b);
-      case Op::Or: return test(n.a) || test(n.b);
-      default: break;
-    }
-    const double x = eval(n.a);
-    const double y = eval(n.b);
-    switch (n.op) {
-      case Op::Lt: return x < y;
-      case Op::Le: return x <= y;
-      case Op::Gt: return x > y;
-      case Op::Ge: return x >= y;
-      case Op::Eq: return x == y;
-      case Op::Ne: return x != y;
-      default: break;
-    }
-    internalError("unknown condition node");
-}
-
-double
-Program::eval(int i)
-{
-    const Node &n = nodes_[std::size_t(i)];
-    switch (n.op) {
-      case Op::Const: return n.k;
-      case Op::Slot: return double(slots_[std::size_t(n.a)]);
-      case Op::Load: return load(loads_[std::size_t(n.a)]);
+      case Op::Const: return;
+      case Op::Slot: {
+        const std::int64_t at = slots_[std::size_t(n.a)];
+        if (n.a == inner_)
+            forLanes(s, [&](int l) { v[l] = double(at + l); });
+        else
+            forLanes(s, [&](int l) { v[l] = double(at); });
+        return;
+      }
+      case Op::Load: load(n.a, s, v); return;
       case Op::Fail:
+        if (n_ > 1)
+            throw BatchFault{};
         if (n.b != 0)
             internalError(fails_[std::size_t(n.a)]);
         else
             specError(fails_[std::size_t(n.a)]);
-      case Op::Neg: return coerce(n.type, -eval(n.a));
-      case Op::Cast: return coerce(n.type, eval(n.a));
-      case Op::Select:
-        return coerce(n.type, test(n.a) ? eval(n.b) : eval(n.c));
-      case Op::Exp: return coerce(n.type, std::exp(eval(n.a)));
-      case Op::Log: return coerce(n.type, std::log(eval(n.a)));
-      case Op::Sqrt: return coerce(n.type, std::sqrt(eval(n.a)));
-      case Op::Sin: return coerce(n.type, std::sin(eval(n.a)));
-      case Op::Cos: return coerce(n.type, std::cos(eval(n.a)));
-      case Op::Abs: return coerce(n.type, std::abs(eval(n.a)));
-      case Op::Floor: return coerce(n.type, std::floor(eval(n.a)));
-      case Op::Ceil: return coerce(n.type, std::ceil(eval(n.a)));
+      case Op::And:
+      case Op::Or: {
+        // The right operand runs only where the left one leaves the
+        // result open: true for &, false for |.
+        const bool open_on = n.op == Op::And;
+        eval(n.a, s);
+        const Lanes open =
+            filter(s, lanes(i),
+                   [&](int l) { return (x[l] != 0) == open_on; });
+        eval(n.b, open);
+        const double *y = col(n.b);
+        forLanes(s, [&](int l) {
+            v[l] = (x[l] != 0) == open_on ? y[l] : double(!open_on);
+        });
+        return;
+      }
+      case Op::Select: {
+        // Each branch runs only on the lanes that take it.
+        std::uint16_t *buf = lanes(i);
+        eval(n.a, s);
+        eval(n.b, filter(s, buf, [&](int l) { return x[l] != 0; }));
+        eval(n.c, filter(s, buf, [&](int l) { return x[l] == 0; }));
+        const double *t = col(n.b), *f = col(n.c);
+        forLanes(s, [&](int l) { v[l] = x[l] != 0 ? t[l] : f[l]; });
+        coerceLanes(n.type, v, s);
+        return;
+      }
+      case Op::Neg: unary([](double a) { return -a; }); return;
+      case Op::Cast: unary([](double a) { return a; }); return;
+      case Op::Exp: unary([](double a) { return std::exp(a); }); return;
+      case Op::Log: unary([](double a) { return std::log(a); }); return;
+      case Op::Sqrt: unary([](double a) { return std::sqrt(a); }); return;
+      case Op::Sin: unary([](double a) { return std::sin(a); }); return;
+      case Op::Cos: unary([](double a) { return std::cos(a); }); return;
+      case Op::Abs: unary([](double a) { return std::abs(a); }); return;
+      case Op::Floor: unary([](double a) { return std::floor(a); }); return;
+      case Op::Ceil: unary([](double a) { return std::ceil(a); }); return;
       default: break;
     }
+
     // Binary: operands left to right.
-    const double x = eval(n.a);
-    const double y = eval(n.b);
-    double v;
+    eval(n.a, s);
+    eval(n.b, s);
+    const double *y = col(n.b);
+    auto binary = [&](const auto &f) {
+        forLanes(s, [&](int l) { v[l] = f(x[l], y[l]); });
+    };
     switch (n.op) {
-      case Op::Add: v = x + y; break;
-      case Op::Sub: v = x - y; break;
-      case Op::Mul: v = x * y; break;
-      case Op::Div: v = x / y; break;
-      case Op::Mod: v = std::fmod(x, y); break;
-      case Op::IDiv: {
-        const auto yi = std::int64_t(y);
-        if (yi == 0)
-            specError("integer division by zero in pipeline");
-        v = double(floorDiv(std::int64_t(x), yi));
+      case Op::Add: binary([](double a, double b) { return a + b; }); break;
+      case Op::Sub: binary([](double a, double b) { return a - b; }); break;
+      case Op::Mul: binary([](double a, double b) { return a * b; }); break;
+      case Op::Div: binary([](double a, double b) { return a / b; }); break;
+      case Op::Mod:
+        binary([](double a, double b) { return std::fmod(a, b); });
         break;
-      }
-      case Op::IMod: {
-        const auto yi = std::int64_t(y);
-        if (yi == 0)
-            specError("integer modulo by zero in pipeline");
-        v = double(floorMod(std::int64_t(x), yi));
+      case Op::IDiv:
+      case Op::IMod:
+        forLanes(s, [&](int l) {
+            if (std::int64_t(y[l]) == 0) {
+                fault("integer ",
+                      n.op == Op::IDiv ? "division" : "modulo",
+                      " by zero in pipeline");
+            }
+        });
+        if (n.op == Op::IDiv) {
+            binary([](double a, double b) {
+                return double(floorDiv(std::int64_t(a), std::int64_t(b)));
+            });
+        } else {
+            binary([](double a, double b) {
+                return double(floorMod(std::int64_t(a), std::int64_t(b)));
+            });
+        }
         break;
-      }
-      case Op::Min: v = std::min(x, y); break;
-      case Op::Max: v = std::max(x, y); break;
-      case Op::Pow: v = std::pow(x, y); break;
+      case Op::Min:
+        binary([](double a, double b) { return std::min(a, b); });
+        break;
+      case Op::Max:
+        binary([](double a, double b) { return std::max(a, b); });
+        break;
+      case Op::Pow:
+        binary([](double a, double b) { return std::pow(a, b); });
+        break;
+      // Conditions are 0 or 1 and need no coercion.
+      case Op::Lt: binary([](double a, double b) { return a < b; }); return;
+      case Op::Le: binary([](double a, double b) { return a <= b; }); return;
+      case Op::Gt: binary([](double a, double b) { return a > b; }); return;
+      case Op::Ge: binary([](double a, double b) { return a >= b; }); return;
+      case Op::Eq: binary([](double a, double b) { return a == b; }); return;
+      case Op::Ne: binary([](double a, double b) { return a != b; }); return;
       default: internalError("unknown expr node");
     }
-    return coerce(n.type, v);
+    coerceLanes(n.type, v, s);
 }
-
 /** Evaluate a parameter-only expression to an integer. */
 std::int64_t
 evalParamExpr(const Expr &e, const std::map<int, std::int64_t> &params,
@@ -669,28 +1017,43 @@ evalParamExpr(const Expr &e, const std::map<int, std::int64_t> &params,
 }
 
 /**
- * Run nested loops over [lo[d], hi[d]], outermost first, holding the
- * current point in @p slot, and call body at each point.
+ * Run the loop nest over [lo[d], hi[d]], outermost first, as batches of
+ * up to @p width points of the innermost loop: body(n) evaluates the
+ * batch p.batch() has set up.  A batch that raises BatchFault is rerun
+ * one point at a time, so its first fault in loop order is raised.
  */
 template <typename Body>
 void
-forEachPoint(std::int64_t *slot, const std::vector<std::int64_t> &lo,
-             const std::vector<std::int64_t> &hi, const Body &body)
+forEachBatch(Program &p, const std::vector<std::int64_t> &lo,
+             const std::vector<std::int64_t> &hi, int width,
+             const Body &body)
 {
-    const std::size_t n = lo.size();
-    for (std::size_t d = 0; d < n; ++d) {
+    auto run = [&](std::int64_t base, int n) {
+        p.batch(base, n);
+        try {
+            body(n);
+        } catch (const BatchFault &) {
+            for (int l = 0; l < n; ++l) {
+                p.batch(base + l, 1);
+                body(1);
+            }
+        }
+    };
+    const std::size_t dims = lo.size();
+    for (std::size_t d = 0; d < dims; ++d) {
         if (lo[d] > hi[d])
             return;
-        slot[d] = lo[d];
     }
-    if (n == 0) {
-        body();
+    if (dims == 0) {
+        run(0, 1);
         return;
     }
-    const std::size_t last = n - 1;
+    std::int64_t *slot = p.slots();
+    std::copy(lo.begin(), lo.end(), slot);
+    const std::size_t last = dims - 1;
     for (;;) {
-        for (slot[last] = lo[last]; slot[last] <= hi[last]; ++slot[last])
-            body();
+        for (std::int64_t b = lo[last]; b <= hi[last]; b += width)
+            run(b, int(std::min<std::int64_t>(width, hi[last] - b + 1)));
         std::size_t d = last;
         for (;;) {
             if (d == 0)
@@ -744,44 +1107,94 @@ evalFunctionStage(const pg::Stage &s, rt::Buffer &out, const Env &env,
         int cond; // -1: unguarded
         int value;
     };
+    // A case's condition is read before its value is evaluated, and its
+    // value before the next case runs, so all roots share register 0.
     std::vector<Piece> pieces;
     for (const auto &cs : f.cases()) {
-        const int cond = cs.hasCondition() ? p.lower(cs.condition()) : -1;
-        pieces.push_back({cond, p.lower(cs.value())});
+        const int cond =
+            cs.hasCondition() ? p.root(p.lower(cs.condition())) : -1;
+        pieces.push_back({cond, p.root(p.lower(cs.value()))});
     }
 
-    // Output element of the current point, from each dimension's slot.
+    // Output element of lane 0, from each dimension's slot, and the
+    // distance between the elements of consecutive lanes.
     std::vector<int> slot(vars.size());
     std::vector<std::int64_t> stride(vars.size());
-    std::int64_t st = 1;
+    std::int64_t st = 1, step = 0;
     for (std::size_t d = vars.size(); d-- > 0;) {
         slot[d] = p.slotOf(vars[d]);
         stride[d] = st;
+        if (slot[d] == p.inner())
+            step += st;
         st *= out.dims()[d];
     }
     const std::int64_t *at = p.slots();
 
-    forEachPoint(p.slots(), lo, hi, [&] {
-        bool matched = false;
+    // Per-lane case state: candidate and matching lanes, matched flags
+    // and the value to store.
+    std::vector<std::uint16_t> cand(kLanes), hit(kLanes);
+    std::vector<unsigned char> matched(kLanes);
+    std::vector<double> value(kLanes);
+    auto body = [&](int n) {
+        Lanes todo{nullptr, n};
+        std::fill_n(matched.begin(), n, 0);
+        int hits = 0;
         for (const Piece &pc : pieces) {
-            if (pc.cond >= 0 && !p.test(pc.cond))
-                continue;
-            if (matched && opts.checkCaseOverlap) {
-                specError("function '", f.name(),
-                          "' has overlapping cases; the definition is ",
-                          "ambiguous");
+            Lanes take = todo;
+            if (pc.cond >= 0) {
+                p.eval(pc.cond, todo);
+                const double *c = p.values(pc.cond);
+                take = filter(todo, hit.data(),
+                              [&](int l) { return c[l] != 0; });
             }
-            const double v = coerce(f.dtype(), p.eval(pc.value));
-            std::int64_t flat = 0;
-            for (std::size_t d = 0; d < slot.size(); ++d)
-                flat += at[slot[d]] * stride[d];
-            out.storeFromDouble(flat, v);
-            matched = true;
-            if (!opts.checkCaseOverlap)
-                break;
+            if (opts.checkCaseOverlap && hits > 0) {
+                forLanes(take, [&](int l) {
+                    if (matched[std::size_t(l)]) {
+                        p.fault("function '", f.name(),
+                                "' has overlapping cases; the definition "
+                                "is ambiguous");
+                    }
+                });
+            }
+            p.eval(pc.value, take);
+            const double *v = p.values(pc.value);
+            forLanes(take, [&](int l) {
+                value[std::size_t(l)] = v[l];
+                matched[std::size_t(l)] = 1;
+            });
+            coerceLanes(f.dtype(), value.data(), take);
+            hits += take.n;
+            // Without the overlap check, the first matching case wins.
+            if (!opts.checkCaseOverlap) {
+                todo = filter(todo, cand.data(), [&](int l) {
+                    return matched[std::size_t(l)] == 0;
+                });
+            }
         }
-        // Unmatched points stay at their zero-initialised value.
-    });
+
+        // Store the batch only now that every value is known.
+        std::int64_t flat0 = 0;
+        for (std::size_t d = 0; d < slot.size(); ++d)
+            flat0 += at[slot[d]] * stride[d];
+        if (hits == n && out.dtype() == DType::Float) {
+            float *o = out.dataAs<float>();
+            for (int l = 0; l < n; ++l)
+                o[flat0 + step * l] = float(value[std::size_t(l)]);
+        } else if (hits == n && out.dtype() == DType::Double) {
+            double *o = out.dataAs<double>();
+            for (int l = 0; l < n; ++l)
+                o[flat0 + step * l] = value[std::size_t(l)];
+        } else {
+            // Unmatched points stay at their zero-initialised value.
+            for (int l = 0; l < n; ++l) {
+                if (matched[std::size_t(l)])
+                    out.storeFromDouble(flat0 + step * l,
+                                        value[std::size_t(l)]);
+            }
+        }
+    };
+    // A stage that reads its own buffer must see each earlier point.
+    forEachBatch(p, lo, hi, p.reads(s.callable.get()) ? 1 : kLanes, body);
 }
 
 void
@@ -792,36 +1205,59 @@ evalAccumulatorStage(const pg::Stage &s, rt::Buffer &out, const Env &env)
     // Initialise the variable domain (no loop variable is bound).
     {
         Program p(env, {}, {}, {});
-        const double init = coerce(a.dtype(), p.eval(p.lower(a.init())));
-        out.fill(init);
+        const int init = p.root(p.lower(a.init()));
+        p.eval(init, {nullptr, 1});
+        out.fill(coerce(a.dtype(), p.values(init)[0]));
     }
 
     // Sweep the reduction domain.
     std::vector<std::int64_t> lo, hi;
     domainBounds(a.redDom(), env.params, lo, hi);
     Program p(env, a.redVars(), lo, hi);
-    const int guard = a.guard() ? p.lower(*a.guard()) : -1;
+    // The guard is read before the targets run and every target before
+    // the update runs; target d, read together with the others, takes
+    // register d.
+    const int guard = a.guard() ? p.root(p.lower(*a.guard())) : -1;
     std::vector<Index> targets;
-    for (const Expr &t : a.targetIndices())
-        targets.push_back(p.lowerIndex(t));
-    const int update = p.lower(a.update());
+    for (const Expr &t : a.targetIndices()) {
+        targets.push_back(
+            p.root(p.lowerIndex(t), int(targets.size())));
+    }
+    const int update = p.root(p.lower(a.update()));
 
-    std::vector<std::int64_t> target(targets.size());
-    forEachPoint(p.slots(), lo, hi, [&] {
-        if (guard >= 0 && !p.test(guard))
-            return;
-        for (std::size_t d = 0; d < target.size(); ++d)
-            target[d] = p.index(targets[d]);
-        if (!out.inBounds(target.data())) {
-            specError("accumulator '", a.name(),
-                      "' update targets a cell outside its domain");
+    const std::size_t rank = targets.size();
+    std::vector<std::int64_t> starts(rank), target(rank), flat(kLanes);
+    std::vector<std::uint16_t> guarded(kLanes);
+    auto body = [&](int n) {
+        Lanes on{nullptr, n};
+        if (guard >= 0) {
+            p.eval(guard, on);
+            const double *g = p.values(guard);
+            on = filter(on, guarded.data(), [&](int l) { return g[l] != 0; });
         }
-        const std::int64_t flat = out.flatIndex(target.data());
-        const double v = p.eval(update);
-        out.storeFromDouble(
-            flat,
-            coerce(a.dtype(), combine(a.op(), out.loadAsDouble(flat), v)));
-    });
+        for (std::size_t d = 0; d < rank; ++d)
+            starts[d] = p.index(targets[d], on);
+        forLanes(on, [&](int l) {
+            for (std::size_t d = 0; d < rank; ++d)
+                target[d] = p.laneIndex(targets[d], starts[d], l);
+            if (!out.inBounds(target.data())) {
+                p.fault("accumulator '", a.name(),
+                        "' update targets a cell outside its domain");
+            }
+            flat[std::size_t(l)] = out.flatIndex(target.data());
+        });
+        p.eval(update, on);
+        // Combine in lane order: lanes may target the same cell.
+        const double *v = p.values(update);
+        forLanes(on, [&](int l) {
+            const std::int64_t at = flat[std::size_t(l)];
+            out.storeFromDouble(
+                at, coerce(a.dtype(),
+                           combine(a.op(), out.loadAsDouble(at), v[l])));
+        });
+    };
+    // An update that reads the accumulator must see each earlier point.
+    forEachBatch(p, lo, hi, p.reads(s.callable.get()) ? 1 : kLanes, body);
 }
 
 } // namespace

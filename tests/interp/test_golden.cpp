@@ -96,6 +96,19 @@ TEST(Interpreter, GoldenOutputHashes)
          "4a866b6ff28dcc91"},
         {"histogram_eq", buildHistogramEq(n, 80), {n, 80},
          {rt::synth::photoU8(n, 80)}, "67b0c219865b6a4e"},
+        // Rows wider than the evaluator's 256-point batches, and not a
+        // multiple of them.
+        {"unsharp 48x300", buildUnsharpMask(48, 300), {48, 300},
+         {rt::synth::photoRgb(52, 304)}, "1fb61d3b64c41cfb"},
+        {"camera 48x300", buildCameraPipeline(48, 300), {48, 300},
+         {rt::synth::bayerRaw(52, 304)}, "8a521440c1786668"},
+        {"pyramid 48x300", buildPyramidBlend(48, 300, 3),
+         pyramidParams(48, 300, 3),
+         {rt::synth::photo(48, 300, 1), rt::synth::photo(48, 300, 2),
+          rt::synth::blendMask(48, 300)},
+         "ad6d4e3147716198"},
+        {"histogram_eq 48x300", buildHistogramEq(48, 300), {48, 300},
+         {rt::synth::photoU8(48, 300)}, "222711c971907879"},
     };
     for (const Golden &c : cases) {
         SCOPED_TRACE(c.name);

@@ -407,5 +407,265 @@ TEST(Interpreter, LongAndParameterScaledIndices)
     }
 }
 
+/**
+ * f(x, y) over a 3 x 300 grid: cast(Float, y / D(x, y)) + I(x, J(x, y)).
+ * Row 1 holds a zero divisor at column @p div and an out-of-range index
+ * at column @p oob < div, so the point walk reaches the out-of-bounds
+ * read first although the division is the left operand.
+ */
+std::string
+firstFaultOf(std::int64_t oob, std::int64_t div)
+{
+    const std::int64_t rows = 3, cols = 300;
+    Parameter R("R"), C("C");
+    Variable x("x"), y("y");
+    Image I("I", DType::Float, {Expr(R), Expr(C)});
+    Image D("D", DType::Int, {Expr(R), Expr(C)});
+    Image J("J", DType::Int, {Expr(R), Expr(C)});
+    Function f("f", {x, y},
+               {Interval(Expr(0), Expr(R) - 1),
+                Interval(Expr(0), Expr(C) - 1)},
+               DType::Float);
+    f.define(cast(DType::Float, Expr(y) / D(x, y)) + I(x, J(x, y)));
+    PipelineSpec spec("two_faults");
+    spec.addParam(R);
+    spec.addParam(C);
+    spec.addInput(I);
+    spec.addInput(D);
+    spec.addInput(J);
+    spec.addOutput(f);
+    spec.estimate(R, rows);
+    spec.estimate(C, cols);
+    auto g = pg::PipelineGraph::build(spec);
+
+    Buffer in = rampImage(rows, cols);
+    Buffer d(DType::Int, {rows, cols});
+    Buffer j(DType::Int, {rows, cols});
+    for (std::int64_t i = 0; i < rows * cols; ++i) {
+        d.dataAs<int>()[i] = 1;
+        j.dataAs<int>()[i] = int(i % cols);
+    }
+    d.dataAs<int>()[cols + div] = 0;
+    j.dataAs<int>()[cols + oob] = int(cols + oob);
+    return specErrorOf([&] { evaluate(g, {rows, cols}, {&in, &d, &j}); });
+}
+
+TEST(Interpreter, FirstFaultInLoopOrderWins)
+{
+    // Within the first 256 points of a row, then past them.
+    EXPECT_EQ(firstFaultOf(37, 200),
+              "polymage: invalid specification: runtime out-of-bounds "
+              "access to 'I' at (1, 337)");
+    EXPECT_EQ(firstFaultOf(256 + 37, 256 + 40),
+              "polymage: invalid specification: runtime out-of-bounds "
+              "access to 'I' at (1, 593)");
+}
+
+/**
+ * f(x, y) over a 2 x 300 grid of I(x, y) = 0.25 (3x + y), defined by
+ * @p define(f, next, last, inside) where next = I(x, y + 1) is out of
+ * bounds at the last column, last holds there and inside elsewhere; the
+ * message of the SpecError evaluate raises, or "" with the output in
+ * @p out.
+ */
+std::string
+readPastRowEnd(const std::function<void(Function &, Expr, Condition,
+                                         Condition)> &define,
+               Buffer *out = nullptr, const EvalOptions &opts = {})
+{
+    const std::int64_t rows = 2, cols = 300;
+    Parameter R("R"), C("C");
+    Variable x("x"), y("y");
+    Image I("I", DType::Float, {Expr(R), Expr(C)});
+    Function f("f", {x, y},
+               {Interval(Expr(0), Expr(R) - 1),
+                Interval(Expr(0), Expr(C) - 1)},
+               DType::Float);
+    define(f, I(x, Expr(y) + 1), Expr(y) == Expr(C) - 1,
+           Expr(y) < Expr(C) - 1);
+    PipelineSpec spec("row_end");
+    spec.addParam(R);
+    spec.addParam(C);
+    spec.addInput(I);
+    spec.addOutput(f);
+    spec.estimate(R, rows);
+    spec.estimate(C, cols);
+    auto g = pg::PipelineGraph::build(spec);
+    Buffer in = rampImage(rows, cols);
+    return specErrorOf([&] {
+        auto res = evaluate(g, {rows, cols}, {&in}, opts);
+        if (out != nullptr)
+            *out = res.outputs[0];
+    });
+}
+
+TEST(Interpreter, ShortCircuitGuardsReadsPastTheRowEnd)
+{
+    // Unguarded, the read faults at the last column of the first row.
+    EXPECT_EQ(readPastRowEnd([](Function &f, Expr next, Condition,
+                                Condition) { f.define(next); }),
+              "polymage: invalid specification: runtime out-of-bounds "
+              "access to 'I' at (0, 300)");
+
+    // &, |, the untaken select branch and, without the overlap check,
+    // the cases after the matching one skip it there.
+    const EvalOptions strict, lax{false};
+    using Define = std::function<void(Function &, Expr, Condition,
+                                      Condition)>;
+    const std::pair<Define, EvalOptions> guarded[] = {
+        {[](Function &f, Expr next, Condition, Condition inside) {
+             f.define(select(inside & (next >= Expr(0.0f)), next,
+                             Expr(-1.0f)));
+         },
+         strict},
+        {[](Function &f, Expr next, Condition last, Condition inside) {
+             f.define({Case(last | (next < Expr(0.0f)), Expr(-1.0f)),
+                       Case(inside, next)});
+         },
+         strict},
+        {[](Function &f, Expr next, Condition last, Condition) {
+             f.define({Case(last, Expr(-1.0f)),
+                       Case(next >= Expr(0.0f), next)});
+         },
+         lax},
+    };
+    for (const auto &[define, opts] : guarded) {
+        Buffer out;
+        ASSERT_EQ(readPastRowEnd(define, &out, opts), "");
+        for (std::int64_t i = 0; i < 2; ++i) {
+            for (std::int64_t j = 0; j < 300; ++j) {
+                EXPECT_EQ(out.dataAs<float>()[i * 300 + j],
+                          j < 299 ? float(i * 3 + j + 1) * 0.25f : -1.0f);
+            }
+        }
+    }
+    // With the check, every case's condition is tested at every point.
+    EXPECT_EQ(readPastRowEnd(guarded[2].first),
+              "polymage: invalid specification: runtime out-of-bounds "
+              "access to 'I' at (0, 300)");
+}
+
+/** f(x, y) over [0, R-1] x [0, C-1] defined by @p cases. */
+pg::PipelineGraph
+caseGrid(const Parameter &R, const Parameter &C, const Variable &x,
+         const Variable &y, const std::vector<Case> &cases)
+{
+    Function f("f", {x, y},
+               {Interval(Expr(0), Expr(R) - 1),
+                Interval(Expr(0), Expr(C) - 1)},
+               DType::Float);
+    f.define(cases);
+    PipelineSpec spec("cases");
+    spec.addParam(R);
+    spec.addParam(C);
+    spec.addOutput(f);
+    spec.estimate(R, 3);
+    spec.estimate(C, 300);
+    return pg::PipelineGraph::build(spec);
+}
+
+TEST(Interpreter, CaseOverlapAtOneMidRowPoint)
+{
+    Parameter R("R"), C("C");
+    Variable x("x"), y("y");
+    const Expr fx = cast(DType::Float, Expr(x)),
+               fy = cast(DType::Float, Expr(y));
+    auto g = caseGrid(
+        R, C, x, y,
+        {Case(Expr(y) <= 150, fy + Expr(1.0f)),
+         Case((Expr(y) > 150) | ((Expr(x) == 1) & (Expr(y) == 150)),
+              fx * Expr(1000.0f) + fy)});
+    EXPECT_EQ(specErrorOf([&] { evaluate(g, {3, 300}, {}); }),
+              "polymage: invalid specification: function 'f' has "
+              "overlapping cases; the definition is ambiguous");
+
+    // Without the check the first matching case wins.
+    EvalOptions lax;
+    lax.checkCaseOverlap = false;
+    auto res = evaluate(g, {3, 300}, {}, lax);
+    const float *p = res.outputs[0].dataAs<float>();
+    for (std::int64_t i = 0; i < 3; ++i) {
+        for (std::int64_t j = 0; j < 300; ++j) {
+            EXPECT_EQ(p[i * 300 + j],
+                      j <= 150 ? float(j + 1) : float(i * 1000 + j));
+        }
+    }
+}
+
+TEST(Interpreter, UnmatchedPointsStayZeroWithoutOverlapCheck)
+{
+    // Columns 90..94 match both cases, so the first wins; from column
+    // 100 to 119 + 10x and from 280 on no case matches.
+    Parameter R("R"), C("C");
+    Variable x("x"), y("y");
+    const Expr fx = cast(DType::Float, Expr(x)),
+               fy = cast(DType::Float, Expr(y));
+    auto g = caseGrid(
+        R, C, x, y,
+        {Case(Expr(y) < 100, fy + Expr(1.0f)),
+         Case(((Expr(y) >= 90) & (Expr(y) < 95)) |
+                  ((Expr(y) >= Expr(x) * 10 + 120) & (Expr(y) < 280)),
+              fx * Expr(1000.0f) + fy)});
+    EvalOptions lax;
+    lax.checkCaseOverlap = false;
+    auto res = evaluate(g, {3, 300}, {}, lax);
+    const float *p = res.outputs[0].dataAs<float>();
+    for (std::int64_t i = 0; i < 3; ++i) {
+        for (std::int64_t j = 0; j < 300; ++j) {
+            float want = 0.0f;
+            if (j < 100)
+                want = float(j + 1);
+            else if (j >= i * 10 + 120 && j < 280)
+                want = float(i * 1000 + j);
+            EXPECT_EQ(p[i * 300 + j], want) << "at (" << i << ", " << j
+                                            << ")";
+        }
+    }
+}
+
+TEST(Interpreter, SelfReadingStagesSeeEarlierPoints)
+{
+    // A row-wise prefix sum of I(x, y) = x + y, and an accumulator whose
+    // update at r reads its own cell r - 1: both depend on the points
+    // just before them in the innermost loop.
+    const std::int64_t rows = 3, cols = 300;
+    Parameter R("R"), C("C");
+    Variable x("x"), y("y"), r("r");
+    Image I("I", DType::Int, {Expr(R), Expr(C)});
+    Function scan("scan", {x, y},
+                  {Interval(Expr(0), Expr(R) - 1),
+                   Interval(Expr(0), Expr(C) - 1)},
+                  DType::Int);
+    scan.define({Case(Expr(y) == 0, I(x, Expr(0))),
+                 Case(Expr(y) >= 1, scan(x, Expr(y) - 1) + I(x, y))});
+    Accumulator chain("chain", {x}, {Interval(Expr(0), Expr(C) - 1)}, {r},
+                      {Interval(Expr(1), Expr(C) - 1)}, DType::Int);
+    chain.accumulate({Expr(r)}, chain(Expr(r) - 1) + 2, ReduceOp::Sum,
+                     Expr(1));
+    PipelineSpec spec("self_reading");
+    spec.addParam(R);
+    spec.addParam(C);
+    spec.addInput(I);
+    spec.addOutput(scan);
+    spec.addOutput(chain);
+    spec.estimate(R, rows);
+    spec.estimate(C, cols);
+
+    Buffer in(DType::Int, {rows, cols});
+    for (std::int64_t i = 0; i < rows * cols; ++i)
+        in.dataAs<int>()[i] = int(i / cols + i % cols);
+    auto res = evaluate(pg::PipelineGraph::build(spec), {rows, cols}, {&in});
+    for (std::int64_t i = 0; i < rows; ++i) {
+        for (std::int64_t j = 0; j < cols; ++j) {
+            // sum over k <= j of (i + k)
+            EXPECT_EQ(res.outputs[0].dataAs<int>()[i * cols + j],
+                      int((j + 1) * i + j * (j + 1) / 2));
+        }
+    }
+    // chain(0) = 1; chain(r) = 1 + chain(r - 1) + 2.
+    for (std::int64_t j = 0; j < cols; ++j)
+        EXPECT_EQ(res.outputs[1].dataAs<int>()[j], int(1 + 3 * j));
+}
+
 } // namespace
 } // namespace polymage::interp
