@@ -24,42 +24,6 @@
 
 using namespace polymage;
 
-namespace {
-
-/** 64-bit FNV-1a over dtype, shape and element bytes of each output. */
-std::uint64_t
-hashOutputs(const std::vector<rt::Buffer> &outs)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto bytes = [&](const void *p, std::size_t n) {
-        const auto *b = static_cast<const unsigned char *>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= b[i];
-            h *= 0x100000001b3ull;
-        }
-    };
-    for (const rt::Buffer &buf : outs) {
-        const int t = int(buf.dtype());
-        bytes(&t, sizeof t);
-        for (std::int64_t d : buf.dims())
-            bytes(&d, sizeof d);
-        bytes(buf.data(), std::size_t(buf.bytes()));
-    }
-    return h;
-}
-
-/** Quantile @p q of sorted @p v, interpolating between neighbours. */
-double
-quantile(const std::vector<double> &v, double q)
-{
-    const double at = q * double(v.size() - 1);
-    const auto lo = std::size_t(at);
-    const std::size_t hi = std::min(lo + 1, v.size() - 1);
-    return v[lo] + (v[hi] - v[lo]) * (at - double(lo));
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -86,7 +50,7 @@ main(int argc, char **argv)
             ms.push_back(std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - t0)
                              .count());
-            const std::uint64_t h = hashOutputs(res.outputs);
+            const std::uint64_t h = bench::hashOutputs(res.outputs);
             if (r > 0 && h != hash) {
                 std::fprintf(stderr, "%s: output hash changed in run %d\n",
                              app.name.c_str(), r);
@@ -97,8 +61,8 @@ main(int argc, char **argv)
         std::sort(ms.begin(), ms.end());
         std::printf("%-18s %-12s %9.1f %9.1f %9.1f  %016llx\n",
                     app.name.c_str(), app.sizeLabel.c_str(),
-                    quantile(ms, 0.25), quantile(ms, 0.5),
-                    quantile(ms, 0.75),
+                    bench::quantile(ms, 0.25), bench::quantile(ms, 0.5),
+                    bench::quantile(ms, 0.75),
                     static_cast<unsigned long long>(hash));
     }
     return stable ? 0 : 1;

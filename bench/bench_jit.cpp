@@ -1,0 +1,161 @@
+/**
+ * @file
+ * Compiled-code probe: how much code the seven paper apps generate,
+ * how long the JIT takes to compile it cold, and what it computes.
+ *
+ *   bench_jit [scale [runs]]
+ *
+ * scale is the linear fraction of the paper image sizes (default
+ * POLYMAGE_BENCH_SCALE, else 0.125); runs is the number of cold
+ * compiles per program (default 5).  Each app is compiled under
+ * CompileOptions::optimized() and CompileOptions::serving().  Per
+ * program the probe prints:
+ * - the source lines, and the stage functions emitted / the stage
+ *   instances they serve (GeneratedCode::sharedCallers);
+ * - the median and quartiles, in seconds, of JitModule::compile over
+ *   the translation units Executable::build compiles, with the object
+ *   cache off.  The compiles are interleaved: each round compiles
+ *   every program once, so drift in machine load spreads evenly;
+ * - the FNV-1a hash of the outputs (dtype, shape and elements of every
+ *   live-out, as bench_interp hashes them) of the OpenMP entry and,
+ *   under serving(), of the task entry run phase by phase.  Bilateral's
+ *   OpenMP entry runs on one thread: its privatised reductions merge
+ *   per-thread sums in whatever order the threads finish.
+ * Two builds of the compiler can thus be compared for code size and
+ * JIT time and checked for bitwise-identical results.
+ */
+#include <omp.h>
+
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+
+#include "bench_util.hpp"
+#include "runtime/jit.hpp"
+
+using namespace polymage;
+
+namespace {
+
+/** One app under one set of compile options. */
+struct Program
+{
+    const bench::AppBench *app;
+    const char *variant;
+    CompileOptions opts;
+    std::vector<std::string> units;
+    CompiledPipeline compiled;
+    std::vector<double> seconds;
+};
+
+/** Outputs of @p exe under @p app's parameters, allocated. */
+std::vector<rt::Buffer>
+allocOutputs(const rt::Executable &exe, const bench::AppBench &app)
+{
+    std::vector<rt::Buffer> outs;
+    const auto &g = exe.info().graph;
+    for (const auto &shape : exe.outputShapes(app.params)) {
+        const int s = g.outputs()[outs.size()];
+        outs.emplace_back(g.stage(s).callable->dtype(), shape);
+    }
+    return outs;
+}
+
+/** The task entry's outputs, every phase run in order on this thread. */
+std::vector<rt::Buffer>
+runTasks(const rt::Executable &exe, const bench::AppBench &app)
+{
+    std::vector<rt::Buffer> outs = allocOutputs(exe, app);
+    rt::BufferPool pool;
+    const rt::TaskInvocation inv =
+        exe.prepareTasks(app.params, app.inputs(), outs, pool);
+    for (long long p = 0; p < inv.phases(); ++p) {
+        const long long n = inv.taskCount(p);
+        if (n > 0)
+            inv.run(p, 0, n - 1);
+    }
+    return outs;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    const double scale =
+        argc > 1 ? std::atof(argv[1]) : bench::benchScale(0.125);
+    const int runs = argc > 2 ? std::atoi(argv[2]) : 5;
+    if (scale <= 0 || runs < 1) {
+        std::fprintf(stderr, "usage: bench_jit [scale [runs]]\n");
+        return 2;
+    }
+
+    const std::vector<bench::AppBench> apps = bench::paperBenchmarks(scale);
+    std::vector<Program> progs;
+    for (const bench::AppBench &app : apps) {
+        for (const bool serving : {false, true}) {
+            const CompileOptions opts = serving ? CompileOptions::serving()
+                                                : CompileOptions::optimized();
+            CompiledPipeline compiled = compilePipeline(app.spec, opts);
+            std::vector<std::string> units = compiled.code.translationUnits(
+                rt::JitModule::parallelism());
+            progs.push_back({&app, serving ? "serving" : "optimized", opts,
+                             std::move(units), std::move(compiled), {}});
+        }
+    }
+
+    // Cold compiles, as Executable::build runs them, cache off.
+    for (int r = 0; r < runs; ++r) {
+        for (Program &p : progs) {
+            rt::JitOptions jit;
+            jit.cache = false;
+            jit.vectorize = p.compiled.code.vectorizeMode != "off";
+            const auto t0 = std::chrono::steady_clock::now();
+            rt::JitModule::compile(p.units, jit);
+            p.seconds.push_back(std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count());
+        }
+    }
+
+    std::printf("bench_jit: scale %.4g, %d cold compiles per program, %d "
+                "compiler processes, object cache off\n",
+                scale, runs, rt::JitModule::parallelism());
+    std::printf("%-15s %-10s %-11s %6s %9s %7s %7s %7s  %-16s  %s\n", "app",
+                "variant", "size", "lines", "fns/inst", "q1_s", "med_s",
+                "q3_s", "omp_fnv1a", "task_fnv1a");
+    for (Program &p : progs) {
+        const cg::GeneratedCode &code = p.compiled.code;
+        int instances = code.stageFunctions;
+        for (const auto &[fn, callers] : code.sharedCallers)
+            instances += int(callers.size());
+        const long lines =
+            long(std::count(code.source.begin(), code.source.end(), '\n'));
+
+        const rt::Executable exe = rt::Executable::build(p.app->spec, p.opts);
+        const int threads = omp_get_max_threads();
+        if (p.app->name == "Bilateral Grid")
+            omp_set_num_threads(1);
+        const std::uint64_t omp_hash =
+            bench::hashOutputs(exe.run(p.app->params, p.app->inputs()));
+        omp_set_num_threads(threads);
+        char task_hash[17] = "-";
+        if (exe.hasTaskEntry())
+            std::snprintf(task_hash, sizeof task_hash, "%016llx",
+                          static_cast<unsigned long long>(
+                              bench::hashOutputs(runTasks(exe, *p.app))));
+
+        std::sort(p.seconds.begin(), p.seconds.end());
+        const std::string fns = std::to_string(code.stageFunctions) + "/" +
+                                std::to_string(instances);
+        std::printf("%-15s %-10s %-11s %6ld %9s %7.3f %7.3f %7.3f  "
+                    "%016llx  %s\n",
+                    p.app->name.c_str(), p.variant, p.app->sizeLabel.c_str(),
+                    lines, fns.c_str(), bench::quantile(p.seconds, 0.25),
+                    bench::quantile(p.seconds, 0.5),
+                    bench::quantile(p.seconds, 0.75),
+                    static_cast<unsigned long long>(omp_hash), task_hash);
+    }
+    return 0;
+}

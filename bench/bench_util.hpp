@@ -7,7 +7,9 @@
 #ifndef POLYMAGE_BENCH_BENCH_UTIL_HPP
 #define POLYMAGE_BENCH_BENCH_UTIL_HPP
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -276,6 +278,38 @@ timeBestOf(const std::function<void()> &fn, int repeats = 3)
                             .count());
     }
     return best;
+}
+
+/** 64-bit FNV-1a over dtype, shape and element bytes of each output. */
+inline std::uint64_t
+hashOutputs(const std::vector<rt::Buffer> &outs)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto bytes = [&](const void *p, std::size_t n) {
+        const auto *b = static_cast<const unsigned char *>(p);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= b[i];
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const rt::Buffer &buf : outs) {
+        const int t = int(buf.dtype());
+        bytes(&t, sizeof t);
+        for (std::int64_t d : buf.dims())
+            bytes(&d, sizeof d);
+        bytes(buf.data(), std::size_t(buf.bytes()));
+    }
+    return h;
+}
+
+/** Quantile @p q of sorted @p v, interpolating between neighbours. */
+inline double
+quantile(const std::vector<double> &v, double q)
+{
+    const double at = q * double(v.size() - 1);
+    const auto lo = std::size_t(at);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (at - double(lo));
 }
 
 /** One paper benchmark: spec, inputs, and comparator callbacks. */

@@ -5,7 +5,9 @@
  * overlapped-tile loops, per-tile scratchpads with relative indexing,
  * clamped per-level bounds, and vectorisation on unit-stride innermost
  * loops.  Each stage's loop nest is emitted once, as a function shared
- * by every entry flavour; each fused group gets one small function per
+ * by every entry flavour and by every other stage whose nest is the
+ * same text up to the names of the buffers and parameters it takes as
+ * arguments; each fused group gets one small function per
  * flavour that walks its tiles or tasks and calls them, and the
  * pipeline entry calls the groups in order.  The program thus splits
  * into translation units that compile concurrently
@@ -15,6 +17,7 @@
 #define POLYMAGE_CODEGEN_GENERATE_HPP
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -115,13 +118,16 @@ struct GeneratedCode
      * The program in pieces that compile independently.  `prelude`
      * (helpers and vector typedefs) opens every unit.  `functions`
      * holds, per group, the flavour-neutral stage functions -- one per
-     * stage of a tiled group, `<entry>_g<k>_s<j>(..., T0[, T1...],
-     * scratchpads)`, one per case nest of an untiled stage,
-     * `<entry>_g<k>_s<j>_n<m>(..., outer indices)` -- then one function
-     * per entry flavour (`<entry>_g<k>`, `<entry>_g<k>_pm_instr`,
-     * `<entry>_g<k>_pm_task`) holding only its tile or task loop, its
-     * scratchpad allocation and the calls; accumulators keep a
-     * per-flavour body.  All are hidden; a flavour function's piece
+     * stage of a tiled group, `<entry>_g<k>_s<j>(buffers, parameters,
+     * T0[, T1...], scratchpads)`, one per case nest of an untiled
+     * stage, `<entry>_g<k>_s<j>_n<m>(buffers, parameters, outer
+     * indices)` -- then one function per entry flavour (`<entry>_g<k>`,
+     * `<entry>_g<k>_pm_instr`, `<entry>_g<k>_pm_task`) holding only its
+     * tile or task loop, its scratchpad allocation and the calls;
+     * accumulators keep a per-flavour body.  A stage function whose
+     * text equals an earlier one's up to the names of its arguments is
+     * not emitted: its drivers call the earlier function
+     * (`sharedCallers`).  All are hidden; a flavour function's piece
      * opens with declarations of the stage functions it calls.
      * `entryPoints` declares the flavour functions and defines the
      * extern "C" entries that call them, plus the module's one
@@ -237,6 +243,14 @@ struct GeneratedCode
     std::string vectorizeMode;
     /** Total nests emitted through the explicit vector path. */
     int explicitNests = 0;
+    /**
+     * Stage functions emitted, and for each emitted function that
+     * other stage instances share, the names those instances' own
+     * functions would have had (`<entry>_g<k>_s<j>[_n<m>]`), in
+     * emission order.  Instances = stageFunctions + the shared names.
+     */
+    int stageFunctions = 0;
+    std::map<std::string, std::vector<std::string>> sharedCallers;
     /** Stages stored in a range-narrowed type, as "name:u16". */
     std::vector<std::string> narrowedStages;
     double explicitFraction() const

@@ -7,7 +7,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <regex>
+
 #include "apps/apps.hpp"
+#include "common/stage_functions.hpp"
 #include "common/test_pipelines.hpp"
 #include "driver/compiler.hpp"
 #include "interp/interpreter.hpp"
@@ -420,6 +423,226 @@ TEST(Exec, EveryMathFunctionMatchesInterpreter)
         checkAgainstInterpreter(spec, {48, 40}, {&in},
                                 CompileOptions::optimized(), 1e-4,
                                 dtypeName(t));
+    }
+}
+
+} // namespace
+} // namespace polymage::rt
+
+namespace polymage::rt {
+namespace {
+
+using namespace dsl;
+
+/** How the second of two blur chains departs from the first. */
+enum class Twin
+{
+    Same,        // the same stencils over its own image and extents
+    Constant,    // blurx weighs the centre 0.25 instead of 0.5
+    InputDType,  // the image is u8 instead of float
+    ScratchSize, // tap reads blurx one row down: a taller scratchpad
+};
+
+/**
+ * Two chains, blurx<k> (along rows) then blury<k> (along columns),
+ * over images I<k> of extents (R<k>, C<k>), k = 1, 2; the second
+ * departs from the first as @p twin says.  Outputs blury1, blury2 and,
+ * for Twin::ScratchSize, sum2 = blury2 + tap2 with tap2(x, y) =
+ * blurx2(x + 1, y): tap2 sits at blury2's level of the fused group, so
+ * blury2 keeps blury1's loops while blurx2's scratchpad grows a row.
+ */
+PipelineSpec
+twinChains(Twin twin)
+{
+    PipelineSpec spec("twins");
+    Variable x("x"), y("y");
+    for (int k = 1; k <= 2; ++k) {
+        const std::string n = std::to_string(k);
+        const bool second = k == 2;
+        Parameter R("R" + n), C("C" + n);
+        spec.addParam(R);
+        spec.addParam(C);
+        spec.estimate(R, 256);
+        spec.estimate(C, 256);
+        Image I("I" + n,
+                second && twin == Twin::InputDType ? DType::UChar
+                                                   : DType::Float,
+                {Expr(R), Expr(C)});
+        const Interval rows(Expr(1), Expr(R) - 2);
+        Function bx("blurx" + n, {x, y}, {rows, Interval(Expr(0), Expr(C) - 1)},
+                    DType::Float);
+        const float centre = second && twin == Twin::Constant ? 0.25f : 0.5f;
+        bx.define(Expr(0.25f) * I(Expr(x) - 1, y) + Expr(centre) * I(x, y) +
+                  Expr(0.25f) * I(Expr(x) + 1, y));
+        Function by("blury" + n, {x, y},
+                    {rows, Interval(Expr(1), Expr(C) - 2)}, DType::Float);
+        by.define(Expr(0.25f) * bx(x, Expr(y) - 1) + Expr(0.5f) * bx(x, y) +
+                  Expr(0.25f) * bx(x, Expr(y) + 1));
+        spec.addInput(I);
+        spec.addOutput(by);
+        if (second && twin == Twin::ScratchSize) {
+            const std::vector<Interval> dom = {
+                Interval(Expr(1), Expr(R) - 3),
+                Interval(Expr(1), Expr(C) - 2)};
+            Function tap("tap2", {x, y}, dom, DType::Float);
+            tap.define(bx(Expr(x) + 1, y));
+            Function sum("sum2", {x, y}, dom, DType::Float);
+            sum.define(by(x, y) + tap(x, y));
+            spec.addOutput(sum);
+        }
+    }
+    return spec;
+}
+
+/** Tiles of @p rows x 64 (no tile model), with the task entry. */
+CompileOptions
+twinOptions(std::int64_t rows = 16)
+{
+    CompileOptions opts = CompileOptions::serving();
+    opts.grouping.autoTile = false;
+    opts.grouping.tileSizes = {rows, 64};
+    return opts;
+}
+
+/** The stage function the drivers call to compute @p stage. */
+const testing::Definition &
+functionOf(const CompiledPipeline &c,
+           const std::map<std::string, testing::Definition> &defs,
+           const std::string &stage)
+{
+    const std::regex driver(R"(_g(\d+)(_pm_instr|_pm_task)?$)");
+    for (const auto &[name, def] : defs) {
+        std::smatch m;
+        if (!std::regex_search(name, m, driver))
+            continue;
+        for (const testing::StageCall &call : testing::stageCalls(def.body)) {
+            const testing::Definition &callee = defs.at(call.callee);
+            for (std::size_t i = 0; i < callee.args.size(); ++i) {
+                const int s = testing::stageOfArgument(c, std::stoi(m[1]),
+                                                       call.args.at(i));
+                if (s >= 0 && c.graph.stage(s).name() == stage &&
+                    testing::storesTo(callee.body, callee.args[i]))
+                    return callee;
+            }
+        }
+    }
+    ADD_FAILURE() << "no function computes " << stage;
+    return defs.begin()->second;
+}
+
+/**
+ * Stages whose loop nests differ only in the buffers and parameters
+ * they touch call one stage function: two blur chains over images of
+ * different extents emit one function per chain position, and both
+ * outputs still match the interpreter.
+ */
+TEST(SharedStages, TwinChainsShareOneFunctionPerPosition)
+{
+    const PipelineSpec spec = twinChains(Twin::Same);
+    const CompiledPipeline c = compilePipeline(spec, twinOptions());
+    ASSERT_EQ(c.grouping.groups.size(), 2u);
+    EXPECT_EQ(c.code.stageFunctions, 2);
+    const auto defs = testing::definitions(c.code);
+    EXPECT_EQ(functionOf(c, defs, "blury1").name,
+              functionOf(c, defs, "blury2").name);
+    std::size_t shared = 0;
+    for (const auto &[fn, callers] : c.code.sharedCallers)
+        shared += callers.size();
+    EXPECT_EQ(shared, 2u);
+
+    Buffer a = randomBuffer(DType::Float, {70, 90}, 21);
+    Buffer b = randomBuffer(DType::Float, {45, 130}, 22);
+    checkAgainstInterpreter(spec, {70, 90, 45, 130}, {&a, &b},
+                            twinOptions(), 1e-5, "twins");
+}
+
+/**
+ * Sharing is exact text: a chain that differs in one constant, in its
+ * input's dtype or in a scratchpad's size keeps its own function for
+ * the stage that differs, while a stage that matches still shares.
+ */
+TEST(SharedStages, StagesThatDifferDoNotShare)
+{
+    struct Case
+    {
+        Twin twin;
+        const char *differs; // the stage of chain 2 that must not share
+        const char *same;    // one that still does ("" when none)
+    };
+    for (const Case &k : {Case{Twin::Constant, "blurx", "blury"},
+                          Case{Twin::InputDType, "blurx", "blury"},
+                          Case{Twin::ScratchSize, "blury", ""}}) {
+        SCOPED_TRACE(k.differs);
+        const CompiledPipeline c =
+            compilePipeline(twinChains(k.twin), twinOptions());
+        const auto defs = testing::definitions(c.code);
+        const std::string d = k.differs;
+        const testing::Definition &one = functionOf(c, defs, d + "1");
+        const testing::Definition &two = functionOf(c, defs, d + "2");
+        EXPECT_NE(one.name, two.name);
+        EXPECT_NE(testing::canonical(one), testing::canonical(two));
+        if (*k.same) {
+            const std::string s = k.same;
+            EXPECT_EQ(functionOf(c, defs, s + "1").name,
+                      functionOf(c, defs, s + "2").name);
+        }
+        if (k.twin == Twin::ScratchSize) {
+            // The two blury functions differ in nothing but the size of
+            // the blurx scratchpad they read.
+            const std::regex size(R"(\)\[\d+\])");
+            EXPECT_EQ(std::regex_replace(testing::canonical(one), size, ")[]"),
+                      std::regex_replace(testing::canonical(two), size, ")[]"));
+        }
+    }
+}
+
+/**
+ * A tile size is a literal of the stage text, so stage instances tiled
+ * differently never share: the same chain tiled 16 and 32 rows high
+ * renders different stage functions.
+ */
+TEST(SharedStages, TileSizeIsPartOfTheText)
+{
+    const PipelineSpec spec = twinChains(Twin::Same);
+    const CompiledPipeline narrow = compilePipeline(spec, twinOptions(16));
+    const CompiledPipeline wide = compilePipeline(spec, twinOptions(32));
+    const auto n = testing::definitions(narrow.code);
+    const auto w = testing::definitions(wide.code);
+    for (const char *stage : {"blurx1", "blury1"}) {
+        EXPECT_NE(testing::canonical(functionOf(narrow, n, stage)),
+                  testing::canonical(functionOf(wide, w, stage)))
+            << stage;
+    }
+}
+
+/**
+ * Pyramid construction loops define one stencil per image and level:
+ * at 1/8 paper size the serving programs of Pyramid Blending, Multiscale
+ * Interpolation and Local Laplacian emit these many distinct stage
+ * functions for their stage instances.
+ */
+TEST(SharedStages, PyramidAppsShareAcrossLevels)
+{
+    struct App
+    {
+        const char *name;
+        PipelineSpec spec;
+        int functions;
+        int instances;
+    };
+    for (const App &a :
+         {App{"pyramid", apps::buildPyramidBlend(256, 256, 4), 24, 55},
+          App{"interp", apps::buildMultiscaleInterp(320, 192, 6), 23, 39},
+          App{"laplacian", apps::buildLocalLaplacian(320, 192, 4, 8), 26,
+              36}}) {
+        SCOPED_TRACE(a.name);
+        const CompiledPipeline c =
+            compilePipeline(a.spec, CompileOptions::serving());
+        int instances = c.code.stageFunctions;
+        for (const auto &[fn, callers] : c.code.sharedCallers)
+            instances += int(callers.size());
+        EXPECT_EQ(c.code.stageFunctions, a.functions);
+        EXPECT_EQ(instances, a.instances);
     }
 }
 

@@ -11,7 +11,9 @@
  * serving engine JITs: optimized() plus the task entry) instead of
  * CompileOptions::optimized().  The header lists every generated
  * function with its line count, the pieces the JIT spreads over
- * translation units (GeneratedCode::translationUnits).
+ * translation units (GeneratedCode::translationUnits), and after a
+ * shared stage function the other stage instances that call it, e.g.
+ * `50 polymage_pyramid_blend_g0_s0 (also g1_s0, g2_s0)`.
  */
 #include <algorithm>
 #include <cstdio>
@@ -135,8 +137,23 @@ main(int argc, char **argv)
                 lineCount(code.source), lineCount(code.prelude),
                 code.functions.size(), largest,
                 lineCount(code.entryPoints));
-    for (const std::string &f : code.functions)
-        std::printf("//   %5ld %s\n", lineCount(f), definedName(f).c_str());
+    for (const std::string &f : code.functions) {
+        const std::string name = definedName(f);
+        std::printf("//   %5ld %s", lineCount(f), name.c_str());
+        // Stage instances whose drivers call this function instead of
+        // one of their own.
+        auto shared = code.sharedCallers.find(name);
+        if (shared != code.sharedCallers.end()) {
+            const char *sep = " (also ";
+            for (const std::string &other : shared->second) {
+                std::printf("%s%s", sep,
+                            other.substr(code.entry.size() + 1).c_str());
+                sep = ", ";
+            }
+            std::printf(")");
+        }
+        std::printf("\n");
+    }
     std::fputs(code.source.c_str(), stdout);
     return 0;
 }
