@@ -54,8 +54,10 @@ if [ "$san" = thread ]; then
         # Scheduler matches the work-stealing deque/barrier stress
         # (tests/runtime/test_scheduler.cpp) and the SharedTileQueue
         # engine tests -- the tile pool's lock-free paths are exactly
-        # what TSan exists to check.
-        set -- -R '(Concurrent|Engine|Registry|Jit|Buffer|Scheduler)'
+        # what TSan exists to check.  Interpreter and Tiered run the
+        # interpreter's bands on the pool, from the oracle tests and
+        # from the engine's interpreter tier.
+        set -- -R '(Concurrent|Engine|Registry|Jit|Buffer|Scheduler|Interpreter|Tiered)'
     fi
 fi
 

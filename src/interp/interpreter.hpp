@@ -16,6 +16,10 @@
 #include "pipeline/graph.hpp"
 #include "runtime/buffer.hpp"
 
+namespace polymage::rt {
+class TileScheduler;
+} // namespace polymage::rt
+
 namespace polymage::interp {
 
 /** Interpreter knobs. */
@@ -44,12 +48,17 @@ struct EvalResult
  * @param inputs input buffers in graph.images() order; dims must match
  *               the image extents under the parameter values
  * @param opts interpreter options
+ * @param sched when given, each function stage's rows are split into
+ *              bands that run as tasks on it while the calling thread
+ *              helps; outputs and errors are those of the serial
+ *              evaluation without it
  * @throws SpecError on domain errors discovered at runtime
  */
 EvalResult evaluate(const pg::PipelineGraph &g,
                     const std::vector<std::int64_t> &params,
                     const std::vector<const rt::Buffer *> &inputs,
-                    const EvalOptions &opts = {});
+                    const EvalOptions &opts = {},
+                    rt::TileScheduler *sched = nullptr);
 
 /**
  * Buffer shape of a stage under concrete parameter values: per

@@ -18,6 +18,12 @@
  * advances the job to its next phase and seeds the new chunks onto
  * its own deque -- the per-job phase barrier costs one atomic
  * decrement per chunk, never a pool-wide join.
+ *
+ * Idle threads do not poll.  Every publish (a submit, a next phase
+ * seeded for others to take, a spill, a job's completion) bumps a
+ * wake epoch under the injection mutex; a worker or helper reads the
+ * epoch before its steal sweep and, finding nothing, sleeps untimed
+ * until the epoch moves.
  */
 #ifndef POLYMAGE_RUNTIME_SCHEDULER_HPP
 #define POLYMAGE_RUNTIME_SCHEDULER_HPP
@@ -162,6 +168,12 @@ class TileScheduler
     void runChunk(Chunk c, Worker *self);
     /** Phase bookkeeping once a chunk's tasks finished. */
     void retireChunk(SchedJob &job, long long tasks, Worker *self);
+    /** One chunk stolen from the deque of any worker but @p self
+     * (-1: an external helper), victims swept from a random start;
+     * null when every deque was empty. */
+    Chunk *steal(std::uint64_t &rng, int self);
+    /** Wake every sleeper: bump the epoch.  Caller holds injectMu_. */
+    void publishLocked();
     /** Chunk descriptors of @p job's current phase. */
     static std::vector<Chunk> chunksOf(SchedJob &job, int workers,
                                        long long grain);
@@ -177,6 +189,9 @@ class TileScheduler
     std::deque<Chunk> inject_;
     std::vector<std::shared_ptr<SchedJob>> live_;
     std::condition_variable wake_;
+    /** Wake epoch: written only under injectMu_, read before a steal
+     * sweep without it. */
+    std::atomic<std::uint64_t> epoch_{0};
     bool stopping_ = false;
 
     std::atomic<std::uint64_t> tasksExecuted_{0};

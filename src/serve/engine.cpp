@@ -88,21 +88,20 @@ Engine::Engine(std::shared_ptr<PipelineRegistry> registry,
                         : std::max(1, hw / opts_.workers);
 
     opts_.maxBatch = std::max(1, opts_.maxBatch);
-    if (opts_.scheduler == SchedulerMode::SharedTileQueue) {
-        rt::SchedulerOptions so;
-        so.workers = opts_.schedulerWorkers;
-        if (so.workers == 0) {
-            // Auto-size: engine workers participate in the pool via
-            // helpWhile(), so dedicated pool threads only fill the
-            // cores the workers leave free.  Oversubscribing a small
-            // machine costs more in context switches than stealing
-            // recovers.
-            so.workers = hw - opts_.workers;
-            if (so.workers < 1)
-                so.workers = -1; // thread-less pool: helpers drive
-        }
-        sched_ = std::make_unique<rt::TileScheduler>(so);
+    // Both modes own the pool: the interpreter tier splits its stages
+    // into bands on it, and SharedTileQueue runs compiled tiles there.
+    rt::SchedulerOptions so;
+    so.workers = opts_.schedulerWorkers;
+    if (so.workers == 0) {
+        // Auto-size: engine workers participate in the pool via
+        // helpWhile(), so dedicated pool threads only fill the cores
+        // the workers leave free.  Oversubscribing a small machine
+        // costs more in context switches than stealing recovers.
+        so.workers = hw - opts_.workers;
+        if (so.workers < 1)
+            so.workers = -1; // thread-less pool: helpers drive
     }
+    sched_ = std::make_unique<rt::TileScheduler>(so);
 
     pools_.reserve(std::size_t(opts_.workers));
     for (int i = 0; i < opts_.workers; ++i)
@@ -384,10 +383,10 @@ Engine::executeBatch(std::vector<Job> &batch, rt::BufferPool &pool)
         exe = nullptr; // fall through to per-request execution
     }
 
-    if (exe == nullptr || !exe->hasTaskEntry() || sched_ == nullptr) {
-        // Interpreter tier, no task entry, or no pool: request-at-a-
-        // time fallback (execute() re-resolves, keeping tier
-        // accounting and promotion tracking in one place).
+    if (exe == nullptr || !exe->hasTaskEntry()) {
+        // Interpreter tier or no task entry: request-at-a-time
+        // fallback (execute() re-resolves, keeping tier accounting and
+        // promotion tracking in one place).
         for (Job &job : batch) {
             Response r = execute(job, pool);
             complete(job, std::move(r));
@@ -501,7 +500,7 @@ Engine::execute(Job &job, rt::BufferPool &pool)
                 r.tier = 2;
             } else {
                 interp::EvalResult ev = interp::evaluate(
-                    *tr.graph, job.req.params, ins);
+                    *tr.graph, job.req.params, ins, {}, sched_.get());
                 r.outputs = std::move(ev.outputs);
                 r.tier = 1;
             }
@@ -739,10 +738,12 @@ Engine::executeFrame(Job &job)
         for (const auto &b : job.req.inputs)
             ins.push_back(b.get());
         // SharedTileQueue mode drains the frame's tiles through the
-        // shared pool (sched_ is null otherwise, and step() falls
-        // back to the per-request OpenMP entry).
-        const std::vector<rt::Buffer> &outs =
-            s->stream_->step(ins, sched_.get());
+        // shared pool; PerRequestOMP passes none, and step() runs the
+        // per-request OpenMP entry.
+        const std::vector<rt::Buffer> &outs = s->stream_->step(
+            ins, opts_.scheduler == SchedulerMode::SharedTileQueue
+                     ? sched_.get()
+                     : nullptr);
         fr.outputs = &outs;
         fr.tier = 2;
     } catch (const std::exception &e) {
@@ -921,10 +922,8 @@ Engine::metrics() const
     s.policy = policyName(opts_.policy);
     s.tiered = opts_.tiered;
     s.schedulerMode = schedulerModeName(opts_.scheduler);
-    if (sched_ != nullptr) {
-        s.schedulerWorkers = sched_->workers();
-        s.scheduler = sched_->stats();
-    }
+    s.schedulerWorkers = sched_->workers();
+    s.scheduler = sched_->stats();
     for (const auto &p : pools_) {
         const rt::BufferPool::Stats ps = p->stats();
         s.poolBlockAllocs += ps.blockAllocs;

@@ -56,7 +56,11 @@ const char *policyName(OverloadPolicy p);
 /** Inverse of policyName(); throws SpecError on unknown names. */
 OverloadPolicy policyFromName(const std::string &name);
 
-/** How worker threads execute admitted requests. */
+/**
+ * How worker threads execute admitted compiled requests.  Interpreter-
+ * tier answers split their stages into bands on the engine's
+ * rt::TileScheduler in either mode.
+ */
 enum class SchedulerMode
 {
     /**
@@ -72,8 +76,7 @@ enum class SchedulerMode
      * in-flight request interleave on one pool -- no per-request
      * OpenMP barriers, and a request's tail tiles are stolen instead
      * of idling threads.  Requests whose compiled variant lacks a
-     * task entry (or are still interpreter-tier) fall back to the
-     * per-request path.
+     * task entry (or are still interpreter-tier) run one at a time.
      */
     SharedTileQueue,
 };
@@ -109,7 +112,9 @@ struct EngineOptions
     /** Request execution strategy (see SchedulerMode). */
     SchedulerMode scheduler = SchedulerMode::PerRequestOMP;
     /**
-     * Tile-pool worker threads in SharedTileQueue mode.  0 (the
+     * Worker threads of the engine's rt::TileScheduler, which both
+     * modes own: the interpreter tier splits its stages into bands on
+     * it, and SharedTileQueue also runs compiled tiles there.  0 (the
      * default) auto-sizes: engine workers execute chunks themselves
      * while waiting (TileScheduler::helpWhile), so the pool only
      * spawns hardware_concurrency minus `workers` dedicated threads
@@ -456,7 +461,8 @@ class Engine
     std::vector<std::unique_ptr<rt::BufferPool>> pools_;
     mutable ServeMetrics metrics_;
 
-    /** The shared tile pool (SharedTileQueue mode only). */
+    /** The shared pool: interpreter-tier bands in both modes, and
+     * compiled tiles in SharedTileQueue mode. */
     std::unique_ptr<rt::TileScheduler> sched_;
 
     /** Per-pipeline run-time estimates feeding SLO admission. */

@@ -127,7 +127,7 @@ struct ServeSnapshot
     /// @{
     /** Scheduler mode name ("per_request_omp", "shared_tile_queue"). */
     std::string schedulerMode;
-    /** Tile-pool worker threads (0 in per-request mode). */
+    /** Tile-pool worker threads (both modes own the pool). */
     int schedulerWorkers = 0;
     rt::SchedulerStats scheduler;
     /// @}

@@ -5,7 +5,8 @@
  * drift: this test pins the raw output bytes of the seven paper apps,
  * histogram equalisation and a four-frame temporal-denoise stream on
  * seeded synthetic inputs.  A rewrite of the evaluator that changes a
- * single bit of any output fails here.
+ * single bit of any output fails here, serially or with its stages split
+ * into bands on a tile scheduler.
  *
  * The hashes assume IEEE double arithmetic and glibc's libm (the math
  * intrinsics are evaluated in double by std::exp, std::pow, ...).
@@ -17,6 +18,7 @@
 
 #include "apps/apps.hpp"
 #include "core/stream_plan.hpp"
+#include "interp/eval_modes.hpp"
 #include "interp/interpreter.hpp"
 #include "interp/stream_ref.hpp"
 #include "runtime/synth.hpp"
@@ -110,17 +112,19 @@ TEST(Interpreter, GoldenOutputHashes)
         {"histogram_eq 48x300", buildHistogramEq(48, 300), {48, 300},
          {rt::synth::photoU8(48, 300)}, "222711c971907879"},
     };
-    for (const Golden &c : cases) {
-        SCOPED_TRACE(c.name);
-        std::vector<const Buffer *> ins;
-        for (const Buffer &b : c.ins)
-            ins.push_back(&b);
-        auto res = evaluate(pg::PipelineGraph::build(c.spec), c.params,
-                            ins);
-        Fnv1a h;
-        for (const Buffer &b : res.outputs)
-            h.buffer(b);
-        EXPECT_EQ(h.hex(), c.hash);
+    for (const testing::EvalMode &mode : testing::evalModes()) {
+        for (const Golden &c : cases) {
+            SCOPED_TRACE(std::string(c.name) + ", " + mode.name);
+            std::vector<const Buffer *> ins;
+            for (const Buffer &b : c.ins)
+                ins.push_back(&b);
+            auto res = evaluate(pg::PipelineGraph::build(c.spec), c.params,
+                                ins, {}, mode.sched);
+            Fnv1a h;
+            for (const Buffer &b : res.outputs)
+                h.buffer(b);
+            EXPECT_EQ(h.hex(), c.hash);
+        }
     }
 
     // Streaming: the reference stream evaluator over four frames, so
