@@ -58,7 +58,6 @@ sweep(const char *name, const PipelineSpec &spec,
     for (double th : {0.05, 0.1, 0.2, 0.4, 0.6, 0.9}) {
         CompileOptions opts;
         opts.grouping.overlapThreshold = th;
-        opts.codegen.instrument = report.enabled();
         rt::Executable exe = rt::Executable::build(spec, opts);
         auto outputs = exe.run(params, inputs);
         if (report.enabled()) {

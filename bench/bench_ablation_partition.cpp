@@ -109,9 +109,8 @@ main(int argc, char **argv)
         b.tuned.grouping.autoTile = false;
 
         double interior = 1.0;
-        auto measure = [&](CompileOptions opts, const char *variant,
+        auto measure = [&](const CompileOptions &opts, const char *variant,
                            double *frac = nullptr) {
-            opts.codegen.instrument = report.enabled();
             rt::Executable exe = rt::Executable::build(b.spec, opts);
             auto outputs = exe.run(b.params, inputs);
             if (report.enabled()) {

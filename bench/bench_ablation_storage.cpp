@@ -30,9 +30,8 @@ main(int argc, char **argv)
     for (auto &b : benches) {
         auto inputs = b.inputs();
 
-        auto measure = [&](CompileOptions opts, const char *variant,
+        auto measure = [&](const CompileOptions &opts, const char *variant,
                            rt::MemoryStats *mem = nullptr) {
-            opts.codegen.instrument = report.enabled();
             rt::Executable exe = rt::Executable::build(b.spec, opts);
             auto outputs = exe.run(b.params, inputs);
             if (report.enabled()) {

@@ -31,10 +31,8 @@ struct Series
 
 Series
 polymageSeries(const char *name, const AppBench &b,
-               const CompileOptions &base_opts)
+               const CompileOptions &opts)
 {
-    CompileOptions opts = base_opts;
-    opts.codegen.instrument = true;
     rt::Executable exe = rt::Executable::build(b.spec, opts);
     auto inputs = b.inputs();
     auto outputs = exe.run(b.params, inputs);

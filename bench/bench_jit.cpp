@@ -8,8 +8,7 @@
  * scale is the linear fraction of the paper image sizes (default
  * POLYMAGE_BENCH_SCALE, else 0.125); runs is the number of cold
  * compiles per program (default 5).  Each app is compiled under
- * CompileOptions::optimized() and CompileOptions::serving().  Per
- * program the probe prints:
+ * CompileOptions::optimized().  Per program the probe prints:
  * - the source lines, and the stage functions emitted / the stage
  *   instances they serve (GeneratedCode::sharedCallers);
  * - the median and quartiles, in seconds, of JitModule::compile over
@@ -17,8 +16,8 @@
  *   cache off.  The compiles are interleaved: each round compiles
  *   every program once, so drift in machine load spreads evenly;
  * - the FNV-1a hash of the outputs (dtype, shape and elements of every
- *   live-out, as bench_interp hashes them) of the OpenMP entry and,
- *   under serving(), of the task entry run phase by phase.  Bilateral's
+ *   live-out, as bench_interp hashes them) of the OpenMP entry and of
+ *   the task entry run phase by phase.  Bilateral's
  *   OpenMP entry runs on one thread: its privatised reductions merge
  *   per-thread sums in whatever order the threads finish.
  * Two builds of the compiler can thus be compared for code size and
@@ -38,12 +37,10 @@ using namespace polymage;
 
 namespace {
 
-/** One app under one set of compile options. */
+/** One app's compiled program. */
 struct Program
 {
     const bench::AppBench *app;
-    const char *variant;
-    CompileOptions opts;
     std::vector<std::string> units;
     CompiledPipeline compiled;
     std::vector<double> seconds;
@@ -94,15 +91,12 @@ main(int argc, char **argv)
     const std::vector<bench::AppBench> apps = bench::paperBenchmarks(scale);
     std::vector<Program> progs;
     for (const bench::AppBench &app : apps) {
-        for (const bool serving : {false, true}) {
-            const CompileOptions opts = serving ? CompileOptions::serving()
-                                                : CompileOptions::optimized();
-            CompiledPipeline compiled = compilePipeline(app.spec, opts);
-            std::vector<std::string> units = compiled.code.translationUnits(
-                rt::JitModule::parallelism());
-            progs.push_back({&app, serving ? "serving" : "optimized", opts,
-                             std::move(units), std::move(compiled), {}});
-        }
+        CompiledPipeline compiled =
+            compilePipeline(app.spec, CompileOptions::optimized());
+        std::vector<std::string> units =
+            compiled.code.translationUnits(rt::JitModule::parallelism());
+        progs.push_back(
+            {&app, std::move(units), std::move(compiled), {}});
     }
 
     // Cold compiles, as Executable::build runs them, cache off.
@@ -122,9 +116,9 @@ main(int argc, char **argv)
     std::printf("bench_jit: scale %.4g, %d cold compiles per program, %d "
                 "compiler processes, object cache off\n",
                 scale, runs, rt::JitModule::parallelism());
-    std::printf("%-15s %-10s %-11s %6s %9s %7s %7s %7s  %-16s  %s\n", "app",
-                "variant", "size", "lines", "fns/inst", "q1_s", "med_s",
-                "q3_s", "omp_fnv1a", "task_fnv1a");
+    std::printf("%-15s %-11s %6s %9s %7s %7s %7s  %-16s  %s\n", "app",
+                "size", "lines", "fns/inst", "q1_s", "med_s", "q3_s",
+                "omp_fnv1a", "task_fnv1a");
     for (Program &p : progs) {
         const cg::GeneratedCode &code = p.compiled.code;
         int instances = code.stageFunctions;
@@ -133,29 +127,27 @@ main(int argc, char **argv)
         const long lines =
             long(std::count(code.source.begin(), code.source.end(), '\n'));
 
-        const rt::Executable exe = rt::Executable::build(p.app->spec, p.opts);
+        const rt::Executable exe = rt::Executable::build(p.app->spec);
         const int threads = omp_get_max_threads();
         if (p.app->name == "Bilateral Grid")
             omp_set_num_threads(1);
         const std::uint64_t omp_hash =
             bench::hashOutputs(exe.run(p.app->params, p.app->inputs()));
         omp_set_num_threads(threads);
-        char task_hash[17] = "-";
-        if (exe.hasTaskEntry())
-            std::snprintf(task_hash, sizeof task_hash, "%016llx",
-                          static_cast<unsigned long long>(
-                              bench::hashOutputs(runTasks(exe, *p.app))));
+        const std::uint64_t task_hash =
+            bench::hashOutputs(runTasks(exe, *p.app));
 
         std::sort(p.seconds.begin(), p.seconds.end());
         const std::string fns = std::to_string(code.stageFunctions) + "/" +
                                 std::to_string(instances);
-        std::printf("%-15s %-10s %-11s %6ld %9s %7.3f %7.3f %7.3f  "
-                    "%016llx  %s\n",
-                    p.app->name.c_str(), p.variant, p.app->sizeLabel.c_str(),
-                    lines, fns.c_str(), bench::quantile(p.seconds, 0.25),
+        std::printf("%-15s %-11s %6ld %9s %7.3f %7.3f %7.3f  "
+                    "%016llx  %016llx\n",
+                    p.app->name.c_str(), p.app->sizeLabel.c_str(), lines,
+                    fns.c_str(), bench::quantile(p.seconds, 0.25),
                     bench::quantile(p.seconds, 0.5),
                     bench::quantile(p.seconds, 0.75),
-                    static_cast<unsigned long long>(omp_hash), task_hash);
+                    static_cast<unsigned long long>(omp_hash),
+                    static_cast<unsigned long long>(task_hash));
     }
     return 0;
 }

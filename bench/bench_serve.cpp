@@ -13,10 +13,6 @@
  *   --cold-shapes N        cold-start scenario: first-request latency
  *                          at N distinct shapes through the tiered
  *                          engine (default 3; 0 disables)
- *   --compare-sched N      scheduler comparison: every app served by
- *                          PerRequestOMP vs SharedTileQueue at >= 2
- *                          concurrent requests, N requests per mode
- *                          (default 24; 0 disables)
  *   --slo N                SLO-admission scenario: N tight-deadline
  *                          and N generous-deadline requests through
  *                          an sloAdmission engine; the tight ones
@@ -25,10 +21,12 @@
  *
  * Environment:
  *   POLYMAGE_SERVE_THREADS total thread budget; each configuration
- *                          splits it as workers x OpenMP threads per
- *                          worker (default: hardware concurrency).
- *                          The split is recorded in the JSON so
- *                          snapshots are comparable across machines.
+ *                          splits it into engine workers plus tile
+ *                          scheduler threads (default: hardware
+ *                          concurrency).  The split is recorded in the
+ *                          JSON (`scheduler.workers` of the metrics)
+ *                          so snapshots are comparable across
+ *                          machines.
  *   POLYMAGE_BENCH_SCALE   image-size scale (default 0.25 here; the
  *                          serving matrix multiplies runs, so the
  *                          default favours breadth over image size).
@@ -84,7 +82,6 @@ borrow(const rt::Buffer &b)
 struct ConfigResult
 {
     int workers = 0;
-    int ompPerWorker = 0;
     int clients = 0;
     std::string policy;
     int requests = 0;
@@ -95,21 +92,19 @@ struct ConfigResult
 
 /**
  * Drive one engine configuration: @p clients threads submit
- * @p requests requests total and wait for every future.
+ * @p requests requests total and wait for every future.  The engine's
+ * workers help its tile scheduler, whose own threads fill the rest of
+ * the @p budget (none when the workers use it all up).
  */
 ConfigResult
 runConfig(const std::shared_ptr<serve::PipelineRegistry> &registry,
-          const AppBench &app, int workers, int omp_per_worker,
-          int clients, serve::OverloadPolicy policy, int requests,
-          serve::SchedulerMode mode = serve::SchedulerMode::PerRequestOMP,
-          int sched_workers = 0)
+          const AppBench &app, int workers, int budget, int clients,
+          serve::OverloadPolicy policy, int requests)
 {
     serve::EngineOptions eopts;
     eopts.workers = workers;
-    eopts.ompThreadsPerWorker = omp_per_worker;
     eopts.policy = policy;
-    eopts.scheduler = mode;
-    eopts.schedulerWorkers = sched_workers;
+    eopts.schedulerWorkers = budget > workers ? budget - workers : -1;
     // Overload policies only bite when the queue is small relative to
     // the offered load; Block gets headroom so nothing is dropped.
     eopts.queueCapacity =
@@ -140,7 +135,6 @@ runConfig(const std::shared_ptr<serve::PipelineRegistry> &registry,
 
     ConfigResult r;
     r.workers = workers;
-    r.ompPerWorker = engine.ompThreadsPerWorker();
     r.clients = clients;
     r.policy = serve::policyName(policy);
     r.requests = requests;
@@ -159,7 +153,6 @@ writeConfigJson(obs::JsonWriter &w, const ConfigResult &r)
 {
     w.beginObject();
     w.key("workers").value(r.workers);
-    w.key("omp_threads_per_worker").value(r.ompPerWorker);
     w.key("clients").value(r.clients);
     w.key("policy").value(r.policy);
     w.key("requests").value(r.requests);
@@ -200,8 +193,7 @@ runColdStart(obs::JsonWriter &w, double scale, int nShapes)
     serve::RegistryOptions ropts;
     ropts.jit.cache = false;
     auto registry = std::make_shared<serve::PipelineRegistry>(ropts);
-    registry->add("harris", apps::buildHarris(rows_est, cols_est),
-                  CompileOptions::serving());
+    registry->add("harris", apps::buildHarris(rows_est, cols_est));
 
     serve::EngineOptions eopts;
     eopts.workers = 1;
@@ -277,91 +269,6 @@ runColdStart(obs::JsonWriter &w, double scale, int nShapes)
 }
 
 /**
- * Scheduler comparison (docs/SERVING.md "Scheduling"): every app is
- * served twice at >= 2 concurrent requests under the same total
- * thread budget -- PerRequestOMP (workers' own OpenMP teams) vs
- * SharedTileQueue (engine workers orchestrate, one work-stealing tile
- * pool of @p budget threads owns the compute).  Both modes use the
- * same serving variant so the generated tile code is identical; only
- * the placement of tiles onto threads differs.
- */
-void
-runSchedulerCompare(obs::JsonWriter &w,
-                    const std::vector<AppBench> &benches, int budget,
-                    int requests)
-{
-    const int workers = 2;
-    const int clients = 2 * workers;
-    const int omp_per_worker = std::max(1, budget / workers);
-
-    auto registry = std::make_shared<serve::PipelineRegistry>(
-        serve::RegistryOptions{16, {}});
-    for (const AppBench &b : benches) {
-        CompileOptions opts = CompileOptions::serving();
-        opts.grouping.tileSizes = b.tuned.grouping.tileSizes;
-        registry->add(b.name, b.spec, opts);
-    }
-
-    std::printf("\n-- scheduler comparison: workers=%d clients=%d "
-                "budget=%d, %d requests/mode --\n",
-                workers, clients, budget, requests);
-
-    w.key("scheduler_compare").beginObject();
-    w.key("workers").value(workers);
-    w.key("clients").value(clients);
-    w.key("thread_budget").value(budget);
-    w.key("requests").value(requests);
-    w.key("apps").beginArray();
-
-    int shared_wins = 0;
-    for (const AppBench &app : benches) {
-        registry->get(app.name); // warm: no JIT inside timed windows
-        ConfigResult omp =
-            runConfig(registry, app, workers, omp_per_worker, clients,
-                      serve::OverloadPolicy::Block, requests,
-                      serve::SchedulerMode::PerRequestOMP);
-        // schedulerWorkers = 0: auto-size.  Engine workers execute
-        // chunks themselves while waiting, so the pool only spawns
-        // threads for cores the workers leave free -- the total
-        // compute-thread count stays at the machine width instead of
-        // inheriting an oversubscribed workers x omp split.
-        ConfigResult shared =
-            runConfig(registry, app, workers, omp_per_worker, clients,
-                      serve::OverloadPolicy::Block, requests,
-                      serve::SchedulerMode::SharedTileQueue, 0);
-        const bool wins =
-            shared.rps > omp.rps &&
-            shared.metrics.latency.p99Seconds <
-                omp.metrics.latency.p99Seconds;
-        shared_wins += wins ? 1 : 0;
-        std::printf("  %-16s omp %7.2f req/s p99 %6.1f ms | shared "
-                    "%7.2f req/s p99 %6.1f ms | steals %llu "
-                    "tasks %llu batches %llu  %s\n",
-                    app.name.c_str(), omp.rps,
-                    omp.metrics.latency.p99Seconds * 1e3, shared.rps,
-                    shared.metrics.latency.p99Seconds * 1e3,
-                    (unsigned long long)shared.metrics.scheduler.steals,
-                    (unsigned long long)
-                        shared.metrics.scheduler.tasksExecuted,
-                    (unsigned long long)shared.metrics.batches,
-                    wins ? "shared wins" : "omp wins");
-        w.beginObject();
-        w.key("name").value(app.name);
-        w.key("shared_wins").value(wins);
-        w.key("per_request_omp");
-        writeConfigJson(w, omp);
-        w.key("shared_tile_queue");
-        writeConfigJson(w, shared);
-        w.endObject();
-    }
-    std::printf("  shared wins on %d of %d apps\n", shared_wins,
-                int(benches.size()));
-    w.endArray();
-    w.key("shared_wins").value(shared_wins);
-    w.endObject();
-}
-
-/**
  * SLO-admission scenario (docs/SERVING.md "Scheduling"): after
  * warming the per-pipeline run-time EWMA, @p n requests with an
  * impossible deadline (a quarter of the measured run time -- the
@@ -375,11 +282,10 @@ void
 runSloScenario(obs::JsonWriter &w, const AppBench &app, int n)
 {
     auto registry = std::make_shared<serve::PipelineRegistry>();
-    registry->add(app.name, app.spec, CompileOptions::serving());
+    registry->add(app.name, app.spec);
 
     serve::EngineOptions eopts;
     eopts.workers = 1;
-    eopts.scheduler = serve::SchedulerMode::SharedTileQueue;
     eopts.tiered = false;
     eopts.sloAdmission = true;
     eopts.queueCapacity = 4 * n + 8;
@@ -457,8 +363,6 @@ main(int argc, char **argv)
         return p.empty() ? std::string("block") : p;
     }();
     const int cold_shapes = argInt(argc, argv, "--cold-shapes", 3);
-    const int compare_sched =
-        argInt(argc, argv, "--compare-sched", 24);
     const int slo_requests = argInt(argc, argv, "--slo", 12);
     const std::string json_path = argPath(argc, argv, "--timings-json");
 
@@ -505,20 +409,18 @@ main(int argc, char **argv)
 
         std::vector<double> rps_by_workers;
         for (int workers : worker_counts) {
-            const int omp_per_worker = std::max(1, budget / workers);
             const int clients =
                 clients_flag > 0 ? clients_flag : 2 * workers;
             for (serve::OverloadPolicy policy : policies) {
-                ConfigResult r =
-                    runConfig(registry, app, workers, omp_per_worker,
-                              clients, policy, requests);
+                ConfigResult r = runConfig(registry, app, workers, budget,
+                                           clients, policy, requests);
                 if (policy == policies.front())
                     rps_by_workers.push_back(r.rps);
                 std::printf(
-                    "  workers=%d omp=%d clients=%d %-6s  "
+                    "  workers=%d pool=%d clients=%d %-6s  "
                     "%7.2f req/s  p50 %6.1f ms  p95 %6.1f ms  "
                     "p99 %6.1f ms  (%llu ok, %llu rej, %llu shed)\n",
-                    r.workers, r.ompPerWorker, r.clients,
+                    r.workers, r.metrics.schedulerWorkers, r.clients,
                     r.policy.c_str(), r.rps,
                     r.metrics.latency.p50Seconds * 1e3,
                     r.metrics.latency.p95Seconds * 1e3,
@@ -542,9 +444,6 @@ main(int argc, char **argv)
 
     if (cold_shapes > 0)
         runColdStart(w, scale, cold_shapes);
-
-    if (compare_sched > 0)
-        runSchedulerCompare(w, benches, budget, compare_sched);
 
     if (slo_requests > 0)
         runSloScenario(w, benches.front(), slo_requests);

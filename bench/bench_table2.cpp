@@ -32,9 +32,8 @@ main(int argc, char **argv)
 
     auto benches = paperBenchmarks(scale);
     for (auto &b : benches) {
-        CompileOptions opts = b.tuned; // opt+vec, tuned tile sizes
-        opts.codegen.instrument = true;
-        rt::Executable exe = rt::Executable::build(b.spec, opts);
+        // opt+vec, tuned tile sizes
+        rt::Executable exe = rt::Executable::build(b.spec, b.tuned);
         const int stages = int(pg::PipelineGraph::build(b.spec)
                                    .stages()
                                    .size());

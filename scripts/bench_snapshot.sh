@@ -89,13 +89,12 @@ POLYMAGE_BENCH_SCALE="$tune_scale" POLYMAGE_TUNE_FULL=1 \
 
 echo "bench_snapshot: wrote $tune_out"
 
-# Serving-scheduler snapshot.  A 2-thread budget with 2 concurrent
-# clients per mode is the smallest configuration where the shared
-# tile queue's cross-request batching can show up; 16 requests per
-# app per mode keeps the win/loss verdicts out of the noise floor.
+# Serving snapshot.  A 2-thread budget with 2 concurrent clients per
+# worker is the smallest configuration where the tile scheduler's
+# cross-request batching can show up.
 POLYMAGE_BENCH_SCALE="$serve_scale" POLYMAGE_SERVE_THREADS=2 \
     "$build_dir/bench/bench_serve" --requests 12 --workers 1,2 \
-    --policy block --cold-shapes 3 --compare-sched 16 --slo 12 \
+    --policy block --cold-shapes 3 --slo 12 \
     --timings-json "$serve_out"
 
 echo "bench_snapshot: wrote $serve_out"

@@ -84,10 +84,10 @@ if [ -f "$sdoc" ]; then
         grep -rq "$tag" src/ bench/ \
             || err "schema tag $tag not found in sources"
     done
-    for field in omp_threads_per_worker queue_capacity peak_queue_depth \
-                 p50_seconds p95_seconds p99_seconds queue_wait \
-                 block_allocs thread_budget tiered interp_served \
-                 compiled_served promotions promotion; do
+    for field in queue_capacity peak_queue_depth p50_seconds \
+                 p95_seconds p99_seconds queue_wait block_allocs \
+                 thread_budget tiered interp_served compiled_served \
+                 promotions promotion; do
         grep -q "\"$field\"" "$sdoc" \
             || err "field \"$field\" missing from $sdoc"
         grep -rq "\"$field\"" src/ bench/ \
@@ -119,6 +119,12 @@ fi
 stale='shapeGeneric|pm_tau|tileParam(Count|Defaults)|dispatchTileSizes|tileSizesForShape'
 if grep -rnE "$stale" README.md docs/ src/ bench/ tools/; then
     err "deleted runtime tile-size names (above) are back"
+fi
+# The second serving model and the third entry flavour must not come
+# back either (docs/SERVING.md names the dropped JSON fields once).
+stale='SchedulerMode|PerRequestOMP|ompThreadsPerWorker|omp_threads_per_worker|taskABI|hasTaskEntry|_pm_instr|compare-sched'
+if grep -rnE "$stale" src/ bench/ tools/; then
+    err "deleted serving-mode or instrumented-entry names (above) are back"
 fi
 
 # ---------------------------------------------------------------- 6.
@@ -156,7 +162,7 @@ if [ -f "$sdoc" ]; then
         grep -qi "scheduling\|scheduler" "$from" \
             || err "$from does not cross-link the Scheduling section"
     done
-    for field in scheduler mode tasks_executed chunks_executed steals \
+    for field in scheduler tasks_executed chunks_executed steals \
                  steal_attempts steal_fail_rate jobs_completed batches \
                  batched_requests mean_batch_size max_batch_size slo \
                  quota_shed deadline_misses tenant_shed shed_wait; do

@@ -52,9 +52,10 @@ if [ "$san" = thread ]; then
     export OMP_NUM_THREADS=1
     if [ $# -eq 0 ]; then
         # Scheduler matches the work-stealing deque/barrier stress
-        # (tests/runtime/test_scheduler.cpp) and the SharedTileQueue
-        # engine tests -- the tile pool's lock-free paths are exactly
-        # what TSan exists to check.  Interpreter and Tiered run the
+        # (tests/runtime/test_scheduler.cpp) and the engine tests,
+        # which serve every compiled request on the tile pool -- the
+        # pool's lock-free paths are exactly what TSan exists to
+        # check.  Interpreter and Tiered run the
         # interpreter's bands on the pool, from the oracle tests and
         # from the engine's interpreter tier.
         set -- -R '(Concurrent|Engine|Registry|Jit|Buffer|Scheduler|Interpreter|Tiered)'

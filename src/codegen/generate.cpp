@@ -191,11 +191,11 @@ matchResidue(const dsl::Condition &cond,
 
 /**
  * One way the pipeline is entered: every group gets a function of each
- * requested flavour, and the flavour's extern "C" entry calls them in
- * group order.  A flavour function walks tiles or tasks and calls the
- * group's shared stage functions (GroupDriver).  All flavours take the
- * leading four arguments of kPlain; the stage functions they call take
- * the pointers and parameters they read instead.
+ * flavour, and the flavour's extern "C" entry calls them in group
+ * order.  A flavour function walks tiles or tasks and calls the
+ * group's shared stage functions (GroupDriver).  Both flavours take
+ * the leading four arguments of kPlain; the stage functions they call
+ * take the pointers and parameters they read instead.
  */
 struct Flavour
 {
@@ -204,7 +204,6 @@ struct Flavour
     /** Parameter list and the matching argument list. */
     const char *params;
     const char *args;
-    bool instr;
     bool task;
 };
 
@@ -212,22 +211,16 @@ const Flavour kPlain = {
     "", "void",
     "const long long *params, void *const *inputs, void **outputs, "
     "void *const *pm_slots",
-    "params, inputs, outputs, pm_slots", false, false};
-const Flavour kInstr = {
-    "_pm_instr", "void",
-    "const long long *params, void *const *inputs, void **outputs, "
-    "void *const *pm_slots, double *pm_costs, long long *pm_gids, "
-    "long long pm_cap, long long *pm_count, double *pm_serial",
-    "params, inputs, outputs, pm_slots, pm_costs, pm_gids, pm_cap, "
-    "pm_count, pm_serial",
-    true, false};
+    "params, inputs, outputs, pm_slots", false};
 const Flavour kTask = {
     "_pm_task", "long long",
     "const long long *params, void *const *inputs, void **outputs, "
     "void *const *pm_slots, long long pm_phase, long long pm_lo, "
     "long long pm_hi",
-    "params, inputs, outputs, pm_slots, pm_phase, pm_lo, pm_hi", false,
-    true};
+    "params, inputs, outputs, pm_slots, pm_phase, pm_lo, pm_hi", true};
+
+/** Every build emits both flavours. */
+const Flavour *const kFlavours[] = {&kPlain, &kTask};
 
 /**
  * Group functions link across translation units of one shared object
@@ -439,7 +432,7 @@ class Generator
     GroupDriver emitShared(int gi);
     std::string emitGroupFunction(int gi, const Flavour &f,
                                   const GroupDriver &d);
-    std::string emitEntryPoints(const std::vector<const Flavour *> &fl);
+    std::string emitEntryPoints();
     void emitTiledStage(int gi, int s, int j);
     void emitTiledDriver(int gi, const GroupDriver &d);
     void emitUntiledStage(int gi, int s, int j);
@@ -459,12 +452,12 @@ class Generator
      * @p vec_lanes running the vector body and a scalar tail running
      * @p body_lines (the caller guarantees step 1, no guards, and that
      * the innermost dimension hosts neither the parallel pragma nor
-     * the instrumented task timer).
+     * the task range).
      */
     void emitLoopNest(const std::vector<LoopDim> &dims,
                       const std::vector<std::string> &guards,
                       const std::vector<std::string> &body_lines,
-                      bool parallel_outer, bool task_outer, int phase,
+                      bool parallel_outer, bool task_outer,
                       const std::vector<std::string> &hoisted = {},
                       const std::vector<std::string> *vec_lines = nullptr,
                       int vec_lanes = 0);
@@ -590,7 +583,6 @@ class Generator
 
     /** Locals every generated function may read (trimmed per function). */
     std::vector<PreambleLine> preamble_;
-    bool instr_ = false; // currently emitting the instrumented body
     bool task_ = false;  // currently emitting the task-ABI body
     bool vec_ = false;   // simd/ivdep pragmas currently enabled
     bool ompForOnly_ = false; // emit `omp for` (inside a parallel region)
@@ -618,8 +610,16 @@ class Generator
     std::map<std::string, SharedFunction> shared_;
     /** Emitted stage function -> the other stage instances calling it. */
     std::map<std::string, std::vector<std::string>> sharedCallers_;
-    /** phase id -> owning group, filled as shared functions emit. */
+    /** phase id -> owning group, and whether the phase is one serial
+     * task, filled as shared functions emit. */
     std::vector<int> phaseGroup_;
+    std::vector<bool> serialPhases_;
+    void
+    addPhase(int gi, bool serial)
+    {
+        phaseGroup_.push_back(gi);
+        serialPhases_.push_back(serial);
+    }
     /** Largest padded per-thread heap scratch arena emitted. */
     std::int64_t heapArenaBytes_ = 0;
     /** Nest census of the primary entry (GeneratedCode observability). */
@@ -651,7 +651,6 @@ Generator::emitPrelude()
 {
     w_.line("// Generated by PolyMage-cpp. Do not edit.");
     w_.line("#include <cstdlib>");
-    w_.line("#include <ctime>");
     // Every translation unit parses the prelude, and <cmath> alone
     // would cost about 0.2 s of it (EXPERIMENTS.md "Parallel JIT"), so
     // the expression emitter calls GCC's libm builtins (cexpr.cpp) and
@@ -693,21 +692,7 @@ Generator::emitPrelude()
     w_.line("return std::aligned_alloc(64, (unsigned long)bytes);");
     w_.close();
     // One arena per thread and module, defined with the entry points.
-    if (opts_.taskABI)
-        w_.line(kGroupLinkage + " void *pm_task_arena(long long bytes);");
-    w_.line("static inline double pm_now()");
-    w_.open("");
-    w_.line("struct timespec ts;");
-    w_.line("clock_gettime(CLOCK_MONOTONIC, &ts);");
-    w_.line("return double(ts.tv_sec) + 1e-9 * double(ts.tv_nsec);");
-    w_.close();
-    w_.line("static inline void pm_record(double *costs, long long "
-            "*gids, long long cap, long long *n, long long gid, double "
-            "dt)");
-    w_.open("");
-    w_.line("if (*n < cap) { costs[*n] = dt; gids[*n] = gid; }");
-    w_.line("++*n;");
-    w_.close();
+    w_.line(kGroupLinkage + " void *pm_task_arena(long long bytes);");
     w_.blank();
 }
 
@@ -1027,12 +1012,12 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
             // (single) phase.
             emitLoopNest(nest.dims, nest.guards, body,
                          /*parallel_outer=*/false, /*task_outer=*/false,
-                         0, sink.lines, vec_lines, vec_lanes);
+                         sink.lines, vec_lines, vec_lanes);
             continue;
         }
         // Untiled nests each own a parallel phase.  The flavours differ
         // only in how they walk the dimensions up to the parallel one
-        // (worksharing loop, timed serial loop, task range), so the
+        // (worksharing loop or task range), so the
         // dimensions below it run in one shared function taking the
         // outer indices.  That function keeps at least the innermost
         // loop, so it can vectorise: a nest whose only long dimension
@@ -1053,13 +1038,13 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
         w_ = CodeWriter(1);
         tmp_ = 0;
         emitLoopNest(inner, nest.guards, body, /*parallel_outer=*/false,
-                     /*task_outer=*/false, 0, sink.lines, vec_lines,
+                     /*task_outer=*/false, sink.lines, vec_lines,
                      vec_lanes);
         outer.call =
             addSharedFunction(outline + "_n" + std::to_string(nestNo_++),
                               "buf_" + stageName(s), w_.str(), indices);
+        addPhase(gi, /*serial=*/outer.dims.empty());
         driver_->nests.push_back(std::move(outer));
-        phaseGroup_.push_back(gi);
     }
 }
 
@@ -1081,7 +1066,7 @@ void
 Generator::emitLoopNest(const std::vector<LoopDim> &dims,
                         const std::vector<std::string> &guards,
                         const std::vector<std::string> &body_lines,
-                        bool parallel_outer, bool task_outer, int phase,
+                        bool parallel_outer, bool task_outer,
                         const std::vector<std::string> &hoisted,
                         const std::vector<std::string> *vec_lines,
                         int vec_lanes)
@@ -1203,7 +1188,7 @@ Generator::emitLoopNest(const std::vector<LoopDim> &dims,
             opened += 2; // wrapper block + tail loop
             continue;
         }
-        const bool outer_par = d == par_d && parallel_outer && !instr_;
+        const bool outer_par = d == par_d && parallel_outer;
         // A nest that kept a residual guard has per-point control flow
         // in its body; keep `omp simd` off it and let the compiler
         // decide (the partitioned interior nests are the ones that
@@ -1226,8 +1211,6 @@ Generator::emitLoopNest(const std::vector<LoopDim> &dims,
         w_.open("for (int " + dims[d].var + " = " + start + "; " +
                 dims[d].var + " <= " + ub + "; " + inc + ")");
         ++opened;
-        if (d == par_d && task_outer && instr_)
-            w_.line("const double pm_t0 = pm_now();");
     }
     int guard_blocks = 0;
     for (const auto &gd : guards) {
@@ -1238,15 +1221,8 @@ Generator::emitLoopNest(const std::vector<LoopDim> &dims,
         w_.line(l);
     for (int i = 0; i < guard_blocks; ++i)
         w_.close();
-    for (int i = 0; i < opened; ++i) {
-        // Closing from the innermost out: record the task when leaving
-        // the parallel dimension's body.
-        if (i == opened - 1 - int(par_d) && task_outer && instr_) {
-            w_.line("pm_record(pm_costs, pm_gids, pm_cap, &pm_task, " +
-                    std::to_string(phase) + ", pm_now() - pm_t0);");
-        }
+    for (int i = 0; i < opened; ++i)
         w_.close();
-    }
 }
 
 void
@@ -1305,7 +1281,7 @@ Generator::emitOuterNest(const OuterNest &n)
     if (task_)
         w_.open("if (pm_phase == " + std::to_string(phase_) + ")");
     emitLoopNest(n.dims, {}, {n.call}, /*parallel_outer=*/true,
-                 /*task_outer=*/true, phase_);
+                 /*task_outer=*/true);
     if (task_) {
         w_.line("return 0;");
         w_.close();
@@ -1488,7 +1464,7 @@ Generator::emitTiledDriver(int gi, const GroupDriver &drv)
     const bool heap_scratch =
         storage_.groupScratchBytes.count(gi) &&
         storage_.groupScratchBytes.at(gi) > opts_.maxStackScratchBytes;
-    const bool par_tiles = !instr_ && !task_;
+    const bool par_tiles = !task_;
 
     if (task_) {
         // Task count resolves before the heap arena (if any) is
@@ -1551,8 +1527,6 @@ Generator::emitTiledDriver(int gi, const GroupDriver &drv)
         w_.open("for (long long T0 = " + tlo[0] + "; T0 <= " + thi[0] +
                 "; ++T0)");
     }
-    if (instr_)
-        w_.line("const double pm_t0 = pm_now();");
 
     // Stack scratchpads: thread-private, reused across inner tiles.
     if (!heap_scratch) {
@@ -1573,10 +1547,6 @@ Generator::emitTiledDriver(int gi, const GroupDriver &drv)
         w_.line(call);
     for (std::size_t ti = 1; ti < tiled.size(); ++ti)
         w_.close();
-    if (instr_) {
-        w_.line("pm_record(pm_costs, pm_gids, pm_cap, &pm_task, " +
-                std::to_string(phase_) + ", pm_now() - pm_t0);");
-    }
     w_.close(); // T0 / task loop
     if (heap_scratch && !task_)
         w_.line("std::free(pm_arena_g" + std::to_string(gi) + ");");
@@ -1603,8 +1573,6 @@ Generator::emitAccumulator(int gi, int s)
     } else {
         w_.open("");
     }
-    if (instr_)
-        w_.line("const double pm_t0 = pm_now();");
 
     // Initialise the variable domain.
     {
@@ -1629,16 +1597,12 @@ Generator::emitAccumulator(int gi, int s)
                      {target + " = (" +
                       std::string(dsl::dtypeCName(a.dtype())) + ")(" +
                       emitExpr(a.init(), env) + ");"},
-                     /*parallel_outer=*/false, /*task_outer=*/false,
-                     phase_);
+                     /*parallel_outer=*/false, /*task_outer=*/false);
         for (const auto &[id, nm] : var_names) {
             (void)id;
             used_.erase(nm);
         }
     }
-
-    if (instr_)
-        w_.line("pm_serial_acc += pm_now() - pm_t0;");
 
     // Sweep the reduction domain.  Reductions are never fused (paper
     // section 3.5); they are parallelised by privatisation: each thread
@@ -1660,7 +1624,7 @@ Generator::emitAccumulator(int gi, int s)
         for (const auto &t : a.targetIndices())
             scan(t);
     }
-    const bool privatised = !instr_ && !task_ && !self_ref;
+    const bool privatised = !task_ && !self_ref;
 
     {
         std::map<int, std::string> var_names;
@@ -1734,8 +1698,7 @@ Generator::emitAccumulator(int gi, int s)
             ompForOnly_ = true;
             emitLoopNest(dims, guards,
                          {cell + " = " + combine(cell, upd) + ";"},
-                         /*parallel_outer=*/true, /*task_outer=*/false,
-                         phase_);
+                         /*parallel_outer=*/true, /*task_outer=*/false);
             ompForOnly_ = false;
             w_.line("#pragma omp critical");
             w_.open("");
@@ -1754,7 +1717,7 @@ Generator::emitAccumulator(int gi, int s)
             emitLoopNest(dims, guards,
                          {cell + " = " + combine(cell, upd) + ";"},
                          /*parallel_outer=*/false,
-                         /*task_outer=*/instr_, phase_);
+                         /*task_outer=*/false);
         }
         vec_ = saved_vec;
         for (const auto &[id, nm] : var_names) {
@@ -1820,7 +1783,7 @@ Generator::emitSelfRecurrent(int gi, int s)
     const bool saved_vec = vec_;
     vec_ = false;
     emitLoopNest(dims, {}, body, /*parallel_outer=*/false,
-                 /*task_outer=*/false, 0);
+                 /*task_outer=*/false);
     vec_ = saved_vec;
     for (const auto &[id, nm] : var_names) {
         (void)id;
@@ -1843,11 +1806,7 @@ Generator::emitSerialPhase(const std::string &call)
     } else {
         w_.open("");
     }
-    if (instr_)
-        w_.line("const double pm_t0 = pm_now();");
     w_.line(call);
-    if (instr_)
-        w_.line("pm_serial_acc += pm_now() - pm_t0;");
     w_.close();
     if (task_) {
         w_.line("return 0;");
@@ -1863,18 +1822,18 @@ Generator::emitShared(int gi)
     GroupDriver d;
     d.firstPhase = int(phaseGroup_.size());
     driver_ = &d;
-    instr_ = task_ = false;
+    task_ = false;
     vec_ = opts_.vectorize != VectorizeMode::Off;
     if (grp.stages.size() == 1) {
         const int s = grp.stages[0];
         const pg::Stage &stage = g_.stage(s);
         if (stage.isAccumulator()) {
             d.kind = GroupDriver::Kind::Accumulator;
-            phaseGroup_.push_back(gi);
+            addPhase(gi, /*serial=*/true);
         } else if (stage.selfRecurrent) {
             d.kind = GroupDriver::Kind::Serial;
             emitSelfRecurrent(gi, s);
-            phaseGroup_.push_back(gi);
+            addPhase(gi, /*serial=*/true);
         } else {
             emitUntiledStage(gi, s, 0);
         }
@@ -1888,7 +1847,7 @@ Generator::emitShared(int gi)
             opts_.tile && !core::tiledDimsFor(grp, g_, gopts_).empty();
         if (tiled) {
             d.kind = GroupDriver::Kind::Tiled;
-            phaseGroup_.push_back(gi);
+            addPhase(gi, /*serial=*/false);
         }
         // Untiled fallback: per-stage loops in level order.
         for (std::size_t j = 0; j < order.size(); ++j) {
@@ -2173,7 +2132,6 @@ std::string
 Generator::emitGroupFunction(int gi, const Flavour &f,
                              const GroupDriver &d)
 {
-    instr_ = f.instr;
     task_ = f.task;
     // Only an accumulator's own nests are emitted here; any other
     // flavour loop's body is a call, with nothing to vectorise.
@@ -2208,17 +2166,10 @@ Generator::emitGroupFunction(int gi, const Flavour &f,
     const std::string body = w_.str();
 
     CodeWriter head(1), tail(1);
-    if (task_)
+    if (task_) {
         head.line("(void)pm_hi;");
-    if (instr_) {
-        // The task counter and serial time accumulate across groups.
-        head.line("long long pm_task = *pm_count;");
-        head.line("double pm_serial_acc = *pm_serial;");
-        tail.line("*pm_count = pm_task;");
-        tail.line("*pm_serial = pm_serial_acc;");
-    }
-    if (task_)
         tail.line("return 0;");
+    }
     // The shared functions called may live in other translation units.
     return d.decls + kGroupLinkage + " " + f.ret + " " +
            groupFunctionName(gi, f) + "(" + f.params + ")\n{\n" +
@@ -2227,36 +2178,34 @@ Generator::emitGroupFunction(int gi, const Flavour &f,
 }
 
 std::string
-Generator::emitEntryPoints(const std::vector<const Flavour *> &flavours)
+Generator::emitEntryPoints()
 {
     const std::string base = "polymage_" + sanitize(g_.name());
     const int groups = int(grouping_.groups.size());
     CodeWriter w;
     // Group functions may live in other translation units.
-    for (const Flavour *f : flavours)
+    for (const Flavour *f : kFlavours)
         for (int gi = 0; gi < groups; ++gi)
             w.line(kGroupLinkage + " " + f->ret + " " +
                    groupFunctionName(gi, *f) + "(" + f->params + ");");
     w.blank();
-    if (opts_.taskABI) {
-        // Task entries are invoked once per chunk of tiles, so a heap
-        // scratch arena allocated inside the call would be paid on
-        // every chunk.  Cache it per thread instead: grown
-        // monotonically, reused across calls, released at thread exit.
-        // Defined here, once per module, so a thread holds one arena
-        // however many units the task functions are spread over.
-        w.line("struct PmArena { void *p = nullptr; long long cap = 0; "
-               "~PmArena() { std::free(p); } };");
-        w.line(kGroupLinkage + " void *pm_task_arena(long long bytes)");
-        w.open("");
-        w.line("static thread_local PmArena a;");
-        w.line("if (a.cap < bytes) { std::free(a.p); a.p = "
-               "pm_alloc(bytes); a.cap = bytes; }");
-        w.line("return a.p;");
-        w.close();
-        w.blank();
-    }
-    for (const Flavour *f : flavours) {
+    // Task entries are invoked once per chunk of tiles, so a heap
+    // scratch arena allocated inside the call would be paid on every
+    // chunk.  Cache it per thread instead: grown monotonically, reused
+    // across calls, released at thread exit.  Defined here, once per
+    // module, so a thread holds one arena however many units the task
+    // functions are spread over.
+    w.line("struct PmArena { void *p = nullptr; long long cap = 0; "
+           "~PmArena() { std::free(p); } };");
+    w.line(kGroupLinkage + " void *pm_task_arena(long long bytes)");
+    w.open("");
+    w.line("static thread_local PmArena a;");
+    w.line("if (a.cap < bytes) { std::free(a.p); a.p = "
+           "pm_alloc(bytes); a.cap = bytes; }");
+    w.line("return a.p;");
+    w.close();
+    w.blank();
+    for (const Flavour *f : kFlavours) {
         w.line("extern \"C\" " + std::string(f->ret) + " " + base +
                f->suffix + "(" + f->params + ")");
         w.open("");
@@ -2276,10 +2225,6 @@ Generator::emitEntryPoints(const std::vector<const Flavour *> &flavours)
             }
             w.line("return 0;");
         } else {
-            if (f->instr) {
-                w.line("*pm_count = 0;");
-                w.line("*pm_serial = 0.0;");
-            }
             for (int gi = 0; gi < groups; ++gi)
                 w.line(groupFunctionName(gi, *f) + "(" + f->args + ");");
         }
@@ -2295,11 +2240,9 @@ Generator::run()
     // Reserve helper and tile-loop names first so user-visible names
     // (e.g. a parameter called "T1") never shadow them.
     for (const char *n :
-         {"params", "inputs", "outputs", "pm_slots", "pm_costs",
-          "pm_gids", "pm_cap", "pm_count", "pm_serial", "pm_task",
-          "pm_serial_acc", "pm_t0", "T0", "T1", "T2", "T3", "T4", "T5",
-          "T6", "T7", "pm_phase", "pm_lo", "pm_hi", "pm_t", "pm_te",
-          "pm_tr", "pm_n"}) {
+         {"params", "inputs", "outputs", "pm_slots", "T0", "T1", "T2",
+          "T3", "T4", "T5", "T6", "T7", "pm_phase", "pm_lo", "pm_hi",
+          "pm_t", "pm_te", "pm_tr", "pm_n"}) {
         used_.insert(n);
     }
     // Claim global names.
@@ -2315,20 +2258,15 @@ Generator::run()
     // Group functions first: emitting the shared stage functions
     // records the phase map the task entry dispatches on and registers
     // the vector typedefs the prelude must declare.
-    std::vector<const Flavour *> flavours = {&kPlain};
-    if (opts_.instrument)
-        flavours.push_back(&kInstr);
-    if (opts_.taskABI)
-        flavours.push_back(&kTask);
     for (std::size_t gi = 0; gi < grouping_.groups.size(); ++gi) {
         GroupDriver d = emitShared(int(gi));
         for (std::string &fn : d.functions)
             out.functions.push_back(std::move(fn));
-        for (const Flavour *f : flavours)
+        for (const Flavour *f : kFlavours)
             out.functions.push_back(emitGroupFunction(int(gi), *f, d));
     }
-    instr_ = task_ = false;
-    out.entryPoints = emitEntryPoints(flavours);
+    task_ = false;
+    out.entryPoints = emitEntryPoints();
 
     w_ = CodeWriter();
     emitPrelude();
@@ -2340,11 +2278,9 @@ Generator::run()
     out.prelude = w_.str();
     out.source = out.translationUnits(1).front();
     out.entry = "polymage_" + sanitize(g_.name());
-    if (opts_.instrument)
-        out.instrEntry = out.entry + "_pm_instr";
-    if (opts_.taskABI)
-        out.taskEntry = out.entry + "_pm_task";
+    out.taskEntry = out.entry + "_pm_task";
     out.phaseGroup = phaseGroup_;
+    out.serialPhases = serialPhases_;
     out.heapArenaBytes = heapArenaBytes_;
     out.partition = opts_.partition;
     out.interiorNests = interiorNests_;

@@ -8,8 +8,9 @@
  * by every entry flavour and by every other stage whose nest is the
  * same text up to the names of the buffers and parameters it takes as
  * arguments; each fused group gets one small function per
- * flavour that walks its tiles or tasks and calls them, and the
- * pipeline entry calls the groups in order.  The program thus splits
+ * flavour (the OpenMP entry and the task entry) that walks its tiles
+ * or tasks and calls them, and the pipeline entry calls the groups in
+ * order.  The program thus splits
  * into translation units that compile concurrently
  * (GeneratedCode::translationUnits).
  */
@@ -63,12 +64,6 @@ struct CodegenOptions
     /** Innermost-loop vectorisation strategy (see VectorizeMode). */
     VectorizeMode vectorize = VectorizeMode::Explicit;
     /**
-     * Also emit an instrumented entry `<name>_pm_instr` that runs
-     * serially and records per-parallel-task times, for the multicore
-     * scaling model.
-     */
-    bool instrument = false;
-    /**
      * Scratchpads above this total per group move from the stack to a
      * 64-byte-aligned thread-private heap arena allocated once per
      * call (hoisted out of the tile loop).
@@ -92,18 +87,6 @@ struct CodegenOptions
      * POLYMAGE_NO_PARTITION=1).
      */
     bool partition = true;
-    /**
-     * Also emit a task-granular entry `<name>_pm_task` (docs/SERVING.md
-     * "Scheduling"): the pipeline's parallel phases become closed task
-     * lists a caller-owned scheduler executes, instead of the entry
-     * opening its own `omp parallel` regions.  Phase numbering matches
-     * GeneratedCode::phaseGroup; a tiled group is one phase whose tasks
-     * are its outer-tile iterations, an untiled function nest is one
-     * phase whose tasks flatten the loop dimensions up to and including
-     * the parallel one, and serial stages (reductions, recurrences) are
-     * single-task phases.
-     */
-    bool taskABI = false;
 };
 
 /** The generated program. */
@@ -122,16 +105,16 @@ struct GeneratedCode
      * T0[, T1...], scratchpads)`, one per case nest of an untiled
      * stage, `<entry>_g<k>_s<j>_n<m>(buffers, parameters, outer
      * indices)` -- then one function per entry flavour (`<entry>_g<k>`,
-     * `<entry>_g<k>_pm_instr`, `<entry>_g<k>_pm_task`) holding only its
-     * tile or task loop, its scratchpad allocation and the calls;
-     * accumulators keep a per-flavour body.  A stage function whose
+     * `<entry>_g<k>_pm_task`) holding only its tile or task loop, its
+     * scratchpad allocation and the calls; accumulators keep a
+     * per-flavour body.  A stage function whose
      * text equals an earlier one's up to the names of its arguments is
      * not emitted: its drivers call the earlier function
      * (`sharedCallers`).  All are hidden; a flavour function's piece
      * opens with declarations of the stage functions it calls.
      * `entryPoints` declares the flavour functions and defines the
      * extern "C" entries that call them, plus the module's one
-     * per-thread task arena (`pm_task_arena`) under taskABI.
+     * per-thread task arena (`pm_task_arena`).
      */
     std::string prelude;
     std::vector<std::string> functions;
@@ -158,16 +141,13 @@ struct GeneratedCode
      */
     std::string entry;
     /**
-     * Instrumented symbol (empty unless requested):
-     * void entry_pm_instr(const long long *params, void *const *inputs,
-     *                     void **outputs, void *const *slots,
-     *                     double *costs, long long *phase_ids,
-     *                     long long cap, long long *count,
-     *                     double *serial_seconds);
-     */
-    std::string instrEntry;
-    /**
-     * Task-granular symbol (empty unless CodegenOptions::taskABI):
+     * Task-granular symbol (docs/SERVING.md "Scheduling"): the
+     * pipeline's parallel phases as closed task lists a caller-owned
+     * scheduler executes, instead of `omp parallel` regions.  A tiled
+     * group is one phase whose tasks are its outer-tile iterations, an
+     * untiled function nest is one phase whose tasks flatten the loop
+     * dimensions up to and including the parallel one, and serial
+     * stages are single-task phases (serialPhases).
      * long long entry_pm_task(const long long *params,
      *                         void *const *inputs, void **outputs,
      *                         void *const *slots, long long phase,
@@ -181,14 +161,20 @@ struct GeneratedCode
      */
     std::string taskEntry;
     /**
-     * Group index owning each parallel phase: phaseGroup[p] is the
-     * group whose loops record phase id p in the instrumented entry.
-     * A tiled group owns one phase (one task per outer tile); an
-     * untiled stage owns one phase per case.  This is what lets the
-     * executor fold the flat task stream back into the per-group
-     * profile (Executable::profile().groups).
+     * Group index owning each phase of the task entry: phaseGroup[p]
+     * is the group whose loops run phase p.  A tiled group owns one
+     * phase (one task per outer tile); an untiled stage owns one phase
+     * per case nest.  This is what lets the executor fold the flat
+     * task stream back into the per-group profile
+     * (Executable::profile().groups).
      */
     std::vector<int> phaseGroup;
+    /**
+     * serialPhases[p]: phase p is one serial task -- a reduction, a
+     * recurrence, or an untiled nest with no dimension above its
+     * innermost.  The profile counts its time as serial.
+     */
+    std::vector<bool> serialPhases;
     /**
      * Largest per-thread heap scratch arena (64-byte-padded bytes) any
      * group allocates per call; 0 when every group's scratch fits the

@@ -160,12 +160,7 @@ CompileOptions::baseline(bool vectorize)
 CompileOptions
 CompileOptions::serving()
 {
-    CompileOptions o = optimized();
-    // Serving variants also carry the task-granular entry so the
-    // engine's shared work-stealing scheduler (docs/SERVING.md
-    // "Scheduling") can decompose requests into tile tasks.
-    o.codegen.taskABI = true;
-    return o;
+    return optimized();
 }
 
 std::string

@@ -35,12 +35,7 @@ struct CompileOptions
      * no grouping, tiling, or storage optimisation (paper §4).
      */
     static CompileOptions baseline(bool vectorize);
-    /**
-     * optimized() plus the task-granular entry (docs/SERVING.md
-     * "Scheduling").  Extents stay runtime values, so one compiled
-     * variant serves every input shape (docs/SHAPES.md).  The serving
-     * registry's preferred configuration.
-     */
+    /** Same as optimized(); kept for existing callers. */
     static CompileOptions serving();
 };
 

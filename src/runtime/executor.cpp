@@ -1,6 +1,7 @@
 #include "runtime/executor.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "interp/interpreter.hpp"
 
@@ -35,14 +36,8 @@ Executable::build(const dsl::PipelineSpec &spec,
     }
     exe.fn_ = reinterpret_cast<PipelineFn>(
         exe.module_->symbol(exe.compiled_->code.entry));
-    if (!exe.compiled_->code.instrEntry.empty()) {
-        exe.instrFn_ = reinterpret_cast<InstrFn>(
-            exe.module_->symbol(exe.compiled_->code.instrEntry));
-    }
-    if (!exe.compiled_->code.taskEntry.empty()) {
-        exe.taskFn_ = reinterpret_cast<TaskFn>(
-            exe.module_->symbol(exe.compiled_->code.taskEntry));
-    }
+    exe.taskFn_ = reinterpret_cast<TaskFn>(
+        exe.module_->symbol(exe.compiled_->code.taskEntry));
     exe.trace_ = reg.spans();
     return exe;
 }
@@ -88,40 +83,46 @@ validateRun(const CompiledPipeline &c,
 }
 
 /**
- * Per-call lease of the storage plan's allocation slots.  Each slot is
- * sized to its largest member stage under the actual parameter values
- * (compile-time estimates only guided the slot *assignment*; sizes are
- * always resolved at call time), acquired from the pool, and released
- * on scope exit even when the pipeline throws.
+ * Acquire the storage plan's allocation slots from @p pool.  Each slot
+ * is sized to its largest member stage under the actual parameter
+ * values (compile-time estimates only guided the slot *assignment*;
+ * sizes are always resolved at call time).
  */
+std::vector<void *>
+acquireSlots(const CompiledPipeline &c, BufferPool &pool,
+             const std::vector<std::int64_t> &params)
+{
+    const auto &g = c.graph;
+    std::vector<void *> ptrs;
+    ptrs.reserve(c.storage.slots.size());
+    for (const auto &slot : c.storage.slots) {
+        std::int64_t bytes = 0;
+        for (int s : slot.stages) {
+            const auto &stage = g.stage(s);
+            std::int64_t numel = 1;
+            for (std::int64_t d : interp::stageShape(stage, g, params))
+                numel *= d;
+            // Size with the plan's allocation type -- the narrowed one
+            // when the range analysis proved it -- so the bitwidth
+            // narrowing actually shrinks the lease.
+            bytes = std::max(bytes,
+                             numel * std::int64_t(dsl::dtypeSize(
+                                         c.storage.elemType(s, g))));
+        }
+        ptrs.push_back(pool.acquire(std::size_t(bytes)));
+    }
+    return ptrs;
+}
+
+/** Per-call lease of acquireSlots(), released on scope exit even when
+ * the pipeline throws. */
 class SlotLease
 {
   public:
     SlotLease(const CompiledPipeline &c, BufferPool &pool,
               const std::vector<std::int64_t> &params)
-        : pool_(pool)
-    {
-        const auto &g = c.graph;
-        ptrs_.reserve(c.storage.slots.size());
-        for (const auto &slot : c.storage.slots) {
-            std::int64_t bytes = 0;
-            for (int s : slot.stages) {
-                const auto &stage = g.stage(s);
-                std::int64_t numel = 1;
-                for (std::int64_t d :
-                     interp::stageShape(stage, g, params))
-                    numel *= d;
-                // Size with the plan's allocation type -- the narrowed
-                // one when the range analysis proved it -- so the
-                // bitwidth narrowing actually shrinks the lease.
-                bytes = std::max(
-                    bytes,
-                    numel * std::int64_t(dsl::dtypeSize(
-                                c.storage.elemType(s, g))));
-            }
-            ptrs_.push_back(pool_.acquire(std::size_t(bytes)));
-        }
-    }
+        : pool_(pool), ptrs_(acquireSlots(c, pool, params))
+    {}
     SlotLease(const SlotLease &) = delete;
     SlotLease &operator=(const SlotLease &) = delete;
     ~SlotLease()
@@ -230,8 +231,6 @@ Executable::prepareTasks(const std::vector<std::int64_t> &params,
                          std::vector<Buffer> &outputs,
                          BufferPool &pool) const
 {
-    PM_ASSERT(taskFn_ != nullptr,
-              "pipeline built without codegen.taskABI");
     validateRun(*compiled_, params, inputs);
     TaskInvocation inv;
     inv.fn_ = taskFn_;
@@ -241,23 +240,9 @@ Executable::prepareTasks(const std::vector<std::int64_t> &params,
     for (Buffer &b : outputs)
         inv.outs_.push_back(b.data());
     inv.params_.assign(params.begin(), params.end());
-    // Same sizing as SlotLease, but the lease must outlive this call
-    // frame (the scheduler's workers execute later), so the
-    // invocation owns the raw acquisitions directly.
-    const auto &g = compiled_->graph;
-    for (const auto &slot : compiled_->storage.slots) {
-        std::int64_t bytes = 0;
-        for (int s : slot.stages) {
-            const auto &stage = g.stage(s);
-            std::int64_t numel = 1;
-            for (std::int64_t d : interp::stageShape(stage, g, params))
-                numel *= d;
-            bytes = std::max(
-                bytes, numel * std::int64_t(dsl::dtypeSize(
-                                   compiled_->storage.elemType(s, g))));
-        }
-        inv.slots_.push_back(pool.acquire(std::size_t(bytes)));
-    }
+    // The lease must outlive this call frame (the scheduler's workers
+    // execute later), so the invocation owns the acquisitions.
+    inv.slots_ = acquireSlots(*compiled_, pool, params);
     return inv;
 }
 
@@ -283,10 +268,7 @@ Executable::profile(const std::vector<std::int64_t> &params,
                     const std::vector<const Buffer *> &inputs,
                     std::vector<Buffer> *outputs_out) const
 {
-    PM_ASSERT(instrFn_ != nullptr,
-              "pipeline built without codegen.instrument");
     validateRun(*compiled_, params, inputs);
-
     const auto &g = compiled_->graph;
     std::vector<Buffer> outputs;
     for (int out : g.outputs()) {
@@ -294,60 +276,63 @@ Executable::profile(const std::vector<std::int64_t> &params,
                              interp::stageShape(g.stage(out), g,
                                                 params));
     }
-    std::vector<void *> in_ptrs;
-    for (const Buffer *b : inputs)
-        in_ptrs.push_back(const_cast<void *>(b->data()));
-    std::vector<void *> out_ptrs;
-    for (Buffer &b : outputs)
-        out_ptrs.push_back(b.data());
-    std::vector<long long> p(params.begin(), params.end());
 
-    SlotLease slots(*compiled_, *pool_, params);
-
-    const long long cap = 1 << 22;
     TaskProfile prof;
-    prof.costs.resize(cap);
-    prof.phase.resize(cap);
-    long long count = 0;
-    instrFn_(p.data(), in_ptrs.data(), out_ptrs.data(), slots.data(),
-             prof.costs.data(), prof.phase.data(), cap, &count,
-             &prof.serialSeconds);
-    if (count > cap) {
-        warn("instrumented run produced more tasks than the capacity; "
-             "profile truncated");
-        count = cap;
-    }
-    prof.costs.resize(count);
-    prof.phase.resize(count);
-
-    // The serial instrumented run is deterministic, so repeat it and
-    // keep the per-task minimum: OS preemption spikes on a shared core
-    // would otherwise masquerade as giant tasks and wreck the LPT
-    // makespan.  Short pipelines get more repeats -- a sub-millisecond
-    // run needs several samples before the minima stop moving -- until
-    // ~30ms of measurement accumulates (capped at 9 total runs).
-    double first_total = prof.serialSeconds;
-    for (long long i = 0; i < count; ++i)
-        first_total += prof.costs[std::size_t(i)];
-    const int reps =
-        first_total >= 0.015
-            ? 3
-            : std::min(9, 3 + int(0.03 / std::max(first_total, 1e-5)));
-    for (int rep = 1; rep < reps; ++rep) {
-        std::vector<double> costs(static_cast<std::size_t>(count), 0.0);
-        std::vector<long long> phase(static_cast<std::size_t>(count), 0);
-        long long n2 = 0;
-        double serial2 = 0;
-        instrFn_(p.data(), in_ptrs.data(), out_ptrs.data(),
-                 slots.data(), costs.data(), phase.data(), count, &n2,
-                 &serial2);
-        if (n2 != count)
-            break; // unexpected; keep the first profile
-        for (long long i = 0; i < count; ++i) {
-            prof.costs[std::size_t(i)] = std::min(
-                prof.costs[std::size_t(i)], costs[std::size_t(i)]);
+    {
+        const TaskInvocation inv =
+            prepareTasks(params, inputs, outputs, *pool_);
+        const std::vector<long long> counts = inv.phaseCounts();
+        const std::vector<bool> &serial = compiled_->code.serialPhases;
+        for (std::size_t p = 0; p < counts.size(); ++p) {
+            if (!serial[p])
+                prof.phase.insert(prof.phase.end(), std::size_t(counts[p]),
+                                  (long long)p);
         }
-        prof.serialSeconds = std::min(prof.serialSeconds, serial2);
+        // One serial pass over the task entry, one task per call in
+        // phase order: parallel phases' tasks land in @p costs, serial
+        // phases' single tasks in @p serial_s.
+        using Clock = std::chrono::steady_clock;
+        auto pass = [&](std::vector<double> &costs, double &serial_s) {
+            costs.clear();
+            serial_s = 0.0;
+            for (std::size_t p = 0; p < counts.size(); ++p) {
+                for (long long t = 0; t < counts[p]; ++t) {
+                    const auto t0 = Clock::now();
+                    inv.run((long long)p, t, t);
+                    const double dt =
+                        std::chrono::duration<double>(Clock::now() - t0)
+                            .count();
+                    if (serial[p])
+                        serial_s += dt;
+                    else
+                        costs.push_back(dt);
+                }
+            }
+        };
+        prof.costs.reserve(prof.phase.size());
+        pass(prof.costs, prof.serialSeconds);
+
+        // The serial run is deterministic, so repeat it and keep the
+        // per-task minimum: OS preemption spikes on a shared core
+        // would otherwise masquerade as giant tasks and wreck the LPT
+        // makespan.  Short pipelines get more repeats -- a
+        // sub-millisecond run needs several samples before the minima
+        // stop moving -- until ~30ms of measurement accumulates
+        // (capped at 9 total runs).
+        const double first_total = prof.totalSeconds();
+        const int reps =
+            first_total >= 0.015
+                ? 3
+                : std::min(9, 3 + int(0.03 / std::max(first_total, 1e-5)));
+        std::vector<double> costs;
+        costs.reserve(prof.costs.size());
+        for (int rep = 1; rep < reps; ++rep) {
+            double serial_s = 0.0;
+            pass(costs, serial_s);
+            for (std::size_t i = 0; i < costs.size(); ++i)
+                prof.costs[i] = std::min(prof.costs[i], costs[i]);
+            prof.serialSeconds = std::min(prof.serialSeconds, serial_s);
+        }
     }
 
     // Fold the flat task stream into the per-group rollup using the
@@ -366,12 +351,10 @@ Executable::profile(const std::vector<std::int64_t> &params,
         prof.groups[gi].stages = std::move(names);
     }
     for (std::size_t i = 0; i < prof.costs.size(); ++i) {
-        const long long ph = prof.phase[i];
-        if (ph < 0 || ph >= (long long)phase_group.size())
-            continue; // foreign phase id; leave unattributed
-        const int gi = phase_group[std::size_t(ph)];
-        prof.groups[std::size_t(gi)].seconds += prof.costs[i];
-        prof.groups[std::size_t(gi)].tasks += 1;
+        GroupProfile &gp = prof.groups[std::size_t(
+            phase_group[std::size_t(prof.phase[i])])];
+        gp.seconds += prof.costs[i];
+        gp.tasks += 1;
     }
     if (outputs_out != nullptr)
         *outputs_out = std::move(outputs);

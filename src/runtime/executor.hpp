@@ -2,7 +2,7 @@
  * @file
  * High-level execution of compiled pipelines: ties the compiler driver
  * and JIT together, allocates output buffers, and exposes the
- * instrumented profile used by the multicore scaling model.
+ * per-task profile used by the multicore scaling model.
  */
 #ifndef POLYMAGE_RUNTIME_EXECUTOR_HPP
 #define POLYMAGE_RUNTIME_EXECUTOR_HPP
@@ -24,10 +24,6 @@ namespace polymage::rt {
  */
 using PipelineFn = void (*)(const long long *, void *const *, void **,
                             void *const *);
-/** ABI of instrumented entry points. */
-using InstrFn = void (*)(const long long *, void *const *, void **,
-                         void *const *, double *, long long *,
-                         long long, long long *, double *);
 /**
  * ABI of task-granular entry points (GeneratedCode::taskEntry): the
  * trailing (phase, lo, hi) triple selects what runs.  phase < 0
@@ -40,7 +36,7 @@ using TaskFn = long long (*)(const long long *, void *const *, void **,
                              void *const *, long long, long long,
                              long long);
 
-/** Aggregated runtime cost of one group from an instrumented run. */
+/** Aggregated runtime cost of one group from a profiled run. */
 struct GroupProfile
 {
     /** Group index (matches CompiledPipeline::grouping.groups). */
@@ -51,21 +47,21 @@ struct GroupProfile
     double seconds = 0.0;
     /**
      * Number of recorded parallel tasks: outer tile count for a tiled
-     * group, outer loop iteration count otherwise; 0 for purely
-     * serial groups (recurrences), whose time lands in
+     * group, outer loop iteration count otherwise; 0 for serial
+     * groups (reductions, recurrences), whose time lands in
      * TaskProfile::serialSeconds.
      */
     long long tasks = 0;
 };
 
-/** Per-task timing profile from an instrumented run. */
+/** Per-task timing profile from a serial run of the task entry. */
 struct TaskProfile
 {
-    /** Seconds per parallel task. */
+    /** Seconds per parallel task, phase order. */
     std::vector<double> costs;
-    /** Parallel phase (barrier region) of each task. */
+    /** Task-entry phase (barrier region) of each task. */
     std::vector<long long> phase;
-    /** Seconds spent in inherently serial stages. */
+    /** Seconds spent in serial phases (GeneratedCode::serialPhases). */
     double serialSeconds = 0.0;
     /** Per-group rollup, one entry per group in emission order. */
     std::vector<GroupProfile> groups;
@@ -228,17 +224,13 @@ class Executable
                  const std::vector<const Buffer *> &inputs,
                  std::vector<Buffer> &outputs, BufferPool &pool) const;
 
-    /** True when the build carried CodegenOptions::taskABI and the
-     * task-granular entry resolved. */
-    bool hasTaskEntry() const { return taskFn_ != nullptr; }
-
     /**
      * Prepare a task-granular call against caller-allocated
      * @p outputs: validates the request, binds parameters and pointer
      * tables, and leases the intermediate slots from @p pool.  The returned invocation's
      * run(phase, lo, hi) is what a tile scheduler's workers execute;
      * the caller must keep inputs/outputs alive until it is done and
-     * destroyed.  Requires hasTaskEntry().
+     * destroyed.
      */
     TaskInvocation prepareTasks(const std::vector<std::int64_t> &params,
                                 const std::vector<const Buffer *> &inputs,
@@ -246,9 +238,10 @@ class Executable
                                 BufferPool &pool) const;
 
     /**
-     * Run the instrumented entry (serial) and collect per-task costs.
-     * Requires opts.codegen.instrument at build time.  The run's
-     * outputs are discarded unless @p outputs is given.
+     * Run the task entry serially on the calling thread, one task per
+     * call, and collect per-task costs.  The run repeats and keeps each
+     * task's minimum.  Its outputs are discarded unless @p outputs is
+     * given.
      */
     TaskProfile profile(const std::vector<std::int64_t> &params,
                         const std::vector<const Buffer *> &inputs,
@@ -275,7 +268,6 @@ class Executable
     std::shared_ptr<BufferPool> pool_;
     std::vector<obs::Span> trace_;
     PipelineFn fn_ = nullptr;
-    InstrFn instrFn_ = nullptr;
     TaskFn taskFn_ = nullptr;
 };
 

@@ -126,7 +126,7 @@ StreamExecutable::step(const std::vector<const Buffer *> &inputs,
                       rings_[r][std::size_t(wrap(frame_, ring.depth))]);
         }
     }
-    if (sched != nullptr && exe_->hasTaskEntry()) {
+    if (sched != nullptr) {
         // Shared tile pool: the frame's tiles drain through the
         // work-stealing scheduler alongside other requests' tasks.
         TaskInvocation inv = exe_->prepareTasks(

@@ -42,7 +42,7 @@ class StreamExecutable
     StreamExecutable(std::shared_ptr<const Executable> exe,
                      std::vector<std::int64_t> params);
 
-    /** Build + open in one go (taskABI-enabled serving options). */
+    /** Build + open in one go. */
     static StreamExecutable build(const dsl::PipelineSpec &spec,
                                   std::vector<std::int64_t> params,
                                   const CompileOptions &opts =
@@ -56,10 +56,9 @@ class StreamExecutable
      * returned buffers are owned by the session and overwritten by
      * the next step().
      *
-     * When @p sched is non-null and the variant has a task-granular
-     * entry, the frame's tiles drain through the shared scheduler
-     * (docs/SERVING.md "Scheduling") instead of a private OpenMP
-     * region.
+     * When @p sched is non-null, the frame's tiles drain through the
+     * shared scheduler (docs/SERVING.md "Scheduling") instead of a
+     * private OpenMP region.
      */
     const std::vector<Buffer> &
     step(const std::vector<const Buffer *> &inputs,

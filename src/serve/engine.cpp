@@ -2,10 +2,6 @@
 
 #include <algorithm>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "interp/interpreter.hpp"
 #include "support/diagnostics.hpp"
 
@@ -49,29 +45,6 @@ policyFromName(const std::string &name)
               "' (expected block, reject, or shed)");
 }
 
-const char *
-schedulerModeName(SchedulerMode m)
-{
-    switch (m) {
-    case SchedulerMode::PerRequestOMP:
-        return "per_request_omp";
-    case SchedulerMode::SharedTileQueue:
-        return "shared_tile_queue";
-    }
-    return "unknown";
-}
-
-SchedulerMode
-schedulerModeFromName(const std::string &name)
-{
-    if (name == "per_request_omp" || name == "omp")
-        return SchedulerMode::PerRequestOMP;
-    if (name == "shared_tile_queue" || name == "shared")
-        return SchedulerMode::SharedTileQueue;
-    specError("unknown scheduler mode '", name,
-              "' (expected per_request_omp or shared_tile_queue)");
-}
-
 Engine::Engine(std::shared_ptr<PipelineRegistry> registry,
                EngineOptions opts)
     : registry_(std::move(registry)), opts_(opts)
@@ -80,19 +53,12 @@ Engine::Engine(std::shared_ptr<PipelineRegistry> registry,
     opts_.workers = std::max(1, opts_.workers);
     opts_.queueCapacity = std::max(1, opts_.queueCapacity);
 
-    int hw = int(std::thread::hardware_concurrency());
-    if (hw <= 0)
-        hw = 1;
-    ompPerWorker_ = opts_.ompThreadsPerWorker > 0
-                        ? opts_.ompThreadsPerWorker
-                        : std::max(1, hw / opts_.workers);
-
     opts_.maxBatch = std::max(1, opts_.maxBatch);
-    // Both modes own the pool: the interpreter tier splits its stages
-    // into bands on it, and SharedTileQueue runs compiled tiles there.
     rt::SchedulerOptions so;
     so.workers = opts_.schedulerWorkers;
     if (so.workers == 0) {
+        const int hw =
+            std::max(1, int(std::thread::hardware_concurrency()));
         // Auto-size: engine workers participate in the pool via
         // helpWhile(), so dedicated pool threads only fill the cores
         // the workers leave free.  Oversubscribing a small machine
@@ -259,19 +225,9 @@ Engine::enqueue(Request req, std::function<void(Response)> done)
 void
 Engine::workerLoop(int index)
 {
-#ifdef _OPENMP
-    // Per-thread ICV: parallel regions launched from this worker use
-    // this budget, so workers x ompPerWorker_ bounds total threads.
-    // (In SharedTileQueue mode the compiled task path never opens an
-    // OpenMP region; the budget still governs interpreter-tier and
-    // no-task-entry fallbacks.)
-    omp_set_num_threads(ompPerWorker_);
-#endif
     rt::BufferPool &pool = *pools_[std::size_t(index)];
-    const bool batching =
-        opts_.scheduler == SchedulerMode::SharedTileQueue;
     for (;;) {
-        std::vector<Job> batch;
+        Job job;
         {
             std::unique_lock<std::mutex> lock(mu_);
             queueNotEmpty_.wait(lock, [&] {
@@ -282,58 +238,26 @@ Engine::workerLoop(int index)
                     return;
                 continue;
             }
-            const auto now = Clock::now();
-            batch.push_back(std::move(queue_.front()));
+            job = std::move(queue_.front());
             queue_.pop_front();
             inFlight_ += 1;
-            batch.back().waitSeconds =
-                secondsBetween(batch.back().enqueued, now);
+            job.waitSeconds = secondsBetween(job.enqueued, Clock::now());
             // Frame jobs never passed onEnqueue, so they skip
             // onDequeue too (the queue gauges stay request-only).
-            if (!batch.back().session)
-                metrics_.onDequeue(batch.back().waitSeconds);
-            // Same-pipeline coalescing: claim queued requests for the
-            // leader's pipeline (default variant only -- explicit
-            // variants have no cheap equality) up to maxBatch.
-            // Streaming frames never coalesce: a session's frames are
-            // strictly ordered and stateful.
-            if (batching && opts_.maxBatch > 1 &&
-                !batch.front().session &&
-                !batch.front().req.variant.has_value()) {
-                // Copy, not reference: push_back below reallocates
-                // `batch` and would leave a reference dangling.
-                const std::string pipe = batch.front().req.pipeline;
-                for (auto it = queue_.begin();
-                     it != queue_.end() &&
-                     std::int64_t(batch.size()) < opts_.maxBatch;) {
-                    if (!it->session && it->req.pipeline == pipe &&
-                        !it->req.variant.has_value()) {
-                        batch.push_back(std::move(*it));
-                        it = queue_.erase(it);
-                        inFlight_ += 1;
-                        batch.back().waitSeconds = secondsBetween(
-                            batch.back().enqueued, now);
-                        metrics_.onDequeue(batch.back().waitSeconds);
-                    } else {
-                        ++it;
-                    }
-                }
-            }
+            if (!job.session)
+                metrics_.onDequeue(job.waitSeconds);
             queueNotFull_.notify_all();
         }
 
-        if (batch.front().session) {
-            executeFrame(batch.front());
-        } else if (batching) {
-            executeBatch(batch, pool);
-        } else {
-            Response r = execute(batch.front(), pool);
-            complete(batch.front(), std::move(r));
-        }
+        int done = 1;
+        if (job.session)
+            executeFrame(job);
+        else
+            done = serve(job, pool);
 
         {
             std::lock_guard<std::mutex> lock(mu_);
-            inFlight_ -= int(batch.size());
+            inFlight_ -= done;
             if (queue_.empty() && inFlight_ == 0)
                 idle_.notify_all();
         }
@@ -361,42 +285,92 @@ Engine::complete(Job &job, Response &&r)
     finish(job, std::move(r));
 }
 
+int
+Engine::serve(Job &leader, rt::BufferPool &pool)
+{
+    const Request &req = leader.req;
+    const auto t0 = Clock::now();
+    PipelineRegistry::ExecutablePtr exe;
+    Response r;
+    try {
+        const CompileOptions *variant =
+            req.variant.has_value() ? &*req.variant : nullptr;
+        if (!opts_.tiered) {
+            exe = variant != nullptr ? registry_->get(req.pipeline, *variant)
+                                     : registry_->get(req.pipeline);
+        } else {
+            PipelineRegistry::TieredResult tr =
+                registry_->getTiered(req.pipeline, variant);
+            exe = std::move(tr.exe);
+            if (exe == nullptr) {
+                // Interpreter tier: this request alone, its stages in
+                // row bands on the shared pool.
+                std::vector<const rt::Buffer *> ins;
+                ins.reserve(req.inputs.size());
+                for (const auto &b : req.inputs)
+                    ins.push_back(b.get());
+                r.outputs = interp::evaluate(*tr.graph, req.params, ins,
+                                             {}, sched_.get())
+                                .outputs;
+                r.tier = 1;
+                notePromotion(req.pipeline, 1, t0);
+            }
+        }
+    } catch (const std::exception &e) {
+        r.outputs.clear();
+        r.error = e.what();
+    } catch (...) {
+        r.outputs.clear();
+        r.error = "unknown execution error";
+    }
+    if (exe == nullptr) {
+        r.runSeconds = secondsBetween(t0, Clock::now());
+        complete(leader, std::move(r));
+        return 1;
+    }
+
+    // Compiled tier: claim queued requests for the leader's pipeline
+    // (default variant only -- explicit variants have no cheap
+    // equality) up to maxBatch.  Streaming frames never coalesce: a
+    // session's frames are strictly ordered and stateful.
+    const bool coalesce =
+        opts_.maxBatch > 1 && !leader.req.variant.has_value();
+    // Copy, not reference: emplace_back below reallocates `batch`.
+    const std::string pipeline = leader.req.pipeline;
+    std::vector<Job> batch;
+    batch.push_back(std::move(leader));
+    if (coalesce) {
+        std::lock_guard<std::mutex> lock(mu_);
+        const auto now = Clock::now();
+        for (auto it = queue_.begin();
+             it != queue_.end() &&
+             std::int64_t(batch.size()) < opts_.maxBatch;) {
+            if (!it->session && it->req.pipeline == pipeline &&
+                !it->req.variant.has_value()) {
+                Job &job = batch.emplace_back(std::move(*it));
+                it = queue_.erase(it);
+                inFlight_ += 1;
+                job.waitSeconds = secondsBetween(job.enqueued, now);
+                metrics_.onDequeue(job.waitSeconds);
+            } else {
+                ++it;
+            }
+        }
+        queueNotFull_.notify_all();
+    }
+    executeBatch(batch, *exe, pool);
+    return int(batch.size());
+}
+
 void
-Engine::executeBatch(std::vector<Job> &batch, rt::BufferPool &pool)
+Engine::executeBatch(std::vector<Job> &batch, const rt::Executable &exe,
+                     rt::BufferPool &pool)
 {
     metrics_.onBatch(int(batch.size()));
 
-    // One registry resolution for the whole batch.
-    PipelineRegistry::ExecutablePtr exe;
-    const Request &lead = batch.front().req;
-    try {
-        if (opts_.tiered) {
-            const CompileOptions *variant =
-                lead.variant.has_value() ? &*lead.variant : nullptr;
-            exe = registry_->getTiered(lead.pipeline, variant).exe;
-        } else {
-            exe = lead.variant.has_value()
-                      ? registry_->get(lead.pipeline, *lead.variant)
-                      : registry_->get(lead.pipeline);
-        }
-    } catch (...) {
-        exe = nullptr; // fall through to per-request execution
-    }
-
-    if (exe == nullptr || !exe->hasTaskEntry()) {
-        // Interpreter tier or no task entry: request-at-a-time
-        // fallback (execute() re-resolves, keeping tier accounting and
-        // promotion tracking in one place).
-        for (Job &job : batch) {
-            Response r = execute(job, pool);
-            complete(job, std::move(r));
-        }
-        return;
-    }
-
-    // Task path: decompose every request into its phase/tile task
-    // lists and feed them all into the shared pool; tiles of the
-    // whole batch (and of any other in-flight request) interleave.
+    // Decompose every request into its phase/tile task lists and feed
+    // them all into the shared pool; tiles of the whole batch (and of
+    // any other in-flight request) interleave.
     struct Pending
     {
         Response r;
@@ -407,7 +381,7 @@ Engine::executeBatch(std::vector<Job> &batch, rt::BufferPool &pool)
         bool submitted = false;
     };
     std::vector<Pending> pending(batch.size());
-    const auto &g = exe->info().graph;
+    const auto &g = exe.info().graph;
     auto prepareOne = [&](std::size_t i) {
         Job &job = batch[i];
         Pending &p = pending[i];
@@ -424,8 +398,7 @@ Engine::executeBatch(std::vector<Job> &batch, rt::BufferPool &pool)
                                        job.req.params));
             }
             p.inv = std::make_shared<rt::TaskInvocation>(
-                exe->prepareTasks(job.req.params, ins, p.outputs,
-                                  pool));
+                exe.prepareTasks(job.req.params, ins, p.outputs, pool));
             std::vector<long long> counts = p.inv->phaseCounts();
             auto inv = p.inv;
             p.ticket = sched_->submit(
@@ -477,52 +450,6 @@ Engine::executeBatch(std::vector<Job> &batch, rt::BufferPool &pool)
             notePromotion(batch[i].req.pipeline, 2, p.started);
         complete(batch[i], std::move(p.r));
     }
-}
-
-Response
-Engine::execute(Job &job, rt::BufferPool &pool)
-{
-    Response r;
-    const auto t0 = Clock::now();
-    try {
-        std::vector<const rt::Buffer *> ins;
-        ins.reserve(job.req.inputs.size());
-        for (const auto &b : job.req.inputs)
-            ins.push_back(b.get());
-        if (opts_.tiered) {
-            const CompileOptions *variant =
-                job.req.variant.has_value() ? &*job.req.variant
-                                            : nullptr;
-            PipelineRegistry::TieredResult tr =
-                registry_->getTiered(job.req.pipeline, variant);
-            if (tr.exe != nullptr) {
-                r.outputs = tr.exe->run(job.req.params, ins, pool);
-                r.tier = 2;
-            } else {
-                interp::EvalResult ev = interp::evaluate(
-                    *tr.graph, job.req.params, ins, {}, sched_.get());
-                r.outputs = std::move(ev.outputs);
-                r.tier = 1;
-            }
-            notePromotion(job.req.pipeline, r.tier, t0);
-        } else {
-            PipelineRegistry::ExecutablePtr exe =
-                job.req.variant.has_value()
-                    ? registry_->get(job.req.pipeline,
-                                     *job.req.variant)
-                    : registry_->get(job.req.pipeline);
-            r.outputs = exe->run(job.req.params, ins, pool);
-            r.tier = 2;
-        }
-    } catch (const std::exception &e) {
-        r.outputs.clear();
-        r.error = e.what();
-    } catch (...) {
-        r.outputs.clear();
-        r.error = "unknown execution error";
-    }
-    r.runSeconds = secondsBetween(t0, Clock::now());
-    return r;
 }
 
 double
@@ -737,13 +664,9 @@ Engine::executeFrame(Job &job)
         ins.reserve(job.req.inputs.size());
         for (const auto &b : job.req.inputs)
             ins.push_back(b.get());
-        // SharedTileQueue mode drains the frame's tiles through the
-        // shared pool; PerRequestOMP passes none, and step() runs the
-        // per-request OpenMP entry.
-        const std::vector<rt::Buffer> &outs = s->stream_->step(
-            ins, opts_.scheduler == SchedulerMode::SharedTileQueue
-                     ? sched_.get()
-                     : nullptr);
+        // The frame's tiles drain through the shared pool.
+        const std::vector<rt::Buffer> &outs =
+            s->stream_->step(ins, sched_.get());
         fr.outputs = &outs;
         fr.tier = 2;
     } catch (const std::exception &e) {
@@ -917,11 +840,9 @@ Engine::metrics() const
 {
     ServeSnapshot s = metrics_.snapshot();
     s.workers = opts_.workers;
-    s.ompThreadsPerWorker = ompPerWorker_;
     s.queueCapacity = opts_.queueCapacity;
     s.policy = policyName(opts_.policy);
     s.tiered = opts_.tiered;
-    s.schedulerMode = schedulerModeName(opts_.scheduler);
     s.schedulerWorkers = sched_->workers();
     s.scheduler = sched_->stats();
     for (const auto &p : pools_) {

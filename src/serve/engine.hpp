@@ -6,13 +6,13 @@
  * serving performs zero heap allocations for intermediates), and
  * serving metrics in the `polymage-serve-v1` schema.
  *
- * Thread-budget model: intra-request parallelism (the generated
- * code's OpenMP loops) and inter-request concurrency (the worker
- * pool) compose instead of oversubscribing — each worker pins its
- * OpenMP thread budget to `ompThreadsPerWorker` (default: hardware
- * threads / workers, at least 1) via the per-thread ICV, so the total
- * thread demand stays at the hardware width regardless of worker
- * count.  See docs/SERVING.md.
+ * One execution model: every compiled request and stream frame runs
+ * as the task entry's (phase, lo, hi) task lists on the engine's one
+ * rt::TileScheduler, and interpreter-tier answers split their stages
+ * into row bands on the same pool.  Engine workers help the pool
+ * while they wait, and the pool only adds threads for the cores the
+ * workers leave free, so the thread demand stays at the hardware
+ * width whatever the worker count.  See docs/SERVING.md.
  */
 #ifndef POLYMAGE_SERVE_ENGINE_HPP
 #define POLYMAGE_SERVE_ENGINE_HPP
@@ -56,36 +56,6 @@ const char *policyName(OverloadPolicy p);
 /** Inverse of policyName(); throws SpecError on unknown names. */
 OverloadPolicy policyFromName(const std::string &name);
 
-/**
- * How worker threads execute admitted compiled requests.  Interpreter-
- * tier answers split their stages into bands on the engine's
- * rt::TileScheduler in either mode.
- */
-enum class SchedulerMode
-{
-    /**
-     * Request-at-a-time: each worker runs its request's generated
-     * entry, which opens its own `omp parallel` tile loops with the
-     * worker's thread budget.  The historical path.
-     */
-    PerRequestOMP,
-    /**
-     * Shared work-stealing tile pool (docs/SERVING.md "Scheduling"):
-     * workers decompose requests into the task-ABI phase/tile lists
-     * and feed them all into one rt::TileScheduler, so tiles of every
-     * in-flight request interleave on one pool -- no per-request
-     * OpenMP barriers, and a request's tail tiles are stolen instead
-     * of idling threads.  Requests whose compiled variant lacks a
-     * task entry (or are still interpreter-tier) run one at a time.
-     */
-    SharedTileQueue,
-};
-
-/** Stable lowercase name used in JSON and CLI flags. */
-const char *schedulerModeName(SchedulerMode m);
-/** Inverse of schedulerModeName(); throws SpecError on unknown. */
-SchedulerMode schedulerModeFromName(const std::string &name);
-
 /** Engine configuration. */
 struct EngineOptions
 {
@@ -94,11 +64,6 @@ struct EngineOptions
     /** Maximum queued (not yet executing) requests. */
     int queueCapacity = 64;
     OverloadPolicy policy = OverloadPolicy::Block;
-    /**
-     * OpenMP threads each worker grants the generated code; 0 means
-     * hardware threads / workers (at least 1).
-     */
-    int ompThreadsPerWorker = 0;
     /**
      * Tiered execution (docs/SHAPES.md): the first requests for a
      * not-yet-compiled pipeline are answered by the reference
@@ -109,25 +74,24 @@ struct EngineOptions
      * saturation tests and steady-state pool accounting rely on.
      */
     bool tiered = true;
-    /** Request execution strategy (see SchedulerMode). */
-    SchedulerMode scheduler = SchedulerMode::PerRequestOMP;
     /**
-     * Worker threads of the engine's rt::TileScheduler, which both
-     * modes own: the interpreter tier splits its stages into bands on
-     * it, and SharedTileQueue also runs compiled tiles there.  0 (the
-     * default) auto-sizes: engine workers execute chunks themselves
-     * while waiting (TileScheduler::helpWhile), so the pool only
-     * spawns hardware_concurrency minus `workers` dedicated threads
-     * -- possibly none on small machines, where oversubscription
-     * would cost more in context switches than stealing recovers.
+     * Worker threads of the engine's rt::TileScheduler, which runs
+     * compiled requests' and frames' tile tasks and the interpreter
+     * tier's row bands.  0 (the default) auto-sizes: engine workers
+     * execute chunks themselves while waiting
+     * (TileScheduler::helpWhile), so the pool only spawns
+     * hardware_concurrency minus `workers` dedicated threads --
+     * possibly none on small machines, where oversubscription would
+     * cost more in context switches than stealing recovers.
      */
     int schedulerWorkers = 0;
     /**
-     * Same-pipeline request batching (SharedTileQueue): a worker that
-     * dequeues a request also claims up to this many queued requests
-     * for the same pipeline (and default variant) in one go -- one
-     * registry lookup, their tile tasks co-resident in the pool.
-     * 1 disables coalescing.
+     * Same-pipeline request batching: a worker whose dequeued request
+     * resolves to the compiled tier also claims queued requests for
+     * the same pipeline (and default variant), up to this many in
+     * all -- one registry lookup, their tile tasks co-resident in the
+     * pool.  An interpreter-tier request claims none.  1 disables
+     * coalescing.
      */
     int maxBatch = 8;
     /**
@@ -380,8 +344,6 @@ class Engine
     std::string metricsJson() const;
 
     const EngineOptions &options() const { return opts_; }
-    /** Resolved per-worker OpenMP thread budget. */
-    int ompThreadsPerWorker() const { return ompPerWorker_; }
 
   private:
     using Clock = std::chrono::steady_clock;
@@ -405,14 +367,20 @@ class Engine
     std::future<Response> enqueue(Request req,
                                   std::function<void(Response)> done);
     void workerLoop(int index);
-    Response execute(Job &job, rt::BufferPool &pool);
     /**
-     * SharedTileQueue path: execute a coalesced same-pipeline batch
-     * by feeding every request's tile tasks into the shared pool;
-     * falls back to execute() per request when the variant has no
-     * task entry yet.  Completes (finish()es) every job.
+     * Serve a dequeued request: resolve its tier, then answer it from
+     * the interpreter alone, or claim its same-pipeline followers and
+     * run them all through executeBatch().  Returns the number of
+     * requests completed.
      */
-    void executeBatch(std::vector<Job> &batch, rt::BufferPool &pool);
+    int serve(Job &leader, rt::BufferPool &pool);
+    /**
+     * Execute a coalesced same-pipeline batch by feeding every
+     * request's tile tasks into the shared pool.  Completes
+     * (finish()es) every job.
+     */
+    void executeBatch(std::vector<Job> &batch, const rt::Executable &exe,
+                      rt::BufferPool &pool);
     /** Finish one executed request: metrics, estimates, callback. */
     void complete(Job &job, Response &&r);
     /**
@@ -443,7 +411,6 @@ class Engine
 
     std::shared_ptr<PipelineRegistry> registry_;
     EngineOptions opts_;
-    int ompPerWorker_ = 1;
 
     mutable std::mutex mu_;
     std::condition_variable queueNotEmpty_;
@@ -461,8 +428,8 @@ class Engine
     std::vector<std::unique_ptr<rt::BufferPool>> pools_;
     mutable ServeMetrics metrics_;
 
-    /** The shared pool: interpreter-tier bands in both modes, and
-     * compiled tiles in SharedTileQueue mode. */
+    /** The shared pool: compiled tiles, stream frames and
+     * interpreter-tier bands. */
     std::unique_ptr<rt::TileScheduler> sched_;
 
     /** Per-pipeline run-time estimates feeding SLO admission. */

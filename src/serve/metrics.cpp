@@ -308,7 +308,6 @@ ServeSnapshot::toJson() const
     w.beginObject();
     w.key("schema").value("polymage-serve-v1");
     w.key("workers").value(workers);
-    w.key("omp_threads_per_worker").value(ompThreadsPerWorker);
     w.key("queue_capacity").value(queueCapacity);
     w.key("policy").value(policy);
     w.key("tiered").value(tiered);
@@ -324,7 +323,6 @@ ServeSnapshot::toJson() const
     w.key("in_flight").value(inFlight);
     w.key("peak_queue_depth").value(peakQueueDepth);
     w.key("scheduler").beginObject();
-    w.key("mode").value(schedulerMode);
     w.key("workers").value(schedulerWorkers);
     w.key("tasks_executed")
         .value(std::int64_t(scheduler.tasksExecuted));

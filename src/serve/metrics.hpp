@@ -82,7 +82,6 @@ struct ServeSnapshot
     /// @name Engine configuration
     /// @{
     int workers = 0;
-    int ompThreadsPerWorker = 0;
     int queueCapacity = 0;
     std::string policy;
     /** Tiered execution on: first requests are interpreter-served
@@ -113,9 +112,10 @@ struct ServeSnapshot
     std::map<std::string, std::uint64_t> tenantShed;
     /// @}
 
-    /// @name Request batching (SharedTileQueue mode)
+    /// @name Request batching
     /// @{
-    /** Worker dequeues that coalesced >= 1 request. */
+    /** Compiled-tier batches run: each is a dequeued request plus the
+     * same-pipeline requests it coalesced (>= 1 request). */
     std::uint64_t batches = 0;
     /** Requests executed through those batches (mean = /batches). */
     std::uint64_t batchedRequests = 0;
@@ -125,9 +125,7 @@ struct ServeSnapshot
 
     /// @name Shared tile scheduler (filled by the Engine)
     /// @{
-    /** Scheduler mode name ("per_request_omp", "shared_tile_queue"). */
-    std::string schedulerMode;
-    /** Tile-pool worker threads (both modes own the pool). */
+    /** Tile-pool worker threads. */
     int schedulerWorkers = 0;
     rt::SchedulerStats scheduler;
     /// @}

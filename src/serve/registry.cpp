@@ -86,8 +86,8 @@ optionsFingerprint(const CompileOptions &o)
        << o.grouping.autoTile << ';';
     const auto &c = o.codegen;
     os << c.tile << ',' << c.storageOpt << ',' << int(c.vectorize) << ','
-       << c.instrument << ',' << c.maxStackScratchBytes << ','
-       << c.bufferReuse << ',' << c.partition << ',' << c.taskABI;
+       << c.maxStackScratchBytes << ',' << c.bufferReuse << ','
+       << c.partition;
     return fnv1a(os.str());
 }
 

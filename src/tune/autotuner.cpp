@@ -72,7 +72,6 @@ measureConfig(const dsl::PipelineSpec &spec,
     // The sweep's explicit configuration must win even when the base
     // options would let the tile cost model override it.
     copts.grouping.autoTile = false;
-    copts.codegen.instrument = true;
 
     rt::Executable exe = rt::Executable::build(spec, copts);
 
@@ -80,7 +79,7 @@ measureConfig(const dsl::PipelineSpec &spec,
     entry.config = cfg;
     entry.groups = int(exe.info().grouping.groups.size());
 
-    // One instrumented run yields both times: profile() already
+    // One profiled run yields both times: profile() already
     // repeats the deterministic serial run internally and keeps
     // per-task minima, so re-timing whole runs here would only
     // duplicate work (it used to double the sweep cost).

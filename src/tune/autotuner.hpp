@@ -45,14 +45,14 @@ struct TuneConfig
 struct TuneEntry
 {
     TuneConfig config;
-    /** Single-thread wall time from the instrumented profile (s). */
+    /** Single-thread wall time from the task-entry profile (s). */
     double seconds1 = 0.0;
     /** Modelled wall time on `modelWorkers` workers. */
     double secondsP = 0.0;
     /** Number of groups the heuristic produced. */
     int groups = 0;
     /**
-     * Instrumented per-group profile of this configuration, so sweep
+     * Per-group profile of this configuration, so sweep
      * consumers can see *which* group made a configuration slow
      * without re-running it.
      */
@@ -88,7 +88,7 @@ struct TuneOptions
     /** Worker count for the modelled parallel time (paper: 16). */
     int modelWorkers = 16;
     /**
-     * Unused since the sweep reads the instrumented profile (which
+     * Unused since the sweep reads the profile (which
      * repeats internally) instead of re-timing whole runs; kept so
      * existing callers continue to compile.
      */
@@ -103,7 +103,7 @@ std::vector<TuneConfig> enumerateSpace(const TuneSpace &space);
 /**
  * Build and measure one configuration (a single JIT build): compile
  * with the config's tile sizes/threshold forced (the tile cost model
- * is bypassed), run the instrumented profile once, and model the
+ * is bypassed), run the profile once, and model the
  * 1-core and modelWorkers-core times.  Both sweep modes and the
  * model-vs-sweep benches share this.
  */

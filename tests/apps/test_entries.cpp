@@ -1,12 +1,13 @@
 /**
  * @file
- * One emitted body, several ways in.  Each stage's loop nest is
- * emitted once, as a shared function, and the OpenMP, instrumented
- * and task-granular flavour functions only walk tiles or tasks around
- * calls to it.  These tests hold the seven paper apps to that: every
- * entry computes bitwise the same outputs, the generated program
- * stores each stage from exactly one function, and stage functions
- * that differ only in the names of their arguments are one function.
+ * One emitted body, two ways in.  Each stage's loop nest is emitted
+ * once, as a shared function, and the OpenMP and task-granular flavour
+ * functions only walk tiles or tasks around calls to it.  These tests
+ * hold the seven paper apps to that: every entry -- and profile(),
+ * which times the task entry -- computes bitwise the same outputs, the
+ * generated program stores each stage from exactly one function, and
+ * stage functions that differ only in the names of their arguments are
+ * one function.
  */
 #include <gtest/gtest.h>
 
@@ -138,14 +139,13 @@ runTasks(const rt::Executable &exe, const AppCase &a, int workers)
 
 /**
  * The OpenMP entry, the task entry on a threaded and on a thread-less
- * scheduler, and the instrumented entry agree bit for bit.
+ * scheduler, and the profiled serial run of the task entry agree bit
+ * for bit.
  */
 void
-checkEntries(const AppCase &a, CompileOptions opts)
+checkEntries(const AppCase &a, const CompileOptions &opts)
 {
-    opts.codegen.instrument = true;
     rt::Executable exe = rt::Executable::build(a.spec, opts);
-    ASSERT_TRUE(exe.hasTaskEntry());
 
     // Bilateral's privatised grid reductions merge per-thread partial
     // sums in whatever order threads finish, so its OpenMP entry is
@@ -158,16 +158,18 @@ checkEntries(const AppCase &a, CompileOptions opts)
 
     expectBitwiseEqual(runTasks(exe, a, 2), omp_out, "task, 2 workers");
     expectBitwiseEqual(runTasks(exe, a, -1), omp_out, "task, thread-less");
-    std::vector<Buffer> instr_out;
-    exe.profile(a.params, a.inputPtrs(), &instr_out);
-    expectBitwiseEqual(instr_out, omp_out, "instrumented");
+    std::vector<Buffer> profiled;
+    const rt::TaskProfile prof =
+        exe.profile(a.params, a.inputPtrs(), &profiled);
+    expectBitwiseEqual(profiled, omp_out, "profiled");
+    EXPECT_EQ(prof.groups.size(), exe.info().grouping.groups.size());
 }
 
 TEST(Entries, AgreeBitwiseOnPaperApps)
 {
     for (const char *key : kApps) {
         SCOPED_TRACE(key);
-        checkEntries(makeCase(key), CompileOptions::serving());
+        checkEntries(makeCase(key), CompileOptions::optimized());
     }
 }
 
@@ -178,7 +180,7 @@ TEST(Entries, AgreeBitwiseWithHeapScratch)
     // a pointer.
     for (const char *key : kApps) {
         SCOPED_TRACE(key);
-        CompileOptions opts = CompileOptions::serving();
+        CompileOptions opts = CompileOptions::optimized();
         opts.codegen.maxStackScratchBytes = 1;
         checkEntries(makeCase(key), opts);
     }
@@ -201,13 +203,12 @@ TEST(Entries, AgreeBitwiseWithHeapScratch)
  */
 TEST(Entries, EachStageIsEmittedOnce)
 {
-    const std::regex flavour(R"(_g(\d+)(_pm_instr|_pm_task)?$)");
+    const std::regex flavour(R"(_g(\d+)(_pm_task)?$)");
     for (const char *key : kApps) {
-        for (CompileOptions opts :
-             {CompileOptions::optimized(), CompileOptions::serving()}) {
-            opts.codegen.instrument = true;
+        for (const CompileOptions &opts :
+             {CompileOptions::optimized(), CompileOptions::baseline(true)}) {
             SCOPED_TRACE(std::string(key) +
-                         (opts.codegen.taskABI ? " serving" : " optimized"));
+                         (opts.codegen.tile ? " optimized" : " baseline"));
             const AppCase a = makeCase(key);
             const CompiledPipeline c = compilePipeline(a.spec, opts);
             const auto defs = testing::definitions(c.code);
@@ -296,8 +297,7 @@ TEST(Entries, EachStageIsEmittedOnce)
                     EXPECT_EQ(calls, it->second) << name;
                 }
             }
-            EXPECT_EQ(flavours, int(c.grouping.groups.size()) *
-                                    (opts.codegen.taskABI ? 3 : 2));
+            EXPECT_EQ(flavours, int(c.grouping.groups.size()) * 2);
 
             // Every stage function is called: a shared one from the
             // drivers of any group that uses it.

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <regex>
 
 #include "apps/apps.hpp"
@@ -183,19 +184,28 @@ TEST(Exec, TileSizeSweepStaysCorrect)
     }
 }
 
-/** The instrumented entry produces a usable profile. */
+/**
+ * Any build profiles: profile() times the task entry task by task, and
+ * its outputs are bitwise the OpenMP entry's.
+ */
 TEST(Exec, InstrumentedProfile)
 {
     auto spec = apps::buildHarris(64, 64);
-    CompileOptions opts;
-    opts.codegen.instrument = true;
-    Executable exe = Executable::build(spec, opts);
+    Executable exe = Executable::build(spec);
     Buffer in = randomBuffer(DType::Float, {66, 66}, 12);
-    TaskProfile prof = exe.profile({64, 64}, {&in});
+    std::vector<Buffer> profiled;
+    TaskProfile prof = exe.profile({64, 64}, {&in}, &profiled);
     EXPECT_FALSE(prof.costs.empty());
     EXPECT_GT(prof.totalSeconds(), 0.0);
-    // Instrumented and normal entries compute the same result.
     auto outs = exe.run({64, 64}, {&in});
+    ASSERT_EQ(profiled.size(), outs.size());
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+        ASSERT_EQ(profiled[i].dims(), outs[i].dims());
+        EXPECT_EQ(std::memcmp(profiled[i].data(), outs[i].data(),
+                              std::size_t(outs[i].bytes())),
+                  0)
+            << "output " << i;
+    }
     auto g = pg::PipelineGraph::build(spec);
     auto ref = interp::evaluate(g, {64, 64}, {&in});
     EXPECT_LE(outs[0].maxAbsDiff(ref.outputs[0]), 1e-3);
@@ -307,7 +317,7 @@ countOf(const std::string &hay, const std::string &needle)
 TEST(Exec, TranslationUnitsPartitionTheProgram)
 {
     auto c = compilePipeline(apps::buildPyramidBlend(256, 256, 3),
-                             CompileOptions::serving());
+                             CompileOptions::optimized());
     const cg::GeneratedCode &code = c.code;
     ASSERT_GT(code.functions.size(), 4u);
     EXPECT_EQ(code.translationUnits(1),
@@ -337,7 +347,7 @@ TEST(Exec, TranslationUnitsPartitionTheProgram)
 TEST(Exec, SplitUnitsLinkIntoOneModule)
 {
     auto c = compilePipeline(apps::buildHistogramEq(64, 64),
-                             CompileOptions::serving());
+                             CompileOptions::optimized());
     const cg::GeneratedCode &code = c.code;
     const std::vector<std::string> units = code.translationUnits(3);
     ASSERT_EQ(units.size(), 3u);
@@ -358,14 +368,14 @@ TEST(Exec, SplitUnitsLinkIntoOneModule)
 }
 
 /**
- * However the serving program is split, the per-thread task arena is
+ * However the program is split, the per-thread task arena is
  * defined once per module, in unit 0, and only declared elsewhere: a
  * thread running chunks from every unit still holds one arena.
  */
 TEST(Exec, OneTaskArenaPerModule)
 {
     auto c = compilePipeline(apps::buildPyramidBlend(256, 256, 3),
-                             CompileOptions::serving());
+                             CompileOptions::optimized());
     const std::string def = "pm_task_arena(long long bytes)\n";
     const std::string decl = "pm_task_arena(long long bytes);";
     for (int n : {1, 3, 8}) {
@@ -380,10 +390,6 @@ TEST(Exec, OneTaskArenaPerModule)
         EXPECT_EQ(defs, 1);
         EXPECT_EQ(countOf(units[0], def), 1);
     }
-    // The plain entry has no task arena at all.
-    auto plain = compilePipeline(apps::buildPyramidBlend(256, 256, 3),
-                                 CompileOptions::optimized());
-    EXPECT_EQ(plain.code.source.find("pm_task_arena"), std::string::npos);
 }
 
 /**
@@ -494,11 +500,11 @@ twinChains(Twin twin)
     return spec;
 }
 
-/** Tiles of @p rows x 64 (no tile model), with the task entry. */
+/** Tiles of @p rows x 64 (no tile model). */
 CompileOptions
 twinOptions(std::int64_t rows = 16)
 {
-    CompileOptions opts = CompileOptions::serving();
+    CompileOptions opts = CompileOptions::optimized();
     opts.grouping.autoTile = false;
     opts.grouping.tileSizes = {rows, 64};
     return opts;
@@ -510,7 +516,7 @@ functionOf(const CompiledPipeline &c,
            const std::map<std::string, testing::Definition> &defs,
            const std::string &stage)
 {
-    const std::regex driver(R"(_g(\d+)(_pm_instr|_pm_task)?$)");
+    const std::regex driver(R"(_g(\d+)(_pm_task)?$)");
     for (const auto &[name, def] : defs) {
         std::smatch m;
         if (!std::regex_search(name, m, driver))
@@ -617,7 +623,7 @@ TEST(SharedStages, TileSizeIsPartOfTheText)
 
 /**
  * Pyramid construction loops define one stencil per image and level:
- * at 1/8 paper size the serving programs of Pyramid Blending, Multiscale
+ * at 1/8 paper size the programs of Pyramid Blending, Multiscale
  * Interpolation and Local Laplacian emit these many distinct stage
  * functions for their stage instances.
  */
@@ -637,7 +643,7 @@ TEST(SharedStages, PyramidAppsShareAcrossLevels)
               36}}) {
         SCOPED_TRACE(a.name);
         const CompiledPipeline c =
-            compilePipeline(a.spec, CompileOptions::serving());
+            compilePipeline(a.spec, CompileOptions::optimized());
         int instances = c.code.stageFunctions;
         for (const auto &[fn, callers] : c.code.sharedCallers)
             instances += int(callers.size());

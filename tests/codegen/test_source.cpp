@@ -67,8 +67,9 @@ TEST_F(HarrisSource, ParallelTileLoop)
 
 TEST_F(HarrisSource, ScratchpadsAreThreadPrivateArrays)
 {
-    // Five scratchpads: Ix, Iy, Sxx, Syy, Sxy (Fig. 7).
-    EXPECT_EQ(countOccurrences(src(), "float scr_"), 5);
+    // Five scratchpads: Ix, Iy, Sxx, Syy, Sxy (Fig. 7), declared once
+    // by each entry flavour's tile loop.
+    EXPECT_EQ(countOccurrences(src(), "float scr_"), 2 * 5);
     EXPECT_NE(src().find("float scr_Ix["), std::string::npos);
     EXPECT_NE(src().find("float scr_Sxx["), std::string::npos);
     // Relative indexing against per-tile origins.
@@ -112,16 +113,27 @@ TEST_F(HarrisSource, BaselineHasNoTilesOrScratchpads)
               5);
 }
 
-TEST_F(HarrisSource, InstrumentedEntryOnlyOnRequest)
+TEST_F(HarrisSource, EmitsThePlainAndTaskEntriesOnly)
 {
-    EXPECT_EQ(src().find("_pm_instr"), std::string::npos);
-    CompileOptions opts;
-    opts.codegen.instrument = true;
-    auto c = compilePipeline(apps::buildHarris(256, 256), opts);
-    EXPECT_EQ(c.code.instrEntry, "polymage_harris_pm_instr");
-    EXPECT_NE(c.code.source.find("polymage_harris_pm_instr"),
-              std::string::npos);
-    EXPECT_NE(c.code.source.find("pm_record"), std::string::npos);
+    // Exactly two extern "C" entries, in every build: the OpenMP entry
+    // and the task entry, and no third (timed) flavour.
+    EXPECT_EQ(compiled_->code.taskEntry, "polymage_harris_pm_task");
+    for (const CompileOptions &opts :
+         {CompileOptions::optimized(), CompileOptions::baseline(false)}) {
+        const std::string source =
+            compilePipeline(apps::buildHarris(256, 256), opts).code.source;
+        std::vector<std::string> entries;
+        for (std::size_t pos = source.find("extern \"C\"");
+             pos != std::string::npos;
+             pos = source.find("extern \"C\"", pos + 1))
+            entries.push_back(source.substr(pos, source.find('(', pos) - pos));
+        EXPECT_EQ(entries,
+                  (std::vector<std::string>{
+                      "extern \"C\" void polymage_harris",
+                      "extern \"C\" long long polymage_harris_pm_task"}));
+        for (const char *gone : {"_pm_instr", "pm_record", "pm_now"})
+            EXPECT_EQ(source.find(gone), std::string::npos) << gone;
+    }
 }
 
 TEST_F(HarrisSource, ReportMentionsPhases)
@@ -190,7 +202,8 @@ TEST(GoldenInterior, AppsEmitGuardFreeInnermostLoops)
 {
     // Every case condition of these apps folds into loop bounds or
     // strided residue loops: the generated entries must contain no
-    // `if` -- the interior innermost loops are dense and branch-free.
+    // `if` besides the task entry's phase dispatch and task-range
+    // checks -- the interior innermost loops are dense and branch-free.
     struct App
     {
         const char *name;
@@ -201,7 +214,11 @@ TEST(GoldenInterior, AppsEmitGuardFreeInnermostLoops)
                    App{"pyramid", apps::buildPyramidBlend(512, 512, 3)}}) {
         SCOPED_TRACE(a.name);
         auto c = compilePipeline(a.spec);
-        EXPECT_EQ(countOccurrences(entryBodyOf(c), "if ("), 0);
+        const std::string body = entryBodyOf(c);
+        EXPECT_EQ(countOccurrences(body, "if ("),
+                  countOccurrences(body, "if (pm_phase ") +
+                      countOccurrences(body, "if (pm_lo ") +
+                      countOccurrences(body, "if (a.cap < bytes)"));
         EXPECT_GT(c.code.explicitNests, 0);
         EXPECT_EQ(c.code.guardedNests, 0);
         EXPECT_DOUBLE_EQ(c.code.interiorFraction(), 1.0);

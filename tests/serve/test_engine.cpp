@@ -1,7 +1,8 @@
 /**
  * @file
  * Engine behaviour tests: end-to-end correctness against the
- * interpreter, all three overload policies under saturation, drain and
+ * interpreter through the shared tile scheduler, all three overload
+ * policies under saturation, drain and
  * shutdown semantics, steady-state buffer reuse, and the metrics
  * surface.  Saturation tests run on one worker whose first request
  * compiles with the JIT object cache disabled — the compile occupies
@@ -117,6 +118,39 @@ TEST(Engine, MatchesInterpreterForPaperApps)
             EXPECT_LE(r.outputs[i].maxAbsDiff(ref.outputs[i]), c.tol)
                 << c.name << " output " << i;
     }
+}
+
+/**
+ * An explicit untiled, ungrouped variant runs its per-stage loop nests
+ * as task phases on the scheduler too, and matches the interpreter.
+ */
+TEST(Engine, BaselineVariantRunsOnTheScheduler)
+{
+    auto registry = std::make_shared<PipelineRegistry>();
+    registry->add("harris", apps::buildHarris(32, 32));
+    EngineOptions eopts;
+    eopts.workers = 1;
+    eopts.tiered = false;
+    Engine engine(registry, eopts);
+
+    rt::Buffer in = rt::synth::photo(34, 34);
+    auto ref = interp::evaluate(pg::PipelineGraph::build(
+                                    apps::buildHarris(32, 32)),
+                                {32, 32}, {&in});
+    for (bool vectorize : {false, true}) {
+        Request req;
+        req.pipeline = "harris";
+        req.params = {32, 32};
+        req.inputs = {own(in)};
+        req.variant = CompileOptions::baseline(vectorize);
+        Response r = engine.submit(std::move(req)).get();
+        ASSERT_TRUE(r.ok()) << r.error;
+        EXPECT_EQ(r.tier, 2);
+        EXPECT_LE(r.outputs.at(0).maxAbsDiff(ref.outputs.at(0)), 1e-4);
+    }
+    const ServeSnapshot s = engine.metrics();
+    EXPECT_EQ(s.scheduler.jobsCompleted, 2u);
+    EXPECT_GT(s.scheduler.tasksExecuted, 2u);
 }
 
 TEST(Engine, BlockPolicyCompletesEverythingUnderPressure)
@@ -238,7 +272,7 @@ TEST(Engine, DrainCompletesInFlightAndQueuedWork)
     rt::Buffer in = rt::synth::photo(n, n);
 
     Engine engine(registry, EngineOptions{1, 64,
-                                          OverloadPolicy::Block, 0});
+                                          OverloadPolicy::Block});
     std::vector<std::future<Response>> futures;
     for (int i = 0; i < 8; ++i)
         futures.push_back(engine.submit(pointwiseRequest(n, in)));
@@ -268,7 +302,7 @@ TEST(Engine, ShutdownFailsQueuedRequestsButFinishesInFlight)
 
     // tiered=false: the cold compile must occupy the worker.
     Engine engine(registry, EngineOptions{1, 16,
-                                          OverloadPolicy::Block, 0,
+                                          OverloadPolicy::Block,
                                           false});
     std::vector<std::future<Response>> futures;
     futures.push_back(engine.submit(pointwiseRequest(n, in)));
@@ -296,7 +330,7 @@ TEST(Engine, SteadyStateReusesPooledBuffers)
     // tiered=false: pool accounting assumes every response ran the
     // compiled variant (interpreter-served responses skip the pool).
     Engine engine(registry, EngineOptions{1, 8,
-                                          OverloadPolicy::Block, 0,
+                                          OverloadPolicy::Block,
                                           false});
     auto request = [&] {
         Request req;
@@ -327,7 +361,7 @@ TEST(Engine, CallbackRunsOnCompletion)
     registry->add("pw", testing::makePointwise(n).spec);
     rt::Buffer in = rt::synth::photo(n, n);
     Engine engine(registry, EngineOptions{1, 8,
-                                          OverloadPolicy::Block, 0});
+                                          OverloadPolicy::Block});
 
     std::promise<Response> got;
     engine.submit(pointwiseRequest(n, in),
@@ -343,7 +377,7 @@ TEST(Engine, UnknownPipelineFailsTheRequestOnly)
     auto registry = std::make_shared<PipelineRegistry>();
     registry->add("pw", testing::makePointwise(16).spec);
     Engine engine(registry, EngineOptions{1, 8,
-                                          OverloadPolicy::Block, 0});
+                                          OverloadPolicy::Block});
 
     Request req;
     req.pipeline = "missing";
@@ -363,15 +397,28 @@ TEST(Engine, ThreadBudgetResolution)
     auto registry = std::make_shared<PipelineRegistry>();
     registry->add("pw", testing::makePointwise(16).spec);
 
-    // Explicit per-worker budget is taken verbatim.
-    Engine pinned(registry, EngineOptions{2, 8,
-                                          OverloadPolicy::Block, 3});
-    EXPECT_EQ(pinned.ompThreadsPerWorker(), 3);
+    // An explicit scheduler size is taken verbatim.
+    EngineOptions pinned_opts;
+    pinned_opts.workers = 2;
+    pinned_opts.schedulerWorkers = 3;
+    Engine pinned(registry, pinned_opts);
+    EXPECT_EQ(pinned.metrics().schedulerWorkers, 3);
 
-    // Default: hardware width split across workers, at least 1.
-    Engine derived(registry, EngineOptions{2, 8,
-                                           OverloadPolicy::Block, 0});
-    EXPECT_GE(derived.ompThreadsPerWorker(), 1);
+    // Default: the pool fills only the cores the engine workers leave
+    // free (the workers help it while they wait), so total threads
+    // never exceed the hardware width -- and with no core left, the
+    // pool is thread-less.
+    const int hw = std::max(1, int(std::thread::hardware_concurrency()));
+    EngineOptions derived_opts;
+    derived_opts.workers = 2;
+    Engine derived(registry, derived_opts);
+    const int pool = derived.metrics().schedulerWorkers;
+    EXPECT_EQ(pool, std::max(0, hw - 2));
+
+    EngineOptions wide_opts;
+    wide_opts.workers = hw;
+    Engine wide(registry, wide_opts);
+    EXPECT_EQ(wide.metrics().schedulerWorkers, 0);
 }
 
 TEST(Engine, MetricsJsonCarriesTheServeSchema)
@@ -381,7 +428,7 @@ TEST(Engine, MetricsJsonCarriesTheServeSchema)
     registry->add("pw", testing::makePointwise(n).spec);
     rt::Buffer in = rt::synth::photo(n, n);
     Engine engine(registry, EngineOptions{1, 8,
-                                          OverloadPolicy::Block, 0});
+                                          OverloadPolicy::Block});
     ASSERT_TRUE(engine.submit(pointwiseRequest(n, in)).get().ok());
 
     const std::string json = engine.metricsJson();

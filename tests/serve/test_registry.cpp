@@ -108,10 +108,6 @@ TEST(Registry, EveryOptionFieldSeparatesVariants)
          [](CompileOptions &o) {
              o.codegen.vectorize = cg::VectorizeMode::Off;
          }},
-        {"codegen.instrument",
-         [](CompileOptions &o) {
-             o.codegen.instrument = !o.codegen.instrument;
-         }},
         {"codegen.maxStackScratchBytes",
          [](CompileOptions &o) { o.codegen.maxStackScratchBytes = 0; }},
         {"codegen.bufferReuse",
@@ -122,8 +118,6 @@ TEST(Registry, EveryOptionFieldSeparatesVariants)
          [](CompileOptions &o) {
              o.codegen.partition = !o.codegen.partition;
          }},
-        {"codegen.taskABI",
-         [](CompileOptions &o) { o.codegen.taskABI = !o.codegen.taskABI; }},
     };
     const CompileOptions base = CompileOptions::optimized();
     std::set<std::uint64_t> keys{optionsFingerprint(base)};
@@ -133,21 +127,14 @@ TEST(Registry, EveryOptionFieldSeparatesVariants)
         flip(o);
         EXPECT_TRUE(keys.insert(optionsFingerprint(o)).second);
     }
-}
-
-TEST(Registry, TaskABIVariantCarriesTheTaskEntry)
-{
-    // Whether a variant has the task entry must not depend on which of
-    // the two option sets was compiled first.
+    // serving() is optimized(): one variant, not two.
+    EXPECT_EQ(optionsFingerprint(CompileOptions::serving()),
+              optionsFingerprint(base));
     PipelineRegistry reg;
     reg.add("pw", testing::makePointwise(16).spec);
-    CompileOptions task = CompileOptions::optimized();
-    task.codegen.taskABI = true;
-    auto plain = reg.get("pw", CompileOptions::optimized());
-    auto tasked = reg.get("pw", task);
-    EXPECT_FALSE(plain->hasTaskEntry());
-    EXPECT_TRUE(tasked->hasTaskEntry());
-    EXPECT_EQ(reg.variantCount(), 2u);
+    EXPECT_EQ(reg.get("pw", CompileOptions::serving()),
+              reg.get("pw", CompileOptions::optimized()));
+    EXPECT_EQ(reg.variantCount(), 1u);
 }
 
 TEST(Registry, CompiledVariantRunsCorrectly)

@@ -1,11 +1,10 @@
 /**
  * @file
- * SharedTileQueue engine behaviour: interpreter equality through the
- * shared work-stealing tile pool, same-pipeline request batching,
- * SLO-aware admission, per-tenant quotas, and the scheduler block of
- * the polymage-serve-v1 metrics.  Suite names carry "Engine" /
- * "Concurrent" so scripts/check_sanitize.sh's thread-mode filter runs
- * them under TSan.
+ * Engine behaviour on the shared work-stealing tile pool: interpreter
+ * equality under concurrent requests, same-pipeline request batching, SLO-aware admission, per-tenant quotas, and the
+ * scheduler block of the polymage-serve-v1 metrics.  Suite names carry
+ * "Engine" / "Concurrent" so scripts/check_sanitize.sh's thread-mode
+ * filter runs them under TSan.
  */
 #include <gtest/gtest.h>
 
@@ -26,23 +25,6 @@ std::shared_ptr<const rt::Buffer>
 own(const rt::Buffer &b)
 {
     return std::make_shared<rt::Buffer>(b);
-}
-
-TEST(EngineSharedSched, ModeNamesRoundTrip)
-{
-    EXPECT_STREQ(schedulerModeName(SchedulerMode::PerRequestOMP),
-                 "per_request_omp");
-    EXPECT_STREQ(schedulerModeName(SchedulerMode::SharedTileQueue),
-                 "shared_tile_queue");
-    EXPECT_EQ(schedulerModeFromName("per_request_omp"),
-              SchedulerMode::PerRequestOMP);
-    EXPECT_EQ(schedulerModeFromName("shared_tile_queue"),
-              SchedulerMode::SharedTileQueue);
-    EXPECT_EQ(schedulerModeFromName("omp"),
-              SchedulerMode::PerRequestOMP);
-    EXPECT_EQ(schedulerModeFromName("shared"),
-              SchedulerMode::SharedTileQueue);
-    EXPECT_THROW(schedulerModeFromName("bogus"), SpecError);
 }
 
 TEST(EngineSharedSched, MatchesInterpreterForPaperApps)
@@ -76,7 +58,6 @@ TEST(EngineSharedSched, MatchesInterpreterForPaperApps)
 
     EngineOptions eopts;
     eopts.workers = 2;
-    eopts.scheduler = SchedulerMode::SharedTileQueue;
     eopts.tiered = false; // always compiled: the task path, not tier 1
     Engine engine(registry, eopts);
 
@@ -111,13 +92,12 @@ TEST(EngineSharedSched, MatchesInterpreterForPaperApps)
     }
 
     const ServeSnapshot s = engine.metrics();
-    EXPECT_EQ(s.schedulerMode, "shared_tile_queue");
     // May be zero on small machines: the auto-sized pool spawns no
     // dedicated threads and engine workers drive chunks themselves.
     EXPECT_GE(s.schedulerWorkers, 0);
-    // Requests really went through the tile pool, not the fallback.
+    // Requests really went through the tile pool.
     EXPECT_GT(s.scheduler.tasksExecuted, 0u);
-    EXPECT_GT(s.scheduler.jobsCompleted, 0u);
+    EXPECT_EQ(s.scheduler.jobsCompleted, 12u);
     EXPECT_GT(s.batches, 0u);
     EXPECT_EQ(s.completed, 12u);
     EXPECT_EQ(s.failed, 0u);
@@ -129,11 +109,10 @@ TEST(EngineSharedSched, CoalescesQueuedSamePipelineRequests)
     ropts.jit.cache = false; // first request compiles: a long dequeue
     auto registry = std::make_shared<PipelineRegistry>(ropts);
     auto t = testing::makePointwise(64);
-    registry->add("pw", t.spec, CompileOptions::serving());
+    registry->add("pw", t.spec, CompileOptions::optimized());
 
     EngineOptions eopts;
     eopts.workers = 1; // one consumer so the queue backs up
-    eopts.scheduler = SchedulerMode::SharedTileQueue;
     eopts.tiered = false;
     eopts.maxBatch = 8;
     Engine engine(registry, eopts);
@@ -164,11 +143,10 @@ TEST(EngineSharedSched, SloAdmissionShedsPredictedMisses)
 {
     auto registry = std::make_shared<PipelineRegistry>();
     auto t = testing::makePointwise(64);
-    registry->add("pw", t.spec, CompileOptions::serving());
+    registry->add("pw", t.spec, CompileOptions::optimized());
 
     EngineOptions eopts;
     eopts.workers = 1;
-    eopts.scheduler = SchedulerMode::SharedTileQueue;
     eopts.tiered = false;
     eopts.sloAdmission = true;
     Engine engine(registry, eopts);
@@ -209,11 +187,10 @@ TEST(EngineSharedSched, TenantQuotaTokenBucket)
 {
     auto registry = std::make_shared<PipelineRegistry>();
     auto t = testing::makePointwise(64);
-    registry->add("pw", t.spec, CompileOptions::serving());
+    registry->add("pw", t.spec, CompileOptions::optimized());
 
     EngineOptions eopts;
     eopts.workers = 1;
-    eopts.scheduler = SchedulerMode::SharedTileQueue;
     eopts.tiered = false;
     eopts.tenantRatePerSec = 1e-6; // effectively: burst only
     eopts.tenantBurst = 2.0;
@@ -253,11 +230,10 @@ TEST(EngineSharedSched, MetricsJsonCarriesSchedulerAndSloBlocks)
 {
     auto registry = std::make_shared<PipelineRegistry>();
     auto t = testing::makePointwise(64);
-    registry->add("pw", t.spec, CompileOptions::serving());
+    registry->add("pw", t.spec, CompileOptions::optimized());
 
     EngineOptions eopts;
     eopts.workers = 1;
-    eopts.scheduler = SchedulerMode::SharedTileQueue;
     eopts.tiered = false;
     Engine engine(registry, eopts);
 
@@ -269,12 +245,51 @@ TEST(EngineSharedSched, MetricsJsonCarriesSchedulerAndSloBlocks)
 
     const std::string json = engine.metricsJson();
     for (const char *key :
-         {"\"scheduler\"", "\"mode\"", "\"tasks_executed\"",
-          "\"steals\"", "\"steal_fail_rate\"", "\"batches\"",
-          "\"mean_batch_size\"", "\"slo\"", "\"quota_shed\"",
-          "\"deadline_misses\"", "\"tenant_shed\"", "\"shed_wait\"",
-          "\"shared_tile_queue\""})
+         {"\"scheduler\"", "\"tasks_executed\"", "\"steals\"",
+          "\"steal_fail_rate\"", "\"batches\"", "\"mean_batch_size\"",
+          "\"slo\"", "\"quota_shed\"", "\"deadline_misses\"",
+          "\"tenant_shed\"", "\"shed_wait\""})
         EXPECT_NE(json.find(key), std::string::npos) << key;
+    // One execution model: no mode name, no OpenMP thread budget.
+    for (const char *key : {"\"mode\"", "\"omp_threads_per_worker\""})
+        EXPECT_EQ(json.find(key), std::string::npos) << key;
+}
+
+/**
+ * Only compiled-tier requests coalesce: an interpreter-tier request is
+ * answered alone, so every batched request was a compiled answer.
+ */
+TEST(EngineSharedSched, InterpreterTierAnswersAlone)
+{
+    RegistryOptions ropts;
+    ropts.jit.cache = false; // the compile outlasts the first answers
+    auto registry = std::make_shared<PipelineRegistry>(ropts);
+    registry->add("pw", testing::makePointwise(64).spec);
+
+    EngineOptions eopts;
+    eopts.workers = 1;
+    eopts.maxBatch = 8;
+    Engine engine(registry, eopts);
+
+    const rt::Buffer in = rt::synth::photo(64, 64);
+    std::vector<std::future<Response>> futs;
+    for (int i = 0; i < 6; ++i) {
+        Request req;
+        req.pipeline = "pw";
+        req.params = {64, 64};
+        req.inputs = {own(in)};
+        futs.push_back(engine.submit(std::move(req)));
+    }
+    std::uint64_t interp = 0, compiled = 0;
+    for (auto &f : futs) {
+        Response r = f.get();
+        ASSERT_TRUE(r.ok()) << r.error;
+        (r.tier == 1 ? interp : compiled) += 1;
+    }
+    EXPECT_GE(interp, 1u);
+    const ServeSnapshot s = engine.metrics();
+    EXPECT_EQ(s.interpServed, interp);
+    EXPECT_EQ(s.batchedRequests, compiled);
 }
 
 TEST(ConcurrentSharedSched, ManyClientsTwoPipelinesOnePool)
@@ -282,12 +297,11 @@ TEST(ConcurrentSharedSched, ManyClientsTwoPipelinesOnePool)
     auto registry = std::make_shared<PipelineRegistry>();
     auto pw = testing::makePointwise(64);
     auto blur = testing::makeBlurChain(48);
-    registry->add("pw", pw.spec, CompileOptions::serving());
-    registry->add("blur", blur.spec, CompileOptions::serving());
+    registry->add("pw", pw.spec, CompileOptions::optimized());
+    registry->add("blur", blur.spec, CompileOptions::optimized());
 
     EngineOptions eopts;
     eopts.workers = 3;
-    eopts.scheduler = SchedulerMode::SharedTileQueue;
     eopts.tiered = false;
     Engine engine(registry, eopts);
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Serving across shapes (docs/SHAPES.md): one compiled variant
- * built with CompileOptions::serving() answers many input shapes
+ * built with CompileOptions::optimized() answers many input shapes
  * interpreter-equal, the registry keys variants by interface (not
  * estimates) so a second shape is a cache *hit*, and the tiered
  * engine answers cold requests from the reference interpreter while
@@ -51,17 +51,17 @@ expectMatchesInterp(const dsl::PipelineSpec &spec,
 
 TEST(Shapes, OneVariantMatchesInterpreterAcrossShapes)
 {
-    // One serving() build per tiny pipeline; estimates stay at 32
+    // One optimized() build per tiny pipeline; estimates stay at 32
     // while the shapes range both below and above them.
     const std::vector<std::pair<std::int64_t, std::int64_t>> shapes = {
         {16, 16}, {32, 32}, {48, 40}};
 
     auto pw = testing::makePointwise(32);
     rt::Executable pwExe =
-        rt::Executable::build(pw.spec, CompileOptions::serving());
+        rt::Executable::build(pw.spec, CompileOptions::optimized());
     auto blur = testing::makeBlurChain(32);
     rt::Executable blurExe =
-        rt::Executable::build(blur.spec, CompileOptions::serving());
+        rt::Executable::build(blur.spec, CompileOptions::optimized());
 
     for (const auto &[r, c] : shapes) {
         rt::Buffer in = rt::synth::photo(r, c);
@@ -82,7 +82,7 @@ TEST(Shapes, PaperAppsServeThreeShapesFromOneVariant)
     {
         dsl::PipelineSpec spec = apps::buildUnsharpMask(40, 40);
         rt::Executable exe =
-            rt::Executable::build(spec, CompileOptions::serving());
+            rt::Executable::build(spec, CompileOptions::optimized());
         for (const auto &[r, c] :
              std::vector<std::pair<std::int64_t, std::int64_t>>{
                  {24, 24}, {40, 40}, {56, 48}}) {
@@ -100,7 +100,7 @@ TEST(Shapes, PaperAppsServeThreeShapesFromOneVariant)
     // (more tiles of the same size).
     {
         dsl::PipelineSpec spec = apps::buildHarris(64, 64);
-        CompileOptions o = CompileOptions::serving();
+        CompileOptions o = CompileOptions::optimized();
         o.grouping.autoTile = false;
         o.grouping.tileSizes = {16, 16};
         rt::Executable exe = rt::Executable::build(spec, o);
@@ -129,7 +129,7 @@ TEST(Shapes, PaperAppsServeThreeShapesFromOneVariant)
     {
         dsl::PipelineSpec spec = apps::buildBilateralGrid(64, 64);
         rt::Executable exe =
-            rt::Executable::build(spec, CompileOptions::serving());
+            rt::Executable::build(spec, CompileOptions::optimized());
         for (const auto &[r, c] :
              std::vector<std::pair<std::int64_t, std::int64_t>>{
                  {32, 32}, {48, 48}, {64, 64}}) {
@@ -161,7 +161,7 @@ TEST(Shapes, RegistrySecondShapeIsACacheHit)
 {
     auto t = testing::makeBlurChain(32);
     PipelineRegistry reg;
-    reg.add("blur", t.spec, CompileOptions::serving());
+    reg.add("blur", t.spec, CompileOptions::optimized());
 
     rt::Buffer small = rt::synth::photo(16, 16);
     auto exe = reg.get("blur");
@@ -191,7 +191,7 @@ TEST(Tiered, RegistryGetTieredAnswersWithGraphThenVariant)
     PipelineRegistry reg(ropts);
     const std::int64_t n = 24;
     auto t = testing::makePointwise(n);
-    reg.add("pw", t.spec, CompileOptions::serving());
+    reg.add("pw", t.spec, CompileOptions::optimized());
 
     // Cold: no variant yet -- tier 1 with the cached graph, and this
     // lookup starts the background compile.
@@ -230,7 +230,7 @@ TEST(Tiered, EngineServesFirstRequestFromInterpreterThenPromotes)
     auto registry = std::make_shared<PipelineRegistry>(ropts);
     const std::int64_t n = 24;
     auto t = testing::makePointwise(n);
-    registry->add("pw", t.spec, CompileOptions::serving());
+    registry->add("pw", t.spec, CompileOptions::optimized());
 
     EngineOptions eopts;
     eopts.workers = 1;
@@ -279,43 +279,36 @@ TEST(Tiered, EngineServesFirstRequestFromInterpreterThenPromotes)
 TEST(Tiered, InterpreterTierMatchesSerialEvaluateBitwise)
 {
     // The interpreter tier splits each stage into bands on the engine's
-    // scheduler, in either mode; its answer is the serial evaluation's,
-    // bit for bit.
+    // scheduler; its answer is the serial evaluation's, bit for bit.
     const std::int64_t n = 64;
     const dsl::PipelineSpec spec = apps::buildUnsharpMask(n, n);
     const rt::Buffer in = rt::synth::photoRgb(n + 4, n + 4);
     const auto ref =
         interp::evaluate(pg::PipelineGraph::build(spec), {n, n}, {&in});
-    for (SchedulerMode mode :
-         {SchedulerMode::PerRequestOMP, SchedulerMode::SharedTileQueue}) {
-        SCOPED_TRACE(schedulerModeName(mode));
-        RegistryOptions ropts;
-        ropts.jit.cache = false; // the compile must outlive the request
-        auto registry = std::make_shared<PipelineRegistry>(ropts);
-        registry->add("unsharp", spec, CompileOptions::serving());
-        EngineOptions eopts;
-        eopts.scheduler = mode;
-        Engine engine(registry, eopts);
+    RegistryOptions ropts;
+    ropts.jit.cache = false; // the compile must outlive the request
+    auto registry = std::make_shared<PipelineRegistry>(ropts);
+    registry->add("unsharp", spec);
+    Engine engine(registry);
 
-        Request req;
-        req.pipeline = "unsharp";
-        req.params = {n, n};
-        req.inputs = {own(in)};
-        Response r = engine.submit(req).get();
-        ASSERT_TRUE(r.ok()) << r.error;
-        ASSERT_EQ(r.tier, 1);
-        ASSERT_EQ(r.outputs.size(), ref.outputs.size());
-        for (std::size_t i = 0; i < r.outputs.size(); ++i) {
-            const rt::Buffer &got = r.outputs[i], &want = ref.outputs[i];
-            ASSERT_EQ(got.dtype(), want.dtype());
-            ASSERT_EQ(got.dims(), want.dims());
-            EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                                  std::size_t(want.bytes())),
-                      0)
-                << "output " << i;
-        }
-        EXPECT_GT(engine.metrics().scheduler.tasksExecuted, 0u);
+    Request req;
+    req.pipeline = "unsharp";
+    req.params = {n, n};
+    req.inputs = {own(in)};
+    Response r = engine.submit(req).get();
+    ASSERT_TRUE(r.ok()) << r.error;
+    ASSERT_EQ(r.tier, 1);
+    ASSERT_EQ(r.outputs.size(), ref.outputs.size());
+    for (std::size_t i = 0; i < r.outputs.size(); ++i) {
+        const rt::Buffer &got = r.outputs[i], &want = ref.outputs[i];
+        ASSERT_EQ(got.dtype(), want.dtype());
+        ASSERT_EQ(got.dims(), want.dims());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              std::size_t(want.bytes())),
+                  0)
+            << "output " << i;
     }
+    EXPECT_GT(engine.metrics().scheduler.tasksExecuted, 0u);
 }
 
 } // namespace

@@ -123,7 +123,6 @@ TEST(EngineStreaming, FifoOrderWithSharedTileQueueAndRequests)
 
     EngineOptions opts;
     opts.workers = 2;
-    opts.scheduler = SchedulerMode::SharedTileQueue;
     Engine engine(denoiseRegistry(40, 36), opts);
     auto session = engine.openStream("denoise", params);
 

@@ -5,20 +5,17 @@
  * host compiler's vectorisation report, and handy for eyeballing what
  * the codegen produces:
  *
- *   ./polymage_dump_source harris [rows cols] [serving] > harris.gen.cpp
+ *   ./polymage_dump_source harris [rows cols] > harris.gen.cpp
  *
- * `serving` compiles with CompileOptions::serving() (the variant the
- * serving engine JITs: optimized() plus the task entry) instead of
- * CompileOptions::optimized().  The header lists every generated
- * function with its line count, the pieces the JIT spreads over
- * translation units (GeneratedCode::translationUnits), and after a
+ * It compiles with CompileOptions::optimized().  The header lists every
+ * generated function with its line count, the pieces the JIT spreads
+ * over translation units (GeneratedCode::translationUnits), and after a
  * shared stage function the other stage instances that call it, e.g.
  * `50 polymage_pyramid_blend_g0_s0 (also g1_s0, g2_s0)`.
  */
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -62,14 +59,9 @@ int
 main(int argc, char **argv)
 {
     const std::string app = argc > 1 ? argv[1] : "harris";
-    bool serving = false;
     std::vector<std::int64_t> dims;
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "serving") == 0)
-            serving = true;
-        else
-            dims.push_back(std::atoll(argv[i]));
-    }
+    for (int i = 2; i < argc; ++i)
+        dims.push_back(std::atoll(argv[i]));
     const std::int64_t r = dims.size() > 0 ? dims[0] : 2048;
     const std::int64_t c = dims.size() > 1 ? dims[1] : 2048;
 
@@ -95,14 +87,12 @@ main(int argc, char **argv)
     } else {
         std::fprintf(stderr,
                      "usage: %s {harris|unsharp|bilateral|camera|"
-                     "pyramid|interp|laplacian} [rows cols] [serving]\n",
+                     "pyramid|interp|laplacian} [rows cols]\n",
                      argv[0]);
         return 2;
     }
 
-    auto compiled = compilePipeline(spec, serving
-                                              ? CompileOptions::serving()
-                                              : CompileOptions::optimized());
+    auto compiled = compilePipeline(spec, CompileOptions::optimized());
     const auto &code = compiled.code;
 
     // Vectorisation header: what the explicit emitter chose, so a dump

@@ -158,16 +158,17 @@ main(int argc, char **argv)
     // Optional: start compiling ahead of the first request.
     auto warm = registry->prepare("harris", {});
 
-    // 2. Start the engine.  Two workers; the engine splits the host
-    //    thread budget between them for the OpenMP regions inside each
-    //    request.
+    // 2. Start the engine.  Two workers; each request's tiles run on
+    //    the engine's tile scheduler, whose threads fill the cores the
+    //    workers leave free.
     serve::EngineOptions eopts;
     eopts.workers = 2;
     eopts.queueCapacity = 32;
     eopts.policy = serve::OverloadPolicy::Block;
     serve::Engine engine(registry, eopts);
-    std::printf("engine: %d workers x %d OpenMP threads\n",
-                engine.options().workers, engine.ompThreadsPerWorker());
+    std::printf("engine: %d workers + %d scheduler threads\n",
+                engine.options().workers,
+                engine.metrics().schedulerWorkers);
 
     const rt::Buffer unsharp_in =
         rt::synth::photoRgb(rows + 4, cols + 4);
