@@ -9,8 +9,9 @@
  * POLYMAGE_BENCH_SCALE, else 0.125); runs is the number of cold
  * compiles per program (default 5).  Each app is compiled under
  * CompileOptions::optimized().  Per program the probe prints:
- * - the source lines, and the stage functions emitted / the stage
- *   instances they serve (GeneratedCode::sharedCallers);
+ * - the source lines, the stage functions emitted / the stage
+ *   instances they serve (GeneratedCode::sharedCallers), and the
+ *   interleaved residue nests (GeneratedCode::interleavedNests);
  * - the median and quartiles, in seconds, of JitModule::compile over
  *   the translation units Executable::build compiles, with the object
  *   cache off.  The compiles are interleaved: each round compiles
@@ -116,8 +117,8 @@ main(int argc, char **argv)
     std::printf("bench_jit: scale %.4g, %d cold compiles per program, %d "
                 "compiler processes, object cache off\n",
                 scale, runs, rt::JitModule::parallelism());
-    std::printf("%-15s %-11s %6s %9s %7s %7s %7s  %-16s  %s\n", "app",
-                "size", "lines", "fns/inst", "q1_s", "med_s", "q3_s",
+    std::printf("%-15s %-11s %6s %9s %4s %7s %7s %7s  %-16s  %s\n", "app",
+                "size", "lines", "fns/inst", "ilv", "q1_s", "med_s", "q3_s",
                 "omp_fnv1a", "task_fnv1a");
     for (Program &p : progs) {
         const cg::GeneratedCode &code = p.compiled.code;
@@ -140,10 +141,11 @@ main(int argc, char **argv)
         std::sort(p.seconds.begin(), p.seconds.end());
         const std::string fns = std::to_string(code.stageFunctions) + "/" +
                                 std::to_string(instances);
-        std::printf("%-15s %-11s %6ld %9s %7.3f %7.3f %7.3f  "
+        std::printf("%-15s %-11s %6ld %9s %4d %7.3f %7.3f %7.3f  "
                     "%016llx  %016llx\n",
                     p.app->name.c_str(), p.app->sizeLabel.c_str(), lines,
-                    fns.c_str(), bench::quantile(p.seconds, 0.25),
+                    fns.c_str(), code.interleavedNests,
+                    bench::quantile(p.seconds, 0.25),
                     bench::quantile(p.seconds, 0.5),
                     bench::quantile(p.seconds, 0.75),
                     static_cast<unsigned long long>(omp_hash),

@@ -10,10 +10,21 @@
 #       hosts).  A silent fallback to scalar code fails the check.
 #   off -- neither pragmas nor vector types; still builds.
 #
+# Then, in the default mode, the two loop shapes the generic checks
+# cannot see:
+#
+#   pyramid -- its column up-samplers' even and odd classes must be
+#       interleaved into loops over the quotient (the dump header's
+#       interleaved_nests > 0), and every such loop must vectorise
+#       (the compiler's -fopt-info-vec report).
+#   laplacian -- on x86-64 glibc its remap must call libmvec's SIMD
+#       expf (an imported _ZGV...expf symbol), not only the scalar one.
+#
 # Usage: scripts/check_vectorize.sh [app]
 #
-# Defaults to `harris`.  Honours CXX (defaults to c++) and
-# POLYMAGE_BUILD_DIR (defaults to build).
+# [app] (default `harris`) selects the app of the explicit/off checks.
+# Honours CXX (defaults to c++) and POLYMAGE_BUILD_DIR (defaults to
+# build).
 
 set -eu
 cd "$(dirname "$0")/.."
@@ -30,9 +41,15 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 dump="$build_dir/tools/polymage_dump_source"
-# Same flags the JIT uses (runtime/jit.cpp).
+# Same flags and libraries the JIT uses (runtime/jit.cpp): libmvec,
+# the SIMD variants of the transcendentals, where glibc ships it on
+# x86-64.
 flags="-shared -fPIC -std=c++17 -w -O3 -fno-math-errno -march=native \
        -fopenmp"
+libs=""
+if [ "$(uname -m)" = x86_64 ] && ldd --version 2>&1 | grep -qiE 'glibc|gnu libc'; then
+    libs="-lmvec"
+fi
 
 # ---- explicit mode (the default) --------------------------------------
 gen="$tmp/$app.explicit.cpp"
@@ -50,7 +67,7 @@ if [ "$nvec" -lt 4 ]; then
 fi
 
 # shellcheck disable=SC2086
-"$cxx" $flags -o "$tmp/$app.explicit.so" "$gen"
+"$cxx" $flags -o "$tmp/$app.explicit.so" "$gen" $libs
 asm="$tmp/$app.explicit.asm"
 objdump -d "$tmp/$app.explicit.so" > "$asm"
 wide=$(grep -cE '%(zmm|ymm)' "$asm" || true)
@@ -77,7 +94,60 @@ if grep -qE "#pragma omp simd|pm_v_" "$gen"; then
     exit 1
 fi
 # shellcheck disable=SC2086
-"$cxx" $flags -o "$tmp/$app.off.so" "$gen"
+"$cxx" $flags -o "$tmp/$app.off.so" "$gen" $libs
+
+# ---- interleaved residue nests (pyramid) ------------------------------
+gen="$tmp/pyramid.cpp"
+"$dump" pyramid > "$gen"
+nilv=$(sed -n '1s/.* interleaved_nests=\([0-9]*\).*/\1/p' "$gen")
+if [ "${nilv:-0}" -eq 0 ]; then
+    echo "check_vectorize: pyramid emits no interleaved residue nest" >&2
+    exit 1
+fi
+# shellcheck disable=SC2086
+"$cxx" $flags -fopt-info-vec-optimized -o "$tmp/pyramid.so" "$gen" $libs \
+    2> "$tmp/pyramid.vec"
+# First and last line of every `omp simd` loop over a quotient q, and
+# whether the report places a vectorised loop inside it.
+loops=$(awk '/#pragma omp simd/ { pragma = NR; next }
+             pragma == NR - 1 && /for \(int q = / {
+                 start = NR; col = index($0, "for") }
+             start && NR > start && substr($0, col, 1) == "}" {
+                 print start, NR; start = 0 }' "$gen")
+nloops=0
+for span in $(echo "$loops" | tr ' ' ':'); do
+    first=${span%:*}
+    last=${span#*:}
+    nloops=$((nloops + 1))
+    if ! awk -F: -v a="$first" -v b="$last" \
+            '/loop vectorized/ && $2 >= a && $2 <= b { hit = 1 }
+             END { exit !hit }' "$tmp/pyramid.vec"; then
+        echo "check_vectorize: interleaved loop at pyramid.cpp:$first" \
+             "did not vectorise" >&2
+        exit 1
+    fi
+done
+if [ "$nloops" -eq 0 ]; then
+    echo "check_vectorize: pyramid has no omp simd loop over a quotient" >&2
+    exit 1
+fi
+
+# ---- SIMD libm (laplacian) ----------------------------------------------
+mvec="skipped (no libmvec)"
+if [ -n "$libs" ]; then
+    gen="$tmp/laplacian.cpp"
+    "$dump" laplacian > "$gen"
+    # shellcheck disable=SC2086
+    "$cxx" $flags -o "$tmp/laplacian.so" "$gen" $libs
+    if ! objdump -T "$tmp/laplacian.so" | grep -qE '_ZGV[a-z]N[0-9]+v_expf'; then
+        echo "check_vectorize: laplacian imports the scalar expf only," \
+             "no libmvec variant" >&2
+        exit 1
+    fi
+    mvec="libmvec expf"
+fi
 
 echo "check_vectorize: OK (explicit: $nvec pm_v_ mentions," \
-     "$wide wide-register instrs; off: scalar build clean)"
+     "$wide wide-register instrs; off: scalar build clean;" \
+     "pyramid: $nilv interleaved nests, $nloops vectorised loops;" \
+     "laplacian: $mvec)"

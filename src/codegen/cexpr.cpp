@@ -35,28 +35,30 @@ wrapNarrow(DType t, const std::string &s)
 }
 
 /**
- * The libm call for @p fn on @p t.  Float functions are named by their
- * GCC builtins, which need no declaration, so the generated prelude
- * includes no <cmath> (EXPERIMENTS.md "Parallel JIT").
+ * The libm call for @p fn on @p t.  The generated prelude includes no
+ * <cmath> (EXPERIMENTS.md "Parallel JIT"): functions that compile to
+ * instructions are named by their GCC builtins, which need no
+ * declaration, and the transcendentals by their libm names, which the
+ * prelude declares (with their SIMD variants where libmvec exists).
  */
 std::string
 mathFnName(MathFnKind fn, DType t)
 {
-    const bool f32 = (t == DType::Float);
-    auto libm = [f32](const std::string &name) {
-        return "__builtin_" + name + (f32 ? "f" : "");
+    const std::string f = t == DType::Float ? "f" : "";
+    auto builtin = [&f](const std::string &name) {
+        return "__builtin_" + name + f;
     };
     switch (fn) {
-      case MathFnKind::Exp: return libm("exp");
-      case MathFnKind::Log: return libm("log");
-      case MathFnKind::Sqrt: return libm("sqrt");
-      case MathFnKind::Sin: return libm("sin");
-      case MathFnKind::Cos: return libm("cos");
-      case MathFnKind::Pow: return libm("pow");
-      case MathFnKind::Floor: return libm("floor");
-      case MathFnKind::Ceil: return libm("ceil");
+      case MathFnKind::Exp: return "exp" + f;
+      case MathFnKind::Log: return "log" + f;
+      case MathFnKind::Sqrt: return builtin("sqrt");
+      case MathFnKind::Sin: return "sin" + f;
+      case MathFnKind::Cos: return "cos" + f;
+      case MathFnKind::Pow: return "pow" + f;
+      case MathFnKind::Floor: return builtin("floor");
+      case MathFnKind::Ceil: return builtin("ceil");
       case MathFnKind::Abs:
-        return dsl::dtypeIsFloat(t) ? libm("fabs") : "llabs";
+        return dsl::dtypeIsFloat(t) ? builtin("fabs") : "llabs";
     }
     internalError("unknown math fn");
 }

@@ -10,6 +10,7 @@
 #include "codegen/cexpr.hpp"
 #include "codegen/vexpr.hpp"
 #include "codegen/writer.hpp"
+#include "dsl/transform.hpp"
 #include "machine/machine.hpp"
 #include "poly/cond_box.hpp"
 #include "poly/range.hpp"
@@ -68,6 +69,17 @@ emitAffineInt(const AffineExpr &e,
     if (c0 != 0)
         s += " + " + std::to_string(c0);
     return "(" + s + ")";
+}
+
+/** `fn(t0, fn(t1, ...))`: the max or min of bound terms. */
+std::string
+foldMinMax(const std::vector<std::string> &terms, const char *fn)
+{
+    PM_ASSERT(!terms.empty(), "no bound terms");
+    std::string s = terms.back();
+    for (int i = int(terms.size()) - 2; i >= 0; --i)
+        s = std::string(fn) + "(" + terms[i] + ", " + s + ")";
+    return s;
 }
 
 /**
@@ -187,6 +199,204 @@ matchResidue(const dsl::Condition &cond,
         return true;
     };
     return parse_mod(n.lhs, n.rhs) || parse_mod(n.rhs, n.lhs);
+}
+
+/**
+ * One residue class of an interleaved nest: the innermost dimension of
+ * its case nest (bounds, step c, phase p) and its body, rendered at
+ * `y = c*q + p` over the quotient q.
+ */
+struct ResidueClass
+{
+    LoopDim dim;
+    std::vector<std::string> body;
+};
+
+/**
+ * Sibling nests of one stage that share one interleaved loop (indices
+ * into @p nests, first-appearance order): guard-free nests whose outer
+ * dimensions are identical and whose innermost dimensions are strided
+ * by the same step c > 1 at distinct phases.  Every other nest is a
+ * unit of its own.  Cases are disjoint, so interleaving two classes
+ * only reorders the points of a row.
+ */
+std::vector<std::vector<std::size_t>>
+residueUnits(const std::vector<CaseNest> &nests)
+{
+    auto joinable = [&](std::size_t i, std::size_t j) {
+        const CaseNest &a = nests[i], &b = nests[j];
+        if (!a.guards.empty() || !b.guards.empty() || a.dims.empty() ||
+            a.dims.size() != b.dims.size())
+            return false;
+        const LoopDim &ia = a.dims.back(), &ib = b.dims.back();
+        if (ia.step <= 1 || ia.step != ib.step || ia.phase == ib.phase)
+            return false;
+        for (std::size_t d = 0; d + 1 < a.dims.size(); ++d) {
+            const LoopDim &da = a.dims[d], &db = b.dims[d];
+            if (da.lb != db.lb || da.ub != db.ub || da.step != db.step ||
+                da.phase != db.phase)
+                return false;
+        }
+        return true;
+    };
+    std::vector<std::vector<std::size_t>> units;
+    for (std::size_t i = 0; i < nests.size(); ++i) {
+        auto unit = std::find_if(units.begin(), units.end(), [&](auto &u) {
+            return std::all_of(u.begin(), u.end(),
+                               [&](std::size_t j) { return joinable(i, j); });
+        });
+        if (unit == units.end())
+            units.push_back({i});
+        else
+            unit->push_back(i);
+    }
+    return units;
+}
+
+bool
+isIndexType(DType t)
+{
+    return t == DType::Int || t == DType::Long;
+}
+
+Expr
+intConst(std::int64_t v, DType t = DType::Int)
+{
+    return Expr(std::make_shared<dsl::ConstIntNode>(v, t));
+}
+
+/** The value of an integer constant; nullopt for any other node. */
+std::optional<std::int64_t>
+intValue(const Expr &e)
+{
+    if (e.node().kind() != dsl::ExprKind::ConstInt)
+        return std::nullopt;
+    return static_cast<const dsl::ConstIntNode &>(e.node()).value;
+}
+
+/** `a op b` over integers, constant operands folded (floor division and
+ * modulo, as the DSL defines them). */
+Expr
+intOp(dsl::BinOpKind op, const Expr &a, const Expr &b, DType t)
+{
+    using dsl::BinOpKind;
+    const auto x = intValue(a), y = intValue(b);
+    if (x && y) {
+        switch (op) {
+          case BinOpKind::Add: return intConst(*x + *y, t);
+          case BinOpKind::Sub: return intConst(*x - *y, t);
+          case BinOpKind::Mul: return intConst(*x * *y, t);
+          case BinOpKind::Div: return intConst(floorDiv(*x, *y), t);
+          case BinOpKind::Mod: return intConst(floorMod(*x, *y), t);
+          default: break;
+        }
+    }
+    if (y && ((*y == 0 && (op == BinOpKind::Add || op == BinOpKind::Sub)) ||
+              (*y == 1 && op == BinOpKind::Mul)))
+        return a;
+    return Expr(std::make_shared<dsl::BinOpNode>(op, a, b, t));
+}
+
+/** An integer expression as `k*q + rest`, rest free of q. */
+struct QuotientSplit
+{
+    std::int64_t k = 0;
+    Expr rest;
+};
+
+/**
+ * Split @p e over the variable @p q; nullopt when it is not of that
+ * form or when a subexpression the split does not look into (a call, a
+ * select, a cast) may read q.
+ */
+std::optional<QuotientSplit>
+splitQuotient(const Expr &e, int q)
+{
+    using dsl::BinOpKind;
+    const dsl::ExprNode &n = e.node();
+    switch (n.kind()) {
+      case dsl::ExprKind::ConstInt:
+      case dsl::ExprKind::ParamRef:
+        return QuotientSplit{0, e};
+      case dsl::ExprKind::VarRef:
+        if (static_cast<const dsl::VarRefNode &>(n).var->id == q)
+            return QuotientSplit{1, intConst(0)};
+        return QuotientSplit{0, e};
+      case dsl::ExprKind::UnOp: {
+        auto a = splitQuotient(static_cast<const dsl::UnOpNode &>(n).a, q);
+        if (!a || !isIndexType(n.dtype()))
+            return std::nullopt;
+        if (a->k == 0)
+            return QuotientSplit{0, e};
+        return QuotientSplit{-a->k, intOp(BinOpKind::Sub, intConst(0),
+                                          a->rest, n.dtype())};
+      }
+      case dsl::ExprKind::BinOp: {
+        const auto &b = static_cast<const dsl::BinOpNode &>(n);
+        auto l = splitQuotient(b.a, q), r = splitQuotient(b.b, q);
+        if (!l || !r || !isIndexType(n.dtype()))
+            return std::nullopt;
+        if (l->k == 0 && r->k == 0)
+            return QuotientSplit{0, e};
+        const Expr rest = intOp(b.op, l->rest, r->rest, n.dtype());
+        switch (b.op) {
+          case BinOpKind::Add: return QuotientSplit{l->k + r->k, rest};
+          case BinOpKind::Sub: return QuotientSplit{l->k - r->k, rest};
+          case BinOpKind::Mul: {
+            // One factor is q-free; it must be a constant.
+            const auto f = intValue((l->k == 0 ? l : r)->rest);
+            if ((l->k != 0 && r->k != 0) || !f)
+                return std::nullopt;
+            return QuotientSplit{(l->k + r->k) * *f, rest};
+          }
+          default:
+            return std::nullopt;
+        }
+      }
+      default:
+        return std::nullopt;
+    }
+}
+
+/**
+ * @p e with the loop variable @p var at `c*q + p`.  An integer division
+ * or modulo by a constant d that divides q's coefficient k folds,
+ * floor((k*q + r)/d) = (k/d)*q + floor(r/d) and (k*q + r) mod d =
+ * r mod d, so an up-sampler's `y/2` becomes `q` and every index stays
+ * affine in q -- the form the compiler vectorises.
+ */
+Expr
+atResidue(const Expr &e, int var, const dsl::Variable &q, std::int64_t c,
+          std::int64_t p)
+{
+    using dsl::BinOpKind;
+    const Expr at = intOp(BinOpKind::Add,
+                          intOp(BinOpKind::Mul, q, intConst(c), DType::Int),
+                          intConst(p), DType::Int);
+    return dsl::rewriteExpr(e, [&](const dsl::ExprNode &n)
+                                   -> std::optional<Expr> {
+        if (n.kind() == dsl::ExprKind::VarRef) {
+            if (static_cast<const dsl::VarRefNode &>(n).var->id == var)
+                return at;
+            return std::nullopt;
+        }
+        if (n.kind() != dsl::ExprKind::BinOp || !isIndexType(n.dtype()))
+            return std::nullopt;
+        const auto &b = static_cast<const dsl::BinOpNode &>(n);
+        const auto d = intValue(b.b);
+        if ((b.op != BinOpKind::Div && b.op != BinOpKind::Mod) || !d ||
+            *d <= 0)
+            return std::nullopt;
+        const auto s = splitQuotient(b.a, q.id());
+        if (!s || s->k == 0 || s->k % *d != 0)
+            return std::nullopt;
+        const Expr r = intOp(b.op, s->rest, b.b, n.dtype());
+        if (b.op == BinOpKind::Mod)
+            return r;
+        return intOp(BinOpKind::Add,
+                     intOp(BinOpKind::Mul, q, intConst(s->k / *d), n.dtype()),
+                     r, n.dtype());
+    });
 }
 
 /**
@@ -445,14 +655,16 @@ class Generator
      * Loop nest emission with bound locals, pragmas, and the body.
      * @p hoisted lines (loop-invariant `pm_base*` declarations) are
      * placed right before the innermost loop opens.
-     */
-    /**
+     *
      * @p vec_lines, when non-null, is an explicit vector body for the
      * innermost loop: it is split into a main loop advancing by
      * @p vec_lanes running the vector body and a scalar tail running
      * @p body_lines (the caller guarantees step 1, no guards, and that
      * the innermost dimension hosts neither the parallel pragma nor
-     * the task range).
+     * the task range).  @p classes, when non-null, replaces the
+     * innermost loop and the body with an interleaved loop over the
+     * quotient named by the innermost dimension's variable
+     * (emitInterleavedLoop).
      */
     void emitLoopNest(const std::vector<LoopDim> &dims,
                       const std::vector<std::string> &guards,
@@ -460,7 +672,8 @@ class Generator
                       bool parallel_outer, bool task_outer,
                       const std::vector<std::string> &hoisted = {},
                       const std::vector<std::string> *vec_lines = nullptr,
-                      int vec_lanes = 0);
+                      int vec_lanes = 0,
+                      const std::vector<ResidueClass> *classes = nullptr);
 
     /** Apply one analysed box's bounds and residues to a nest. */
     void applyBox(const poly::CondBox &box, const pg::Stage &stage,
@@ -481,20 +694,31 @@ class Generator
                                     const std::vector<LoopDim> &base_dims);
 
     /**
-     * Emit the loop nests of one function case: hoist sink setup, the
-     * per-nest body rendering, and nest-census bookkeeping.  Shared by
-     * the untiled and tiled stage emitters.  With @p outline empty the
-     * nests go inline into w_ (a tiled stage function); otherwise each
-     * nest owns a parallel phase and is split below its parallel
-     * dimension (never below the innermost): the dimensions below
-     * become the shared function `<outline>_n<m>`, the rest an
-     * OuterNest of driver_.
+     * Emit the loop nests of every case of function stage @p s: hoist
+     * sink setup, the per-nest body rendering, and nest-census
+     * bookkeeping.  Shared by the untiled and tiled stage emitters.
+     * Residue-class siblings (residueUnits) become one interleaved
+     * nest.  With @p outline empty the nests go inline into w_ (a tiled
+     * stage function); otherwise each nest owns a parallel phase and is
+     * split below its parallel dimension (never below the innermost):
+     * the dimensions below become the shared function
+     * `<outline>_n<m>`, the rest an OuterNest of driver_.
      */
-    void emitCaseNests(int gi, int s, const dsl::Case &cs,
-                       const EmitEnv &env,
-                       const std::vector<std::string> &idx,
-                       const std::vector<LoopDim> &base_dims,
-                       const std::string &outline);
+    void emitStageNests(int gi, int s, const EmitEnv &env,
+                        const std::vector<std::string> &idx,
+                        const std::vector<LoopDim> &base_dims,
+                        const std::string &outline);
+
+    /**
+     * The interleaved innermost loop over quotient @p q: each class's
+     * quotient range, a short peel loop per class below the range all
+     * classes share, the shared range running every class body in
+     * phase order (under `omp simd` when @p simd), and a remainder
+     * loop per class above it.
+     */
+    void emitInterleavedLoop(const std::string &q,
+                             const std::vector<ResidueClass> &classes,
+                             bool simd);
 
     /**
      * Attempt explicit vector emission for one guard-free nest
@@ -588,6 +812,9 @@ class Generator
     bool ompForOnly_ = false; // emit `omp for` (inside a parallel region)
     int phase_ = 0;      // parallel phase the flavour function is at
     int tmp_ = 0;        // unique counter for bound locals
+    /** Rendering an interleaved residue body: scratchpad tile origins
+     * of the innermost index join the hoisted base (scratchIndex). */
+    bool interleaving_ = false;
     /** Group whose shared functions are being emitted. */
     GroupDriver *driver_ = nullptr;
     int nestNo_ = 0; // case-nest counter of the untiled stage emitted
@@ -632,6 +859,7 @@ class Generator
     /** Per-group explicit-vectorisation census of the primary entry. */
     std::map<int, GeneratedCode::GroupVectorInfo> groupVec_;
     int explicitNests_ = 0;
+    int interleavedNests_ = 0;
 };
 
 std::string
@@ -654,9 +882,27 @@ Generator::emitPrelude()
     // Every translation unit parses the prelude, and <cmath> alone
     // would cost about 0.2 s of it (EXPERIMENTS.md "Parallel JIT"), so
     // the expression emitter calls GCC's libm builtins (cexpr.cpp) and
-    // the two constants it names are defined here.
+    // declares the transcendentals it calls by name here, with the two
+    // constants it names.  glibc's <math.h> declares libmvec's SIMD
+    // variants only under -ffast-math; declared `simd` here, the loops
+    // calling them vectorise (the JIT links libmvec,
+    // docs/VECTORIZATION.md).
     w_.line("#define INFINITY (__builtin_inff())");
     w_.line("#define NAN (__builtin_nanf(\"\"))");
+    const std::string simd =
+        machine::kSimdLibm && opts_.vectorize != VectorizeMode::Off
+            ? " __attribute__((__simd__(\"notinbranch\")))"
+            : "";
+    w_.open("extern \"C\"");
+    for (const char *fn : {"exp", "log", "sin", "cos"}) {
+        w_.line("float " + std::string(fn) + "f(float) noexcept" + simd +
+                ";");
+        w_.line("double " + std::string(fn) + "(double) noexcept" + simd +
+                ";");
+    }
+    w_.line("float powf(float, float) noexcept" + simd + ";");
+    w_.line("double pow(double, double) noexcept" + simd + ";");
+    w_.close();
     w_.blank();
     w_.line("static inline long long pm_floordiv(long long a, long long "
             "b)");
@@ -760,9 +1006,16 @@ Generator::scratchIndex(int gi, int s, const std::vector<std::string> &idx)
         auto pos = std::find(tiled.begin(), tiled.end(), m.groupDim[d]);
         std::string term;
         if (pos != tiled.end()) {
-            const int ti = int(pos - tiled.begin());
-            term = "((" + idx[d] + ") - ob_" + stageName(s) + "_" +
-                   std::to_string(ti) + ")";
+            const std::string ob = "ob_" + stageName(s) + "_" +
+                                   std::to_string(int(pos - tiled.begin()));
+            if (interleaving_ && d + 1 == idx.size()) {
+                // The origin joins the hoisted base, so the innermost
+                // (unit-stride) index is affine in the quotient.
+                terms.push_back("(" + idx[d] + ")");
+                terms.push_back("(-" + ob + ")");
+                continue;
+            }
+            term = "((" + idx[d] + ") - " + ob + ")";
         } else {
             term = "(" + idx[d] + ")";
         }
@@ -945,16 +1198,24 @@ Generator::caseNests(const pg::Stage &stage, const dsl::Case &cs,
 }
 
 void
-Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
-                         const EmitEnv &env,
-                         const std::vector<std::string> &idx,
-                         const std::vector<LoopDim> &base_dims,
-                         const std::string &outline)
+Generator::emitStageNests(int gi, int s, const EmitEnv &env,
+                          const std::vector<std::string> &idx,
+                          const std::vector<LoopDim> &base_dims,
+                          const std::string &outline)
 {
     const pg::Stage &stage = g_.stage(s);
     const auto &f = stage.func();
     const bool untiled = !outline.empty();
-    for (CaseNest &nest : caseNests(stage, cs, env, base_dims)) {
+    std::vector<const dsl::Case *> cases;
+    std::vector<CaseNest> nests;
+    for (const auto &cs : f.cases()) {
+        for (CaseNest &nest : caseNests(stage, cs, env, base_dims)) {
+            cases.push_back(&cs);
+            nests.push_back(std::move(nest));
+        }
+    }
+    for (std::vector<std::size_t> &unit : residueUnits(nests)) {
+        const CaseNest &nest = nests[unit.front()];
         if (untiled) {
             // Each untiled nest is a function of its own.
             hoistTmp_ = 0;
@@ -974,27 +1235,61 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
         } else {
             hoist_ = nullptr;
         }
-        const std::string target = storeTarget(gi, s, idx);
-        const std::vector<std::string> body =
-            emitAssignWithCSE(cs.value(), target, f.dtype(), env,
-                              hoist_);
-        // Attempt the explicit vector body while the hoist sink is
-        // still active: vector loads route through the same pm_base
-        // locals the scalar tail uses.
-        const std::optional<VecResult> vres =
-            tryVectorizeNest(s, cs, env, nest, target);
+        std::vector<LoopDim> dims = nest.dims;
+        std::vector<std::string> body;
+        std::optional<VecResult> vres;
+        std::vector<ResidueClass> classes;
+        if (unit.size() == 1) {
+            const std::string target = storeTarget(gi, s, idx);
+            body = emitAssignWithCSE(cases[unit[0]]->value(), target,
+                                     f.dtype(), env, hoist_);
+            // Attempt the explicit vector body while the hoist sink is
+            // still active: vector loads route through the same pm_base
+            // locals the scalar tail uses.
+            vres = tryVectorizeNest(s, *cases[unit[0]], env, nest, target);
+        } else {
+            // Interleaved residue classes: each body is rendered at
+            // y = c*q + p over the quotient q, the innermost variable of
+            // the fused loop, in phase order.
+            std::sort(unit.begin(), unit.end(), [&](auto a, auto b) {
+                return nests[a].dims.back().phase < nests[b].dims.back().phase;
+            });
+            const dsl::Variable q("q");
+            EmitEnv qenv = env;
+            qenv.varName[q.id()] = claim("q");
+            dims.back().var = sink.innerVar = qenv.varName[q.id()];
+            const dsl::Variable &y = f.vars().back();
+            interleaving_ = true;
+            for (std::size_t i : unit) {
+                const LoopDim &dim = nests[i].dims.back();
+                std::vector<std::string> qidx = idx;
+                qidx.back() = emitExpr(
+                    atResidue(y, y.id(), q, dim.step, dim.phase), qenv);
+                classes.push_back(
+                    {dim, emitAssignWithCSE(
+                              atResidue(cases[i]->value(), y.id(), q,
+                                        dim.step, dim.phase),
+                              storeTarget(gi, s, qidx), f.dtype(), qenv,
+                              hoist_)});
+            }
+            interleaving_ = false;
+            used_.erase(dims.back().var);
+            ++interleavedNests_;
+        }
         hoistTmp_ = std::max(hoistTmp_, sink.counter);
         cseTmp_ = std::max(cseTmp_, sink.cseCounter);
         hoist_ = saved;
-        if (nest.guards.empty())
-            ++interiorNests_;
-        else
-            ++guardedNests_;
+        for (std::size_t i : unit) {
+            if (nests[i].guards.empty())
+                ++interiorNests_;
+            else
+                ++guardedNests_;
+        }
         if (opts_.vectorize == VectorizeMode::Explicit &&
             nest.guards.empty()) {
             GeneratedCode::GroupVectorInfo &gv = groupVec_[gi];
             gv.group = gi;
-            ++gv.interiorNests;
+            gv.interiorNests += int(unit.size());
             if (vres) {
                 ++gv.vectorNests;
                 ++explicitNests_;
@@ -1007,12 +1302,14 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
         const std::vector<std::string> *vec_lines =
             vres ? &vres->lines : nullptr;
         const int vec_lanes = vres ? vres->lanes : 0;
+        const std::vector<ResidueClass> *interleaved =
+            classes.empty() ? nullptr : &classes;
         if (!untiled) {
             // Inside a tiled group the flavours' tile loop owns the
             // (single) phase.
-            emitLoopNest(nest.dims, nest.guards, body,
+            emitLoopNest(dims, nest.guards, body,
                          /*parallel_outer=*/false, /*task_outer=*/false,
-                         sink.lines, vec_lines, vec_lanes);
+                         sink.lines, vec_lines, vec_lanes, interleaved);
             continue;
         }
         // Untiled nests each own a parallel phase.  The flavours differ
@@ -1025,13 +1322,11 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
         // parallel over its short outer dimensions, or is one serial
         // call when it has none.
         const std::size_t split =
-            nest.dims.empty()
-                ? 0
-                : std::min(parallelDim(nest.dims) + 1, nest.dims.size() - 1);
+            dims.empty() ? 0
+                         : std::min(parallelDim(dims) + 1, dims.size() - 1);
         OuterNest outer;
-        outer.dims.assign(nest.dims.begin(), nest.dims.begin() + split);
-        const std::vector<LoopDim> inner(nest.dims.begin() + split,
-                                         nest.dims.end());
+        outer.dims.assign(dims.begin(), dims.begin() + split);
+        const std::vector<LoopDim> inner(dims.begin() + split, dims.end());
         std::vector<StageArg> indices;
         for (const LoopDim &d : outer.dims)
             indices.push_back({"int " + d.var, d.var, d.var});
@@ -1039,7 +1334,7 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
         tmp_ = 0;
         emitLoopNest(inner, nest.guards, body, /*parallel_outer=*/false,
                      /*task_outer=*/false, sink.lines, vec_lines,
-                     vec_lanes);
+                     vec_lanes, interleaved);
         outer.call =
             addSharedFunction(outline + "_n" + std::to_string(nestNo_++),
                               "buf_" + stageName(s), w_.str(), indices);
@@ -1048,19 +1343,54 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
     }
 }
 
-namespace {
-
-std::string
-foldMinMax(const std::vector<std::string> &terms, const char *fn)
+void
+Generator::emitInterleavedLoop(const std::string &q,
+                               const std::vector<ResidueClass> &classes,
+                               bool simd)
 {
-    PM_ASSERT(!terms.empty(), "no bound terms");
-    std::string s = terms.back();
-    for (int i = int(terms.size()) - 2; i >= 0; --i)
-        s = std::string(fn) + "(" + terms[i] + ", " + s + ")";
-    return s;
+    // Class k covers y = c*q + p in [lb, ub]: q in [qlo<k>, qhi<k>].
+    std::vector<std::string> qlo, qhi;
+    for (const ResidueClass &rc : classes) {
+        const std::string k = std::to_string(tmp_++);
+        const std::string c = std::to_string(rc.dim.step);
+        const std::string p = std::to_string(rc.dim.phase);
+        w_.line("const int lb" + k + " = (int)" +
+                foldMinMax(rc.dim.lb, "pm_max_i") + ";");
+        w_.line("const int ub" + k + " = (int)" +
+                foldMinMax(rc.dim.ub, "pm_min_i") + ";");
+        w_.line("const int qlo" + k + " = (int)-pm_floordiv(" + p +
+                " - lb" + k + ", " + c + ");");
+        w_.line("const int qhi" + k + " = (int)pm_floordiv(ub" + k + " - " +
+                p + ", " + c + ");");
+        qlo.push_back("qlo" + k);
+        qhi.push_back("qhi" + k);
+    }
+    // The range every class shares; empty (hi = lo - 1) when they do
+    // not meet, so peel and remainder loops never overlap.
+    const std::string k = std::to_string(tmp_++);
+    const std::string lo = "qlo" + k, hi = "qhi" + k;
+    w_.line("const int " + lo + " = (int)" + foldMinMax(qlo, "pm_max_i") +
+            ";");
+    w_.line("const int " + hi + " = (int)pm_max_i(" +
+            foldMinMax(qhi, "pm_min_i") + ", " + lo + " - 1);");
+    // q from `from` to `to`, running the bodies of classes [first, last).
+    auto loop = [&](const std::string &from, const std::string &to,
+                    std::size_t first, std::size_t last) {
+        w_.open("for (int " + q + " = " + from + "; " + q + " <= " + to +
+                "; ++" + q + ")");
+        for (std::size_t i = first; i < last; ++i)
+            for (const std::string &l : classes[i].body)
+                w_.line(l);
+        w_.close();
+    };
+    for (std::size_t i = 0; i < classes.size(); ++i)
+        loop(qlo[i], "pm_min_i(" + qhi[i] + ", " + lo + " - 1)", i, i + 1);
+    if (simd)
+        w_.line("#pragma omp simd");
+    loop(lo, hi, 0, classes.size());
+    for (std::size_t i = 0; i < classes.size(); ++i)
+        loop("pm_max_i(" + qlo[i] + ", " + hi + " + 1)", qhi[i], i, i + 1);
 }
-
-} // namespace
 
 void
 Generator::emitLoopNest(const std::vector<LoopDim> &dims,
@@ -1069,7 +1399,8 @@ Generator::emitLoopNest(const std::vector<LoopDim> &dims,
                         bool parallel_outer, bool task_outer,
                         const std::vector<std::string> &hoisted,
                         const std::vector<std::string> *vec_lines,
-                        int vec_lanes)
+                        int vec_lanes,
+                        const std::vector<ResidueClass> *classes)
 {
     const std::size_t par_d = parallelDim(dims);
 
@@ -1149,6 +1480,10 @@ Generator::emitLoopNest(const std::vector<LoopDim> &dims,
         if (d + 1 == dims.size()) {
             for (const auto &l : hoisted)
                 w_.line(l);
+            if (classes != nullptr) {
+                emitInterleavedLoop(dims[d].var, *classes, vec_);
+                break;
+            }
         }
         const std::string lb = "lb" + std::to_string(tmp_);
         const std::string ub = "ub" + std::to_string(tmp_);
@@ -1235,36 +1570,32 @@ Generator::emitUntiledStage(int gi, int s, int j)
     const bool saved_vec = vec_;
     vec_ = vec_ && innermostVectorizable(stage);
     nestNo_ = 0;
-    for (const auto &cs : f.cases()) {
-        std::map<int, std::string> var_names;
-        std::vector<LoopDim> dims(vars.size());
-        for (std::size_t d = 0; d < vars.size(); ++d) {
-            var_names[vars[d].id()] = claim(sanitize(vars[d].name()));
-            dims[d].var = var_names[vars[d].id()];
+    std::map<int, std::string> var_names;
+    std::vector<LoopDim> dims(vars.size());
+    for (std::size_t d = 0; d < vars.size(); ++d) {
+        var_names[vars[d].id()] = claim(sanitize(vars[d].name()));
+        dims[d].var = var_names[vars[d].id()];
+    }
+    EmitEnv env = makeEnv(var_names, gi);
+    for (std::size_t d = 0; d < vars.size(); ++d) {
+        dims[d].lb.push_back(emitExpr(f.dom()[d].lower(), env));
+        dims[d].ub.push_back(emitExpr(f.dom()[d].upper(), env));
+        auto lo = poly::evalConstant(f.dom()[d].lower(), g_.estimateEnv());
+        auto hi = poly::evalConstant(f.dom()[d].upper(), g_.estimateEnv());
+        if (lo && hi) {
+            dims[d].estLo = *lo;
+            dims[d].estHi = *hi;
+            dims[d].estExtent = *hi - *lo + 1;
         }
-        EmitEnv env = makeEnv(var_names, gi);
-        for (std::size_t d = 0; d < vars.size(); ++d) {
-            dims[d].lb.push_back(emitExpr(f.dom()[d].lower(), env));
-            dims[d].ub.push_back(emitExpr(f.dom()[d].upper(), env));
-            auto lo = poly::evalConstant(f.dom()[d].lower(),
-                                         g_.estimateEnv());
-            auto hi = poly::evalConstant(f.dom()[d].upper(),
-                                         g_.estimateEnv());
-            if (lo && hi) {
-                dims[d].estLo = *lo;
-                dims[d].estHi = *hi;
-                dims[d].estExtent = *hi - *lo + 1;
-            }
-        }
-        std::vector<std::string> idx;
-        for (const auto &v : vars)
-            idx.push_back(var_names[v.id()]);
-        emitCaseNests(gi, s, cs, env, idx, dims, stageFunctionName(gi, j));
-        // Free the claimed loop-variable names for reuse elsewhere.
-        for (const auto &[id, nm] : var_names) {
-            (void)id;
-            used_.erase(nm);
-        }
+    }
+    std::vector<std::string> idx;
+    for (const auto &v : vars)
+        idx.push_back(var_names[v.id()]);
+    emitStageNests(gi, s, env, idx, dims, stageFunctionName(gi, j));
+    // Free the claimed loop-variable names for reuse elsewhere.
+    for (const auto &[id, nm] : var_names) {
+        (void)id;
+        used_.erase(nm);
     }
     vec_ = saved_vec;
 }
@@ -1317,44 +1648,40 @@ Generator::emitTiledStage(int gi, int s, int j)
     cseTmp_ = 0;
     const bool saved_vec = vec_;
     vec_ = vec_ && innermostVectorizable(stage);
-    for (const auto &cs : f.cases()) {
-        std::map<int, std::string> var_names;
-        std::vector<LoopDim> dims(vars.size());
-        for (std::size_t d = 0; d < vars.size(); ++d) {
-            var_names[vars[d].id()] = claim(sanitize(vars[d].name()));
-            dims[d].var = var_names[vars[d].id()];
-        }
-        EmitEnv env = makeEnv(var_names, gi);
-        for (std::size_t d = 0; d < vars.size(); ++d) {
-            dims[d].lb.push_back(emitExpr(f.dom()[d].lower(), env));
-            dims[d].ub.push_back(emitExpr(f.dom()[d].upper(), env));
-            // Tile-region clamps for tiled dims.
-            auto pos = std::find(tiled.begin(), tiled.end(),
-                                 m.groupDim[d]);
-            if (pos == tiled.end())
-                continue;
-            const std::size_t ti = pos - tiled.begin();
-            const int gd = tiled[ti];
-            const auto &info = grp.dims[gd];
-            const std::string t = "T" + std::to_string(ti);
-            const std::string tau_ll = std::to_string(tau[ti]) + "LL";
-            const std::string lo_raw =
-                "(" + tau_ll + " * " + t + " - " +
-                std::to_string(info.extLeft[lvl]) + ")";
-            const std::string hi_raw =
-                "(" + tau_ll + " * " + t + " + " +
-                std::to_string(tau[ti] - 1 + info.extRight[lvl]) + ")";
-            dims[d].lb.push_back(ceilDivStr(lo_raw, m.scale[d]));
-            dims[d].ub.push_back(floorDivStr(hi_raw, m.scale[d]));
-        }
-        std::vector<std::string> idx;
-        for (const auto &v : vars)
-            idx.push_back(var_names[v.id()]);
-        emitCaseNests(gi, s, cs, env, idx, dims, /*outline=*/"");
-        for (const auto &[id, nm] : var_names) {
-            (void)id;
-            used_.erase(nm);
-        }
+    std::map<int, std::string> var_names;
+    std::vector<LoopDim> dims(vars.size());
+    for (std::size_t d = 0; d < vars.size(); ++d) {
+        var_names[vars[d].id()] = claim(sanitize(vars[d].name()));
+        dims[d].var = var_names[vars[d].id()];
+    }
+    EmitEnv env = makeEnv(var_names, gi);
+    for (std::size_t d = 0; d < vars.size(); ++d) {
+        dims[d].lb.push_back(emitExpr(f.dom()[d].lower(), env));
+        dims[d].ub.push_back(emitExpr(f.dom()[d].upper(), env));
+        // Tile-region clamps for tiled dims.
+        auto pos = std::find(tiled.begin(), tiled.end(), m.groupDim[d]);
+        if (pos == tiled.end())
+            continue;
+        const std::size_t ti = pos - tiled.begin();
+        const int gd = tiled[ti];
+        const auto &info = grp.dims[gd];
+        const std::string t = "T" + std::to_string(ti);
+        const std::string tau_ll = std::to_string(tau[ti]) + "LL";
+        const std::string lo_raw = "(" + tau_ll + " * " + t + " - " +
+                                   std::to_string(info.extLeft[lvl]) + ")";
+        const std::string hi_raw =
+            "(" + tau_ll + " * " + t + " + " +
+            std::to_string(tau[ti] - 1 + info.extRight[lvl]) + ")";
+        dims[d].lb.push_back(ceilDivStr(lo_raw, m.scale[d]));
+        dims[d].ub.push_back(floorDivStr(hi_raw, m.scale[d]));
+    }
+    std::vector<std::string> idx;
+    for (const auto &v : vars)
+        idx.push_back(var_names[v.id()]);
+    emitStageNests(gi, s, env, idx, dims, /*outline=*/"");
+    for (const auto &[id, nm] : var_names) {
+        (void)id;
+        used_.erase(nm);
     }
     vec_ = saved_vec;
     const std::string body = w_.str();
@@ -2292,6 +2619,7 @@ Generator::run()
         out.vectorBits = machine::machineInfo().vectorBits;
     }
     out.explicitNests = explicitNests_;
+    out.interleavedNests = interleavedNests_;
     out.stageFunctions = int(shared_.size());
     out.sharedCallers = sharedCallers_;
     for (const auto &[gi, gv] : groupVec_)

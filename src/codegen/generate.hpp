@@ -230,6 +230,14 @@ struct GeneratedCode
     /** Total nests emitted through the explicit vector path. */
     int explicitNests = 0;
     /**
+     * Interleaved residue nests: sibling case nests of one stage whose
+     * innermost loops stride the same step at distinct phases (an
+     * up-sampler's even and odd columns), emitted as one unit-stride
+     * loop over the quotient (docs/VECTORIZATION.md).  Counted per
+     * stage instance, like explicitNests.
+     */
+    int interleavedNests = 0;
+    /**
      * Stage functions emitted, and for each emitted function that
      * other stage instances share, the names those instances' own
      * functions would have had (`<entry>_g<k>_s<j>[_n<m>]`), in

@@ -19,6 +19,17 @@
 
 namespace polymage::machine {
 
+/**
+ * Whether the C library ships libmvec, the SIMD variants of
+ * exp/log/pow/sin/cos that loops calling them vectorise into (x86-64
+ * glibc).  Generated code then declares them and the JIT links them.
+ */
+#if defined(__x86_64__) && defined(__GLIBC__)
+inline constexpr bool kSimdLibm = true;
+#else
+inline constexpr bool kSimdLibm = false;
+#endif
+
 /** The machine parameters the tile cost model consumes. */
 struct MachineInfo
 {

@@ -21,6 +21,7 @@
 #include <unistd.h>
 #include <unordered_map>
 
+#include "machine/machine.hpp"
 #include "support/diagnostics.hpp"
 #include "support/trace.hpp"
 
@@ -348,11 +349,14 @@ JitModule::compile(const std::vector<std::string> &units,
     PM_ASSERT(!units.empty(), "no translation unit to compile");
     if (opts.openmp)
         loadOpenMPRuntime();
-    // -fno-math-errno lets gcc vectorise transcendental calls (expf,
-    // powf) under omp simd via libmvec, matching what icc does by
-    // default in the paper's setup.  It is not -ffast-math: IEEE
-    // semantics are otherwise preserved.  One flag set serves both the
-    // per-unit compiles (-shared is inert under -c) and the link.
+    // -fno-math-errno lets gcc treat sqrt and friends as the pure
+    // instructions they are.  It is not -ffast-math: IEEE semantics are
+    // otherwise preserved.  Transcendental calls (expf, powf) vectorise
+    // because the generated prelude declares them `simd` (glibc's
+    // <math.h> does so only under -ffast-math); the vector variants
+    // live in libmvec, linked below -- what icc's SVML gives the
+    // paper's setup.  One flag set serves both the per-unit compiles
+    // (-shared is inert under -c) and the link.
     std::vector<std::string> flags = {"-shared", "-fPIC", "-std=c++17",
                                       "-w", "-fno-math-errno",
                                       opts.optLevel};
@@ -436,9 +440,14 @@ JitModule::compile(const std::vector<std::string> &units,
     const std::size_t n = units.size();
     std::vector<std::vector<std::string>> argv;
     std::vector<std::string> logs;
+    // Libraries follow the objects on the link line.
+    std::vector<std::string> libs;
+    if (machine::kSimdLibm && opts.vectorize)
+        libs.push_back("-lmvec");
     if (n == 1) {
         argv.push_back(command);
         argv[0].insert(argv[0].end(), {mod.sourcePath_, "-o", so_path});
+        argv[0].insert(argv[0].end(), libs.begin(), libs.end());
         logs.push_back(mod.dir_ + "/compile.log");
     } else {
         std::vector<std::string> link = command;
@@ -454,6 +463,7 @@ JitModule::compile(const std::vector<std::string> &units,
         }
         link.push_back("-o");
         link.push_back(so_path);
+        link.insert(link.end(), libs.begin(), libs.end());
         argv.push_back(std::move(link));
         logs.push_back(mod.dir_ + "/link.log");
     }

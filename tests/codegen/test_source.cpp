@@ -116,12 +116,14 @@ TEST_F(HarrisSource, BaselineHasNoTilesOrScratchpads)
 TEST_F(HarrisSource, EmitsThePlainAndTaskEntriesOnly)
 {
     // Exactly two extern "C" entries, in every build: the OpenMP entry
-    // and the task entry, and no third (timed) flavour.
+    // and the task entry, and no third (timed) flavour.  (The prelude
+    // declares the libm functions the code calls, extern "C" too.)
     EXPECT_EQ(compiled_->code.taskEntry, "polymage_harris_pm_task");
     for (const CompileOptions &opts :
          {CompileOptions::optimized(), CompileOptions::baseline(false)}) {
-        const std::string source =
-            compilePipeline(apps::buildHarris(256, 256), opts).code.source;
+        const CompiledPipeline c =
+            compilePipeline(apps::buildHarris(256, 256), opts);
+        const std::string source = c.code.source.substr(c.code.prelude.size());
         std::vector<std::string> entries;
         for (std::size_t pos = source.find("extern \"C\"");
              pos != std::string::npos;

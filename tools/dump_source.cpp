@@ -109,6 +109,7 @@ main(int argc, char **argv)
                 std::printf(" g%d=%sx%d", gv.group, gv.elem.c_str(),
                             gv.lanes);
     }
+    std::printf(" interleaved_nests=%d", code.interleavedNests);
     std::printf("\n// narrowed:");
     if (code.narrowedStages.empty()) {
         std::printf(" none");
