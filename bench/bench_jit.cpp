@@ -17,15 +17,12 @@
  *   cache off.  The compiles are interleaved: each round compiles
  *   every program once, so drift in machine load spreads evenly;
  * - the FNV-1a hash of the outputs (dtype, shape and elements of every
- *   live-out, as bench_interp hashes them) of the OpenMP entry and of
- *   the task entry run phase by phase.  Bilateral's
- *   OpenMP entry runs on one thread: its privatised reductions merge
- *   per-thread sums in whatever order the threads finish.
+ *   live-out, as bench_interp hashes them) of Executable::run on a
+ *   thread-less scheduler and on the default one (a worker per
+ *   hardware thread but one, plus the caller); they must agree.
  * Two builds of the compiler can thus be compared for code size and
  * JIT time and checked for bitwise-identical results.
  */
-#include <omp.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -33,6 +30,7 @@
 
 #include "bench_util.hpp"
 #include "runtime/jit.hpp"
+#include "runtime/scheduler.hpp"
 
 using namespace polymage;
 
@@ -46,35 +44,6 @@ struct Program
     CompiledPipeline compiled;
     std::vector<double> seconds;
 };
-
-/** Outputs of @p exe under @p app's parameters, allocated. */
-std::vector<rt::Buffer>
-allocOutputs(const rt::Executable &exe, const bench::AppBench &app)
-{
-    std::vector<rt::Buffer> outs;
-    const auto &g = exe.info().graph;
-    for (const auto &shape : exe.outputShapes(app.params)) {
-        const int s = g.outputs()[outs.size()];
-        outs.emplace_back(g.stage(s).callable->dtype(), shape);
-    }
-    return outs;
-}
-
-/** The task entry's outputs, every phase run in order on this thread. */
-std::vector<rt::Buffer>
-runTasks(const rt::Executable &exe, const bench::AppBench &app)
-{
-    std::vector<rt::Buffer> outs = allocOutputs(exe, app);
-    rt::BufferPool pool;
-    const rt::TaskInvocation inv =
-        exe.prepareTasks(app.params, app.inputs(), outs, pool);
-    for (long long p = 0; p < inv.phases(); ++p) {
-        const long long n = inv.taskCount(p);
-        if (n > 0)
-            inv.run(p, 0, n - 1);
-    }
-    return outs;
-}
 
 } // namespace
 
@@ -119,7 +88,7 @@ main(int argc, char **argv)
                 scale, runs, rt::JitModule::parallelism());
     std::printf("%-15s %-11s %6s %9s %4s %7s %7s %7s  %-16s  %s\n", "app",
                 "size", "lines", "fns/inst", "ilv", "q1_s", "med_s", "q3_s",
-                "omp_fnv1a", "task_fnv1a");
+                "serial_fnv1a", "default_fnv1a");
     for (Program &p : progs) {
         const cg::GeneratedCode &code = p.compiled.code;
         int instances = code.stageFunctions;
@@ -129,14 +98,13 @@ main(int argc, char **argv)
             long(std::count(code.source.begin(), code.source.end(), '\n'));
 
         const rt::Executable exe = rt::Executable::build(p.app->spec);
-        const int threads = omp_get_max_threads();
-        if (p.app->name == "Bilateral Grid")
-            omp_set_num_threads(1);
-        const std::uint64_t omp_hash =
+        rt::SchedulerOptions serial;
+        serial.workers = -1;
+        rt::TileScheduler threadless(serial);
+        const std::uint64_t serial_hash = bench::hashOutputs(
+            exe.run(p.app->params, p.app->inputs(), &threadless));
+        const std::uint64_t default_hash =
             bench::hashOutputs(exe.run(p.app->params, p.app->inputs()));
-        omp_set_num_threads(threads);
-        const std::uint64_t task_hash =
-            bench::hashOutputs(runTasks(exe, *p.app));
 
         std::sort(p.seconds.begin(), p.seconds.end());
         const std::string fns = std::to_string(code.stageFunctions) + "/" +
@@ -148,8 +116,8 @@ main(int argc, char **argv)
                     bench::quantile(p.seconds, 0.25),
                     bench::quantile(p.seconds, 0.5),
                     bench::quantile(p.seconds, 0.75),
-                    static_cast<unsigned long long>(omp_hash),
-                    static_cast<unsigned long long>(task_hash));
+                    static_cast<unsigned long long>(serial_hash),
+                    static_cast<unsigned long long>(default_hash));
     }
     return 0;
 }

@@ -229,8 +229,8 @@ memorySummary(const rt::Executable &exe)
  * snapshots from shared or differently sized machines are comparable
  * — the benches otherwise assume exclusive machine use), else the
  * hardware concurrency.  Each serving configuration splits the budget
- * as workers x OpenMP-threads-per-worker; both halves are recorded in
- * the emitted JSON.
+ * between engine workers and tile-scheduler workers; both are recorded
+ * in the emitted JSON.
  */
 inline int
 serveThreadBudget()

@@ -126,6 +126,12 @@ stale='SchedulerMode|PerRequestOMP|ompThreadsPerWorker|omp_threads_per_worker|ta
 if grep -rnE "$stale" src/ bench/ tools/; then
     err "deleted serving-mode or instrumented-entry names (above) are back"
 fi
+# Nor the OpenMP entry and its runtime: generated code runs on the
+# TileScheduler (the comparators, paper baselines, keep OpenMP).
+stale='omp parallel|omp critical|omp_set_num_threads|PipelineFn|loadOpenMPRuntime|JitOptions::openmp'
+if grep -rnE "$stale" src/ bench/ tools/ --exclude-dir=comparators; then
+    err "deleted OpenMP entry names (above) are back"
+fi
 
 # ---------------------------------------------------------------- 6.
 # Vectorisation docs: docs/VECTORIZATION.md must exist, be

@@ -17,13 +17,12 @@
 #   * ASAN_OPTIONS disables leak checking of intentionally process-
 #     lifetime allocations (dlopen handles of cached objects).
 #   * thread mode targets the concurrency surface (serving engine,
-#     registry, concurrent Executable::run, JIT cache writers).  libgomp
-#     is not TSan-instrumented, so OpenMP parallel regions would be
-#     reported as false races: the run pins OMP_NUM_THREADS=1 and loads
-#     scripts/tsan.supp to silence what remains of the runtime itself.
-#     Host-side threading (workers, queue, pools, futures) is fully
-#     checked.  Without extra ctest args, thread mode runs the
-#     concurrency-focused tests rather than the whole suite.
+#     registry, concurrent Executable::run, JIT cache writers) at full
+#     width: compiled pipelines run their tasks on TileScheduler threads,
+#     whose synchronisation TSan sees, and generated code uses no OpenMP
+#     runtime.  Only the comparator kernels (paper baselines, not in the
+#     thread set) use OpenMP.  Without extra ctest args, thread mode
+#     runs the concurrency-focused tests rather than the whole suite.
 
 set -eu
 cd "$(dirname "$0")/.."
@@ -48,8 +47,7 @@ export ASAN_OPTIONS="detect_leaks=0:abort_on_error=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 
 if [ "$san" = thread ]; then
-    export TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp:halt_on_error=1:second_deadlock_stack=1"
-    export OMP_NUM_THREADS=1
+    export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
     if [ $# -eq 0 ]; then
         # Scheduler matches the work-stealing deque/barrier stress
         # (tests/runtime/test_scheduler.cpp) and the engine tests,
@@ -57,8 +55,10 @@ if [ "$san" = thread ]; then
         # pool's lock-free paths are exactly what TSan exists to
         # check.  Interpreter and Tiered run the
         # interpreter's bands on the pool, from the oracle tests and
-        # from the engine's interpreter tier.
-        set -- -R '(Concurrent|Engine|Registry|Jit|Buffer|Scheduler|Interpreter|Tiered)'
+        # from the engine's interpreter tier.  Entries, Exec and Stream
+        # run compiled pipelines on schedulers of several widths,
+        # sliced reductions included.
+        set -- -R '(Concurrent|Engine|Registry|Jit|Buffer|Scheduler|Interpreter|Tiered|Entries|Exec|Stream)'
     fi
 fi
 

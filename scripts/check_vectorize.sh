@@ -20,6 +20,10 @@
 #   laplacian -- on x86-64 glibc its remap must call libmvec's SIMD
 #       expf (an imported _ZGV...expf symbol), not only the scalar one.
 #
+# Last, no object of the seven paper apps may import a symbol of the
+# OpenMP runtime (GOMP_*, omp_*): generated code keeps only its `omp
+# simd` pragmas, which -fopenmp-simd honours without the runtime.
+#
 # Usage: scripts/check_vectorize.sh [app]
 #
 # [app] (default `harris`) selects the app of the explicit/off checks.
@@ -44,8 +48,8 @@ dump="$build_dir/tools/polymage_dump_source"
 # Same flags and libraries the JIT uses (runtime/jit.cpp): libmvec,
 # the SIMD variants of the transcendentals, where glibc ships it on
 # x86-64.
-flags="-shared -fPIC -std=c++17 -w -O3 -fno-math-errno -march=native \
-       -fopenmp"
+flags="-shared -fPIC -std=c++17 -w -fno-math-errno -fopenmp-simd -O3 \
+       -march=native"
 libs=""
 if [ "$(uname -m)" = x86_64 ] && ldd --version 2>&1 | grep -qiE 'glibc|gnu libc'; then
     libs="-lmvec"
@@ -147,7 +151,28 @@ if [ -n "$libs" ]; then
     mvec="libmvec expf"
 fi
 
+# ---- no OpenMP runtime (every paper app) --------------------------------
+apps="unsharp bilateral harris camera pyramid interp laplacian"
+pids=""
+for a in $apps; do
+    [ -f "$tmp/$a.so" ] && continue
+    "$dump" "$a" > "$tmp/$a.cpp"
+    # shellcheck disable=SC2086
+    "$cxx" $flags -o "$tmp/$a.so" "$tmp/$a.cpp" $libs &
+    pids="$pids $!"
+done
+for pid in $pids; do
+    wait "$pid"
+done
+for a in $apps; do
+    if objdump -T "$tmp/$a.so" | grep -qE '(GOMP_|omp_)'; then
+        echo "check_vectorize: $a imports the OpenMP runtime:" >&2
+        objdump -T "$tmp/$a.so" | grep -E '(GOMP_|omp_)' >&2
+        exit 1
+    fi
+done
+
 echo "check_vectorize: OK (explicit: $nvec pm_v_ mentions," \
      "$wide wide-register instrs; off: scalar build clean;" \
      "pyramid: $nilv interleaved nests, $nloops vectorised loops;" \
-     "laplacian: $mvec)"
+     "laplacian: $mvec; no OpenMP runtime imports in 7 apps)"

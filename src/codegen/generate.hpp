@@ -5,14 +5,12 @@
  * overlapped-tile loops, per-tile scratchpads with relative indexing,
  * clamped per-level bounds, and vectorisation on unit-stride innermost
  * loops.  Each stage's loop nest is emitted once, as a function shared
- * by every entry flavour and by every other stage whose nest is the
- * same text up to the names of the buffers and parameters it takes as
- * arguments; each fused group gets one small function per
- * flavour (the OpenMP entry and the task entry) that walks its tiles
- * or tasks and calls them, and the pipeline entry calls the groups in
- * order.  The program thus splits
- * into translation units that compile concurrently
- * (GeneratedCode::translationUnits).
+ * with every other stage whose nest is the same text up to the names
+ * of the buffers and parameters it takes as arguments; each fused
+ * group gets one small function that walks its tiles or tasks and
+ * calls them, and the pipeline's one entry dispatches each parallel
+ * phase to its group.  The program thus splits into translation units
+ * that compile concurrently (GeneratedCode::translationUnits).
  */
 #ifndef POLYMAGE_CODEGEN_GENERATE_HPP
 #define POLYMAGE_CODEGEN_GENERATE_HPP
@@ -49,6 +47,15 @@ enum class VectorizeMode
 /** Short name of a mode as reported in profile JSON. */
 const char *vectorizeModeName(VectorizeMode m);
 
+/**
+ * Slices of a reduction's outermost dimension that run as parallel
+ * tasks (GeneratedCode::slicedReductions), fewer when the dimension is
+ * shorter.  A constant, so a reduction's result never depends on the
+ * thread count; set from a sweep on Bilateral's grid reductions
+ * (EXPERIMENTS.md "One pipeline entry").
+ */
+constexpr int kReductionSlices = 4;
+
 /** Code generation switches (the paper's opt/vec axes, §4). */
 struct CodegenOptions
 {
@@ -65,8 +72,8 @@ struct CodegenOptions
     VectorizeMode vectorize = VectorizeMode::Explicit;
     /**
      * Scratchpads above this total per group move from the stack to a
-     * 64-byte-aligned thread-private heap arena allocated once per
-     * call (hoisted out of the tile loop).
+     * 64-byte-aligned per-thread heap arena, kept across calls
+     * (hoisted out of the tile loop).
      */
     std::int64_t maxStackScratchBytes = 4ll << 20;
     /**
@@ -100,21 +107,20 @@ struct GeneratedCode
     /**
      * The program in pieces that compile independently.  `prelude`
      * (helpers and vector typedefs) opens every unit.  `functions`
-     * holds, per group, the flavour-neutral stage functions -- one per
-     * stage of a tiled group, `<entry>_g<k>_s<j>(buffers, parameters,
-     * T0[, T1...], scratchpads)`, one per case nest of an untiled
-     * stage, `<entry>_g<k>_s<j>_n<m>(buffers, parameters, outer
-     * indices)` -- then one function per entry flavour (`<entry>_g<k>`,
-     * `<entry>_g<k>_pm_task`) holding only its tile or task loop, its
-     * scratchpad allocation and the calls; accumulators keep a
-     * per-flavour body.  A stage function whose
-     * text equals an earlier one's up to the names of its arguments is
-     * not emitted: its drivers call the earlier function
-     * (`sharedCallers`).  All are hidden; a flavour function's piece
-     * opens with declarations of the stage functions it calls.
-     * `entryPoints` declares the flavour functions and defines the
-     * extern "C" entries that call them, plus the module's one
-     * per-thread task arena (`pm_task_arena`).
+     * holds, per group, the stage functions -- one per stage of a
+     * tiled group, `<entry>_g<k>_s<j>(buffers, parameters, T0[,
+     * T1...], scratchpads)`, one per case nest of an untiled stage,
+     * `<entry>_g<k>_s<j>_n<m>(buffers, parameters, outer indices)` --
+     * then the group function `<entry>_g<k>`, taking the entry's
+     * arguments and holding only its task loops, its scratchpad
+     * allocation and the calls (an accumulator's loops are its own).
+     * A stage function whose text equals an earlier one's up to the
+     * names of its arguments is not emitted: its drivers call the
+     * earlier function (`sharedCallers`).  All are hidden; a group
+     * function's piece opens with declarations of the stage functions
+     * it calls.  `entryPoints` declares the group functions and
+     * defines the one extern "C" entry dispatching to them, plus the
+     * module's one per-thread task arena (`pm_task_arena`).
      */
     std::string prelude;
     std::vector<std::string> functions;
@@ -127,41 +133,44 @@ struct GeneratedCode
      */
     std::vector<std::string> translationUnits(int n) const;
     /**
-     * Entry symbol:
-     * void entry(const long long *params, void *const *inputs,
-     *            void **outputs, void *const *slots);
+     * Entry symbol (docs/SERVING.md "Scheduling"): the pipeline's
+     * parallel phases as closed task lists a caller-owned scheduler
+     * executes.  A tiled group is one phase whose tasks are its
+     * outer-tile iterations, an untiled function nest is one phase
+     * whose tasks flatten the loop dimensions up to and including the
+     * parallel one, a sliced reduction is three phases (cells, slices,
+     * cells), and recurrences are single-task phases (serialPhases).
+     * long long entry(const long long *params, void *const *inputs,
+     *                 void **outputs, void *const *slots,
+     *                 long long phase, long long lo, long long hi);
      * Parameters/inputs/outputs follow graph order; `params` holds
      * exactly the graph parameters (tile sizes are folded constants,
      * docs/SHAPES.md).  Output buffers are caller-allocated (shape via
      * interp::stageShape).  `slots` holds one 64-byte-aligned
      * caller-provided allocation per entry of StoragePlan::slots, sized
-     * to the largest member stage under the call's parameters
-     * (rt::Executable services it from a BufferPool, so steady-state
-     * calls perform no heap allocation).
-     */
-    std::string entry;
-    /**
-     * Task-granular symbol (docs/SERVING.md "Scheduling"): the
-     * pipeline's parallel phases as closed task lists a caller-owned
-     * scheduler executes, instead of `omp parallel` regions.  A tiled
-     * group is one phase whose tasks are its outer-tile iterations, an
-     * untiled function nest is one phase whose tasks flatten the loop
-     * dimensions up to and including the parallel one, and serial
-     * stages are single-task phases (serialPhases).
-     * long long entry_pm_task(const long long *params,
-     *                         void *const *inputs, void **outputs,
-     *                         void *const *slots, long long phase,
-     *                         long long lo, long long hi);
+     * to the largest member stage under the call's parameters, then,
+     * when slicedReductions is not empty, one for the reductions'
+     * partials (rt::Executable services them from a BufferPool, so
+     * steady-state calls perform no heap allocation).
      * phase < 0 returns the phase count (== phaseGroup.size()); lo < 0
      * returns the task count of `phase` under the call's parameters;
      * otherwise tasks [lo, min(hi, count-1)] of `phase` execute
      * serially in the calling thread and 0 is returned.  Tasks within
      * one phase are independent; phases must complete in order (the
-     * scheduler's per-group barriers).
+     * scheduler's per-job barriers).
      */
-    std::string taskEntry;
+    std::string entry;
     /**
-     * Group index owning each phase of the task entry: phaseGroup[p]
+     * Accumulator stages whose reductions run sliced: kReductionSlices
+     * tasks over the outermost reduction dimension, slice k > 0
+     * combining into its own partial copy of the accumulator, merged
+     * into it in slice order.  The partials of every sliced reduction
+     * share the entry's last slot, (kReductionSlices - 1) copies of
+     * the largest such accumulator (its storage type).
+     */
+    std::vector<int> slicedReductions;
+    /**
+     * Group index owning each phase of the entry: phaseGroup[p]
      * is the group whose loops run phase p.  A tiled group owns one
      * phase (one task per outer tile); an untiled stage owns one phase
      * per case nest.  This is what lets the executor fold the flat
@@ -170,9 +179,10 @@ struct GeneratedCode
      */
     std::vector<int> phaseGroup;
     /**
-     * serialPhases[p]: phase p is one serial task -- a reduction, a
-     * recurrence, or an untiled nest with no dimension above its
-     * innermost.  The profile counts its time as serial.
+     * serialPhases[p]: phase p is one serial task -- a reduction
+     * reading its own accumulator, a recurrence, or an untiled nest
+     * with no dimension above its innermost.  The profile counts its
+     * time as serial.
      */
     std::vector<bool> serialPhases;
     /**
@@ -184,7 +194,7 @@ struct GeneratedCode
     /**
      * Codegen-strategy observability (the `codegen` object of
      * polymage-profile-v1 entries): whether partitioning ran, and the
-     * loop-nest census of the primary entry -- `interiorNests` counts
+     * loop-nest census of the program -- `interiorNests` counts
      * guard-free function-stage nests, `guardedNests` those that kept
      * a residual per-point `if`, and `partitionedCases` the cases
      * split into union-of-box strips.

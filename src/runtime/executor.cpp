@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
+#include <thread>
 
 #include "interp/interpreter.hpp"
+#include "runtime/scheduler.hpp"
 
 namespace polymage::rt {
 
@@ -34,10 +37,8 @@ Executable::build(const dsl::PipelineSpec &spec,
             exe.compiled_->code.translationUnits(JitModule::parallelism()),
             jit));
     }
-    exe.fn_ = reinterpret_cast<PipelineFn>(
+    exe.entry_ = reinterpret_cast<TaskFn>(
         exe.module_->symbol(exe.compiled_->code.entry));
-    exe.taskFn_ = reinterpret_cast<TaskFn>(
-        exe.module_->symbol(exe.compiled_->code.taskEntry));
     exe.trace_ = reg.spans();
     return exe;
 }
@@ -82,95 +83,102 @@ validateRun(const CompiledPipeline &c,
     }
 }
 
+/** Bytes of @p s's buffer in its storage type under @p params. */
+std::int64_t
+stageBytes(const CompiledPipeline &c, int s,
+           const std::vector<std::int64_t> &params)
+{
+    const auto &g = c.graph;
+    std::int64_t numel = 1;
+    for (std::int64_t d : interp::stageShape(g.stage(s), g, params))
+        numel *= d;
+    // The plan's allocation type -- the narrowed one when the range
+    // analysis proved it -- so the bitwidth narrowing shrinks the lease.
+    return numel * std::int64_t(dsl::dtypeSize(c.storage.elemType(s, g)));
+}
+
 /**
- * Acquire the storage plan's allocation slots from @p pool.  Each slot
- * is sized to its largest member stage under the actual parameter
- * values (compile-time estimates only guided the slot *assignment*;
- * sizes are always resolved at call time).
+ * Acquire the storage plan's allocation slots from @p pool, then the
+ * sliced reductions' partials slot (GeneratedCode::slicedReductions).
+ * Each slot is sized to its largest member stage under the actual
+ * parameter values (compile-time estimates only guided the slot
+ * *assignment*; sizes are always resolved at call time).
  */
 std::vector<void *>
 acquireSlots(const CompiledPipeline &c, BufferPool &pool,
              const std::vector<std::int64_t> &params)
 {
-    const auto &g = c.graph;
     std::vector<void *> ptrs;
-    ptrs.reserve(c.storage.slots.size());
+    ptrs.reserve(c.storage.slots.size() + 1);
     for (const auto &slot : c.storage.slots) {
         std::int64_t bytes = 0;
-        for (int s : slot.stages) {
-            const auto &stage = g.stage(s);
-            std::int64_t numel = 1;
-            for (std::int64_t d : interp::stageShape(stage, g, params))
-                numel *= d;
-            // Size with the plan's allocation type -- the narrowed one
-            // when the range analysis proved it -- so the bitwidth
-            // narrowing actually shrinks the lease.
-            bytes = std::max(bytes,
-                             numel * std::int64_t(dsl::dtypeSize(
-                                         c.storage.elemType(s, g))));
-        }
+        for (int s : slot.stages)
+            bytes = std::max(bytes, stageBytes(c, s, params));
+        ptrs.push_back(pool.acquire(std::size_t(bytes)));
+    }
+    if (!c.code.slicedReductions.empty()) {
+        std::int64_t bytes = 0;
+        for (int s : c.code.slicedReductions)
+            bytes = std::max(bytes, (cg::kReductionSlices - 1) *
+                                        stageBytes(c, s, params));
         ptrs.push_back(pool.acquire(std::size_t(bytes)));
     }
     return ptrs;
 }
 
-/** Per-call lease of acquireSlots(), released on scope exit even when
- * the pipeline throws. */
-class SlotLease
+/**
+ * The scheduler of runs given none: created on first use, with one
+ * worker per hardware thread but one (the helping caller takes that
+ * one), thread-less on a 1-core host.
+ */
+TileScheduler &
+defaultScheduler()
 {
-  public:
-    SlotLease(const CompiledPipeline &c, BufferPool &pool,
-              const std::vector<std::int64_t> &params)
-        : pool_(pool), ptrs_(acquireSlots(c, pool, params))
-    {}
-    SlotLease(const SlotLease &) = delete;
-    SlotLease &operator=(const SlotLease &) = delete;
-    ~SlotLease()
-    {
-        for (void *p : ptrs_)
-            pool_.release(p);
-    }
-
-    void *const *data() const { return ptrs_.data(); }
-
-  private:
-    BufferPool &pool_;
-    std::vector<void *> ptrs_;
-};
+    static TileScheduler sched([] {
+        SchedulerOptions o;
+        o.workers = int(std::thread::hardware_concurrency()) - 1;
+        if (o.workers < 1)
+            o.workers = -1;
+        return o;
+    }());
+    return sched;
+}
 
 } // namespace
 
 void
 Executable::runInto(const std::vector<std::int64_t> &params,
                     const std::vector<const Buffer *> &inputs,
-                    std::vector<Buffer> &outputs) const
+                    std::vector<Buffer> &outputs,
+                    TileScheduler *sched) const
 {
-    runInto(params, inputs, outputs, *pool_);
+    runInto(params, inputs, outputs, *pool_, sched);
 }
 
 void
 Executable::runInto(const std::vector<std::int64_t> &params,
                     const std::vector<const Buffer *> &inputs,
-                    std::vector<Buffer> &outputs, BufferPool &pool) const
+                    std::vector<Buffer> &outputs, BufferPool &pool,
+                    TileScheduler *sched) const
 {
-    validateRun(*compiled_, params, inputs);
-    // Inputs are read-only in generated code; the ABI uses void* const*.
-    std::vector<void *> in_ptrs;
-    for (const Buffer *b : inputs)
-        in_ptrs.push_back(const_cast<void *>(b->data()));
-    std::vector<void *> out_ptrs;
-    for (Buffer &b : outputs)
-        out_ptrs.push_back(b.data());
-    std::vector<long long> p(params.begin(), params.end());
-    SlotLease slots(*compiled_, pool, params);
-    fn_(p.data(), in_ptrs.data(), out_ptrs.data(), slots.data());
+    TileScheduler &s = sched != nullptr ? *sched : defaultScheduler();
+    const TaskInvocation inv = prepareTasks(params, inputs, outputs, pool);
+    const std::string err = s.helpWhile(s.submit(
+        [&inv](long long phase, long long lo, long long hi) {
+            inv.run(phase, lo, hi);
+        },
+        inv.phaseCounts()));
+    if (!err.empty())
+        throw std::runtime_error("pipeline '" + compiled_->graph.name() +
+                                 "' failed: " + err);
 }
 
 std::vector<Buffer>
 Executable::run(const std::vector<std::int64_t> &params,
-                const std::vector<const Buffer *> &inputs) const
+                const std::vector<const Buffer *> &inputs,
+                TileScheduler *sched) const
 {
-    return run(params, inputs, *pool_);
+    return run(params, inputs, *pool_, sched);
 }
 
 TaskInvocation::TaskInvocation(TaskInvocation &&o) noexcept
@@ -233,7 +241,7 @@ Executable::prepareTasks(const std::vector<std::int64_t> &params,
 {
     validateRun(*compiled_, params, inputs);
     TaskInvocation inv;
-    inv.fn_ = taskFn_;
+    inv.fn_ = entry_;
     inv.pool_ = &pool;
     for (const Buffer *b : inputs)
         inv.ins_.push_back(const_cast<void *>(b->data()));
@@ -249,7 +257,7 @@ Executable::prepareTasks(const std::vector<std::int64_t> &params,
 std::vector<Buffer>
 Executable::run(const std::vector<std::int64_t> &params,
                 const std::vector<const Buffer *> &inputs,
-                BufferPool &pool) const
+                BufferPool &pool, TileScheduler *sched) const
 {
     validateRun(*compiled_, params, inputs);
     std::vector<Buffer> outputs;
@@ -259,7 +267,7 @@ Executable::run(const std::vector<std::int64_t> &params,
                              interp::stageShape(g.stage(out), g,
                                                 params));
     }
-    runInto(params, inputs, outputs, pool);
+    runInto(params, inputs, outputs, pool, sched);
     return outputs;
 }
 
@@ -288,7 +296,7 @@ Executable::profile(const std::vector<std::int64_t> &params,
                 prof.phase.insert(prof.phase.end(), std::size_t(counts[p]),
                                   (long long)p);
         }
-        // One serial pass over the task entry, one task per call in
+        // One serial pass over the entry, one task per call in
         // phase order: parallel phases' tasks land in @p costs, serial
         // phases' single tasks in @p serial_s.
         using Clock = std::chrono::steady_clock;

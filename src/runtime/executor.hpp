@@ -1,8 +1,9 @@
 /**
  * @file
  * High-level execution of compiled pipelines: ties the compiler driver
- * and JIT together, allocates output buffers, and exposes the
- * per-task profile used by the multicore scaling model.
+ * and JIT together, allocates output buffers, runs the generated
+ * entry's phases on a TileScheduler, and exposes the per-task profile
+ * used by the multicore scaling model.
  */
 #ifndef POLYMAGE_RUNTIME_EXECUTOR_HPP
 #define POLYMAGE_RUNTIME_EXECUTOR_HPP
@@ -16,17 +17,14 @@
 
 namespace polymage::rt {
 
+class TileScheduler;
+
 /**
- * ABI of generated pipeline entry points.  The trailing pointer array
- * carries the intermediate-buffer slots of the storage reuse plan
- * (StoragePlan::slots), 64-byte aligned, serviced by the Executable's
- * BufferPool.
- */
-using PipelineFn = void (*)(const long long *, void *const *, void **,
-                            void *const *);
-/**
- * ABI of task-granular entry points (GeneratedCode::taskEntry): the
- * trailing (phase, lo, hi) triple selects what runs.  phase < 0
+ * ABI of generated pipeline entry points (GeneratedCode::entry).  The
+ * fourth argument carries the intermediate-buffer slots of the storage
+ * reuse plan (StoragePlan::slots) and the reductions' partials,
+ * 64-byte aligned, serviced by a BufferPool.  The trailing (phase, lo,
+ * hi) triple selects what runs.  phase < 0
  * returns the phase count; lo < 0 returns the task count of `phase`
  * under the call's parameters; otherwise tasks [lo, min(hi, count-1)]
  * of `phase` execute serially in the calling thread and 0 is
@@ -47,14 +45,15 @@ struct GroupProfile
     double seconds = 0.0;
     /**
      * Number of recorded parallel tasks: outer tile count for a tiled
-     * group, outer loop iteration count otherwise; 0 for serial
-     * groups (reductions, recurrences), whose time lands in
+     * group, outer loop iteration count otherwise, the cell and slice
+     * tasks of a sliced reduction; 0 for serial groups (reductions
+     * reading their own accumulator, recurrences), whose time lands in
      * TaskProfile::serialSeconds.
      */
     long long tasks = 0;
 };
 
-/** Per-task timing profile from a serial run of the task entry. */
+/** Per-task timing profile from a serial run of the entry. */
 struct TaskProfile
 {
     /** Seconds per parallel task, phase order. */
@@ -192,7 +191,13 @@ class Executable
     const std::vector<obs::Span> &trace() const { return trace_; }
 
     /**
-     * Allocate outputs and run.
+     * Allocate outputs and run: prepareTasks(), then the phases'
+     * tasks on @p sched, the calling thread helping
+     * (TileScheduler::helpWhile).  Without @p sched the run uses the
+     * process-wide scheduler, created on first use with one worker
+     * per hardware thread but one (none on a 1-core host).  Outputs
+     * are bitwise the same on any scheduler.  A failed task throws
+     * std::runtime_error.
      *
      * Thread-safe: concurrent run()/runInto() calls on one Executable
      * are supported — the compiled artefacts are immutable, slot
@@ -200,13 +205,14 @@ class Executable
      * locked (it grows to the concurrent working-set peak).
      */
     std::vector<Buffer> run(const std::vector<std::int64_t> &params,
-                            const std::vector<const Buffer *> &inputs)
-        const;
+                            const std::vector<const Buffer *> &inputs,
+                            TileScheduler *sched = nullptr) const;
 
     /** Run into caller-provided outputs. */
     void runInto(const std::vector<std::int64_t> &params,
                  const std::vector<const Buffer *> &inputs,
-                 std::vector<Buffer> &outputs) const;
+                 std::vector<Buffer> &outputs,
+                 TileScheduler *sched = nullptr) const;
 
     /**
      * Allocate outputs and run, servicing intermediate slots from
@@ -217,12 +223,14 @@ class Executable
      */
     std::vector<Buffer> run(const std::vector<std::int64_t> &params,
                             const std::vector<const Buffer *> &inputs,
-                            BufferPool &pool) const;
+                            BufferPool &pool,
+                            TileScheduler *sched = nullptr) const;
 
     /** Run into caller-provided outputs using an external pool. */
     void runInto(const std::vector<std::int64_t> &params,
                  const std::vector<const Buffer *> &inputs,
-                 std::vector<Buffer> &outputs, BufferPool &pool) const;
+                 std::vector<Buffer> &outputs, BufferPool &pool,
+                 TileScheduler *sched = nullptr) const;
 
     /**
      * Prepare a task-granular call against caller-allocated
@@ -238,7 +246,7 @@ class Executable
                                 BufferPool &pool) const;
 
     /**
-     * Run the task entry serially on the calling thread, one task per
+     * Run the entry serially on the calling thread, one task per
      * call, and collect per-task costs.  The run repeats and keeps each
      * task's minimum.  Its outputs are discarded unless @p outputs is
      * given.
@@ -267,8 +275,7 @@ class Executable
     std::shared_ptr<JitModule> module_;
     std::shared_ptr<BufferPool> pool_;
     std::vector<obs::Span> trace_;
-    PipelineFn fn_ = nullptr;
-    TaskFn taskFn_ = nullptr;
+    TaskFn entry_ = nullptr;
 };
 
 } // namespace polymage::rt

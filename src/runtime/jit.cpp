@@ -122,7 +122,7 @@ runLogged(const std::vector<std::string> &argv, const std::string &log)
  * inherit them (on Linux the nice value is per thread, so only this
  * thread changes).  A JIT build usually runs beside work that is
  * waiting for answers (the tiered engine's interpreter tier, other
- * pipelines' OpenMP teams), and the compilers should take the idle
+ * pipelines' tile tasks), and the compilers should take the idle
  * cycles rather than preempt it.
  */
 void
@@ -309,23 +309,6 @@ publishToCache(const std::string &src, const std::string &dst)
         fs::remove(tmp, ec);
 }
 
-/**
- * Load the OpenMP runtime into the global namespace, once per process,
- * before the first generated object.  Host binaries that reference no
- * `omp_*` symbol are linked without libgomp (the --as-needed link drops
- * it), so it would otherwise arrive first as a dependency of a
- * dlopen'ed pipeline, whose multi-threaded regions then crash.
- */
-void
-loadOpenMPRuntime()
-{
-    static std::once_flag once;
-    std::call_once(once, [] {
-        if (dlopen("libgomp.so.1", RTLD_NOW | RTLD_GLOBAL) == nullptr)
-            warn(std::string("cannot preload libgomp: ") + dlerror());
-    });
-}
-
 } // namespace
 
 int
@@ -347,23 +330,21 @@ JitModule::compile(const std::vector<std::string> &units,
                    const JitOptions &opts)
 {
     PM_ASSERT(!units.empty(), "no translation unit to compile");
-    if (opts.openmp)
-        loadOpenMPRuntime();
     // -fno-math-errno lets gcc treat sqrt and friends as the pure
     // instructions they are.  It is not -ffast-math: IEEE semantics are
     // otherwise preserved.  Transcendental calls (expf, powf) vectorise
     // because the generated prelude declares them `simd` (glibc's
     // <math.h> does so only under -ffast-math); the vector variants
     // live in libmvec, linked below -- what icc's SVML gives the
-    // paper's setup.  One flag set serves both the per-unit compiles
-    // (-shared is inert under -c) and the link.
+    // paper's setup.  -fopenmp-simd honours the generated `omp simd`
+    // pragmas without the OpenMP runtime (under -w an unknown pragma
+    // would be dropped silently).  One flag set serves both the
+    // per-unit compiles (-shared is inert under -c) and the link.
     std::vector<std::string> flags = {"-shared", "-fPIC", "-std=c++17",
                                       "-w", "-fno-math-errno",
-                                      opts.optLevel};
+                                      "-fopenmp-simd", opts.optLevel};
     if (opts.nativeArch)
         flags.push_back("-march=native");
-    if (opts.openmp)
-        flags.push_back("-fopenmp");
     if (!opts.vectorize) {
         flags.push_back("-fno-tree-vectorize");
         flags.push_back("-fno-tree-slp-vectorize");

@@ -3,8 +3,9 @@
  * JIT harness: compiles generated C++ with the system compiler into a
  * shared object and loads it, mirroring how PolyMage's generated code
  * was built with icc in the paper (here: g++ -O3 -march=native
- * -fopenmp).  A program split into several translation units compiles
- * them in concurrent compiler processes and links one object.  The
+ * -fopenmp-simd; generated code needs no OpenMP runtime).  A program
+ * split into several translation units compiles them in concurrent
+ * compiler processes and links one object.  The
  * compilers start without a shell, at a lower priority than the caller,
  * and a process-wide budget (JitModule::parallelism) bounds how many run
  * at once across every build in the process.
@@ -24,7 +25,6 @@ struct JitOptions
     std::string compiler = "g++";
     std::string optLevel = "-O3";
     bool nativeArch = true;
-    bool openmp = true;
     /** When false, auto-vectorisation is disabled (-fno-tree-vectorize). */
     bool vectorize = true;
     /** Keep the temp directory (sources, errors) for inspection. */

@@ -3,12 +3,13 @@
  * Shared work-stealing tile-task scheduler (docs/SERVING.md
  * "Scheduling"): a fixed pool of worker threads, each owning a
  * Chase-Lev deque of task chunks, executing the phase-ordered task
- * lists that task-ABI pipeline entries expose (GeneratedCode::
- * taskEntry).  One scheduler serves every in-flight request of a
- * serving engine, so tile tasks from concurrent requests interleave
- * on one thread pool instead of each request opening its own OpenMP
- * region: a long request's tail tiles no longer serialise behind an
- * idle barrier while other requests wait for threads.
+ * lists that generated pipeline entries expose (GeneratedCode::
+ * entry).  Every compiled run goes through one: Executable::run uses
+ * the caller's or a process-wide scheduler, and one scheduler serves
+ * every in-flight request of a serving engine, so tile tasks from
+ * concurrent requests interleave on one thread pool: a long request's
+ * tail tiles no longer serialise behind an idle barrier while other
+ * requests wait for threads.
  *
  * Execution model: a Job is a sequence of phases; every phase is a
  * closed list of independent tasks [0, count).  Tasks are grouped

@@ -126,31 +126,17 @@ StreamExecutable::step(const std::vector<const Buffer *> &inputs,
                       rings_[r][std::size_t(wrap(frame_, ring.depth))]);
         }
     }
-    if (sched != nullptr) {
-        // Shared tile pool: the frame's tiles drain through the
-        // work-stealing scheduler alongside other requests' tasks.
-        TaskInvocation inv = exe_->prepareTasks(
-            params_, callInputs_, outputs_, exe_->pool());
-        auto ticket = sched->submit(
-            [&inv](long long phase, long long lo, long long hi) {
-                inv.run(phase, lo, hi);
-            },
-            inv.phaseCounts());
-        const std::string err = sched->helpWhile(ticket);
-        if (!err.empty()) {
-            // Restore the ring slots before surfacing the failure.
-            for (std::size_t r = 0; r < plan_->rings.size(); ++r) {
-                const core::RingSpec &ring = plan_->rings[r];
-                if (!ring.fromInput && ring.syntheticOutput)
-                    std::swap(
-                        outputs_[std::size_t(ring.sourceOutputIndex)],
-                        rings_[r][std::size_t(
-                            wrap(frame_, ring.depth))]);
-            }
-            specError("stream step failed: ", err);
+    try {
+        exe_->runInto(params_, callInputs_, outputs_, exe_->pool(), sched);
+    } catch (const std::exception &e) {
+        // Restore the ring slots before surfacing the failure.
+        for (std::size_t r = 0; r < plan_->rings.size(); ++r) {
+            const core::RingSpec &ring = plan_->rings[r];
+            if (!ring.fromInput && ring.syntheticOutput)
+                std::swap(outputs_[std::size_t(ring.sourceOutputIndex)],
+                          rings_[r][std::size_t(wrap(frame_, ring.depth))]);
         }
-    } else {
-        exe_->runInto(params_, callInputs_, outputs_, exe_->pool());
+        specError("stream step failed: ", e.what());
     }
     for (std::size_t r = 0; r < plan_->rings.size(); ++r) {
         const core::RingSpec &ring = plan_->rings[r];

@@ -56,9 +56,10 @@ class StreamExecutable
      * returned buffers are owned by the session and overwritten by
      * the next step().
      *
-     * When @p sched is non-null, the frame's tiles drain through the
-     * shared scheduler (docs/SERVING.md "Scheduling") instead of a
-     * private OpenMP region.
+     * The frame's tiles drain through @p sched (docs/SERVING.md
+     * "Scheduling"), or without one through Executable::runInto's
+     * process-wide scheduler.  A failed frame throws and leaves the
+     * rings as they were.
      */
     const std::vector<Buffer> &
     step(const std::vector<const Buffer *> &inputs,

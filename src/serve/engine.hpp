@@ -7,7 +7,7 @@
  * serving metrics in the `polymage-serve-v1` schema.
  *
  * One execution model: every compiled request and stream frame runs
- * as the task entry's (phase, lo, hi) task lists on the engine's one
+ * as the entry's (phase, lo, hi) task lists on the engine's one
  * rt::TileScheduler, and interpreter-tier answers split their stages
  * into row bands on the same pool.  Engine workers help the pool
  * while they wait, and the pool only adds threads for the cores the

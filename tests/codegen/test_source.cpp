@@ -1,12 +1,14 @@
 /**
  * @file
  * Structural checks on the generated C++ for Harris corner detection
- * against the shape of the paper's Figure 7: OpenMP-parallel tile
- * loops, thread-private scratchpads, clamped per-level bounds,
- * vectorisation pragmas, and a single full allocation for the
+ * against the shape of the paper's Figure 7: parallel tile loops (one
+ * task per outer tile), thread-private scratchpads, clamped per-level
+ * bounds, vectorisation pragmas, and a single full allocation for the
  * live-out.
  */
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "apps/apps.hpp"
 #include "driver/compiler.hpp"
@@ -52,24 +54,28 @@ CompiledPipeline *HarrisSource::compiled_ = nullptr;
 TEST_F(HarrisSource, EntrySymbolAndAbi)
 {
     EXPECT_EQ(compiled_->code.entry, "polymage_harris");
-    EXPECT_NE(src().find("extern \"C\" void polymage_harris(const long "
-                         "long *params"),
+    EXPECT_NE(src().find("extern \"C\" long long polymage_harris(const "
+                         "long long *params, void *const *inputs, void "
+                         "**outputs, void *const *pm_slots, long long "
+                         "pm_phase, long long pm_lo, long long pm_hi)"),
               std::string::npos);
 }
 
 TEST_F(HarrisSource, ParallelTileLoop)
 {
-    // One fused group: exactly one parallel tile loop (Fig. 7's Ti).
-    EXPECT_EQ(countOccurrences(src(), "#pragma omp parallel for"), 1);
-    EXPECT_NE(src().find("for (long long T0 ="), std::string::npos);
+    // One fused group: exactly one parallel phase, whose tasks are the
+    // outer tiles (Fig. 7's Ti).
+    EXPECT_EQ(compiled_->code.phaseGroup.size(), 1u);
+    EXPECT_EQ(countOccurrences(src(), "for (long long pm_t = pm_lo;"), 1);
+    EXPECT_NE(src().find("const long long T0 = "), std::string::npos);
     EXPECT_NE(src().find("for (long long T1 ="), std::string::npos);
 }
 
 TEST_F(HarrisSource, ScratchpadsAreThreadPrivateArrays)
 {
     // Five scratchpads: Ix, Iy, Sxx, Syy, Sxy (Fig. 7), declared once
-    // by each entry flavour's tile loop.
-    EXPECT_EQ(countOccurrences(src(), "float scr_"), 2 * 5);
+    // by the group function's tile loop.
+    EXPECT_EQ(countOccurrences(src(), "float scr_"), 5);
     EXPECT_NE(src().find("float scr_Ix["), std::string::npos);
     EXPECT_NE(src().find("float scr_Sxx["), std::string::npos);
     // Relative indexing against per-tile origins.
@@ -108,17 +114,15 @@ TEST_F(HarrisSource, BaselineHasNoTilesOrScratchpads)
     EXPECT_EQ(c.code.source.find("scr_"), std::string::npos);
     EXPECT_EQ(c.code.source.find("for (long long T0"),
               std::string::npos);
-    // Six parallel loops: one per remaining stage case.
-    EXPECT_GT(countOccurrences(c.code.source, "#pragma omp parallel"),
-              5);
+    // Six parallel phases: one per remaining stage case.
+    EXPECT_GT(c.code.phaseGroup.size(), 5u);
 }
 
-TEST_F(HarrisSource, EmitsThePlainAndTaskEntriesOnly)
+TEST_F(HarrisSource, EmitsOneEntryOnly)
 {
-    // Exactly two extern "C" entries, in every build: the OpenMP entry
-    // and the task entry, and no third (timed) flavour.  (The prelude
-    // declares the libm functions the code calls, extern "C" too.)
-    EXPECT_EQ(compiled_->code.taskEntry, "polymage_harris_pm_task");
+    // Exactly one extern "C" entry, in every build: the task-ABI
+    // entry, and no OpenMP or timed flavour.  (The prelude declares
+    // the libm functions the code calls, extern "C" too.)
     for (const CompileOptions &opts :
          {CompileOptions::optimized(), CompileOptions::baseline(false)}) {
         const CompiledPipeline c =
@@ -129,12 +133,14 @@ TEST_F(HarrisSource, EmitsThePlainAndTaskEntriesOnly)
              pos != std::string::npos;
              pos = source.find("extern \"C\"", pos + 1))
             entries.push_back(source.substr(pos, source.find('(', pos) - pos));
-        EXPECT_EQ(entries,
-                  (std::vector<std::string>{
-                      "extern \"C\" void polymage_harris",
-                      "extern \"C\" long long polymage_harris_pm_task"}));
-        for (const char *gone : {"_pm_instr", "pm_record", "pm_now"})
+        EXPECT_EQ(entries, (std::vector<std::string>{
+                               "extern \"C\" long long polymage_harris"}));
+        for (const char *gone :
+             {"_pm_instr", "pm_record", "pm_now", "_pm_task", "omp_"})
             EXPECT_EQ(source.find(gone), std::string::npos) << gone;
+        // The only OpenMP pragma left is `omp simd`.
+        EXPECT_EQ(countOccurrences(c.code.source, "#pragma omp"),
+                  countOccurrences(c.code.source, "#pragma omp simd"));
     }
 }
 
@@ -159,7 +165,7 @@ TEST(CodegenFeatures, StorageOptOffSpillsToFullBuffers)
     auto c = compilePipeline(apps::buildHarris(256, 256), opts);
     // Tiling still happens, but no scratchpads: intermediates become
     // full buffers serviced by the executor's slot array.
-    EXPECT_NE(c.code.source.find("for (long long T0"),
+    EXPECT_NE(c.code.source.find("const long long T0 = "),
               std::string::npos);
     EXPECT_EQ(c.code.source.find("scr_"), std::string::npos);
     EXPECT_NE(c.code.source.find("pm_slots["), std::string::npos);
@@ -169,20 +175,20 @@ TEST(CodegenFeatures, StorageOptOffSpillsToFullBuffers)
 TEST(CodegenFeatures, HeapScratchHoistedOutOfTileLoop)
 {
     // Forcing every scratchpad to the heap must not reintroduce
-    // per-tile allocation: the arena is carved once per thread before
-    // the tile loop and every allocation goes through the 64-byte
-    // aligned pm_alloc helper.
+    // per-tile allocation: the calling thread's 64-byte-aligned arena
+    // (pm_task_arena) is carved before the tile loop.
     CompileOptions opts;
     opts.codegen.maxStackScratchBytes = 0;
     auto c = compilePipeline(apps::buildHarris(2048, 2048), opts);
     const std::string &src = c.code.source;
     EXPECT_EQ(src.find("std::malloc"), std::string::npos);
     const std::size_t arena = src.find("pm_arena_g");
-    const std::size_t tile = src.find("for (long long T0");
+    const std::size_t tile = src.find("for (long long pm_t = pm_lo;");
     ASSERT_NE(arena, std::string::npos);
     ASSERT_NE(tile, std::string::npos);
     EXPECT_LT(arena, tile); // hoisted before the tile loop
-    EXPECT_NE(src.find("pm_alloc("), std::string::npos);
+    EXPECT_NE(src.find("pm_task_arena("), std::string::npos);
+    EXPECT_NE(src.find("std::aligned_alloc(64,"), std::string::npos);
     EXPECT_GT(c.code.heapArenaBytes, 0);
 }
 
@@ -270,13 +276,23 @@ TEST(CodegenFeatures, ParityCasesBecomeStridedLoops)
               std::string::npos);
 }
 
-TEST(CodegenFeatures, ReductionsPrivatisedUnderOpenMP)
+TEST(CodegenFeatures, ReductionsRunAsSlicedPhases)
 {
+    // Privatised over a constant number of slices (paper section 3.5):
+    // cells, then slices, then the merge, each a parallel phase.
     auto t = polymage::testing::makeHistogram(512);
     auto c = compilePipeline(t.spec);
-    EXPECT_NE(c.code.source.find("pm_priv"), std::string::npos);
-    EXPECT_NE(c.code.source.find("#pragma omp critical"),
+    EXPECT_EQ(c.code.slicedReductions.size(), 1u);
+    EXPECT_EQ(c.code.serialPhases, std::vector<bool>(3, false));
+    const std::string &src = c.code.source;
+    EXPECT_NE(src.find("pm_min_i(" + std::to_string(kReductionSlices) +
+                       ", pm_ext)"),
               std::string::npos);
+    // The partials slot follows the storage plan's slots.
+    EXPECT_NE(src.find("pm_part = (int *)pm_slots[" +
+                       std::to_string(c.storage.slots.size()) + "]"),
+              std::string::npos);
+    EXPECT_NE(src.find("// merge hist"), std::string::npos);
 }
 
 TEST(CodegenFeatures, SelfRecurrentScanStaysSequentialAndDirect)
@@ -284,8 +300,12 @@ TEST(CodegenFeatures, SelfRecurrentScanStaysSequentialAndDirect)
     auto spec = apps::buildHistogramEq(512, 512);
     auto c = compilePipeline(spec);
     // The cdf scan (self-recurrent) must not be parallelised; the
-    // histogram before it is privatised.
-    EXPECT_NE(c.code.source.find("pm_priv"), std::string::npos);
+    // histogram before it is sliced.
+    EXPECT_NE(c.code.source.find("pm_part"), std::string::npos);
+    EXPECT_EQ(c.code.slicedReductions.size(), 1u);
+    EXPECT_NE(std::find(c.code.serialPhases.begin(),
+                        c.code.serialPhases.end(), true),
+              c.code.serialPhases.end());
     const auto cdf_pos = c.code.source.find("// ---- group");
     EXPECT_NE(cdf_pos, std::string::npos);
 }

@@ -386,14 +386,37 @@ TEST(Jit, CacheDirOthersControlIsNotUsed)
     }
 }
 
-TEST(Jit, OpenMPAvailableInJitCode)
+/**
+ * Generated code uses OpenMP's `simd` pragma and nothing else of it:
+ * the JIT compiles with -fopenmp-simd, which honours the pragma without
+ * defining _OPENMP or linking the OpenMP runtime.
+ */
+TEST(Jit, CompilesOmpSimdWithoutTheOpenMPRuntime)
 {
     JitModule mod = JitModule::compile(
-        "#include <omp.h>\n"
-        "extern \"C\" int pm_threads() { return omp_get_max_threads(); "
+        "extern \"C\" int pm_openmp()\n"
+        "{\n"
+        "#ifdef _OPENMP\n"
+        "    return 1;\n"
+        "#else\n"
+        "    return 0;\n"
+        "#endif\n"
+        "}\n"
+        "extern \"C\" int pm_sum(const int *a, int n)\n"
+        "{\n"
+        "    int s = 0;\n"
+        "#pragma omp simd reduction(+ : s)\n"
+        "    for (int i = 0; i < n; ++i)\n"
+        "        s += a[i];\n"
+        "    return s;\n"
         "}\n");
-    auto fn = reinterpret_cast<int (*)()>(mod.symbol("pm_threads"));
-    EXPECT_GE(fn(), 1);
+    EXPECT_EQ(reinterpret_cast<int (*)()>(mod.symbol("pm_openmp"))(), 0);
+    std::vector<int> a(1000);
+    for (int i = 0; i < 1000; ++i)
+        a[std::size_t(i)] = i;
+    EXPECT_EQ(reinterpret_cast<int (*)(const int *, int)>(
+                  mod.symbol("pm_sum"))(a.data(), 1000),
+              499500);
 }
 
 } // namespace

@@ -104,14 +104,18 @@ TEST(Profile, TimesEveryTaskOfTheTaskEntry)
         EXPECT_EQ(prof.groups.size(), exe.info().grouping.groups.size());
     }
     {
-        // Bilateral's grid reductions are serial phases.
-        SCOPED_TRACE("bilateral");
-        Executable exe =
-            Executable::build(apps::buildBilateralGrid(96, 64));
-        Buffer in = synth::photo(96, 64);
+        // histogram_eq's cdf scan is a serial phase; its histogram
+        // runs as sliced, parallel phases.
+        SCOPED_TRACE("histogram_eq");
+        Executable exe = Executable::build(apps::buildHistogramEq(96, 64));
+        Buffer in(dsl::DType::UChar, {96, 64});
+        auto *px = static_cast<unsigned char *>(in.data());
+        for (std::int64_t i = 0; i < 96 * 64; ++i)
+            px[i] = static_cast<unsigned char>(i * 37);
         const TaskProfile prof = exe.profile({96, 64}, {&in});
         const auto counts = entryCounts(exe, {96, 64}, {&in});
         const auto &code = exe.info().code;
+        EXPECT_EQ(code.slicedReductions.size(), 1u);
         ASSERT_EQ(counts.size(), code.serialPhases.size());
         const auto recorded = recordedPerPhase(prof, counts.size());
         int serial = 0;

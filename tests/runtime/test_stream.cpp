@@ -3,8 +3,8 @@
  * Streaming sessions (docs/STREAMING.md): rt::StreamExecutable must
  * match the reference streaming evaluator frame by frame -- including
  * the zero-filled warm-up frames -- while performing zero steady-state
- * buffer allocations, through both the OpenMP entry and the shared
- * tile-queue (task-ABI) path.
+ * buffer allocations, on the process-wide scheduler and on a shared
+ * one passed to each step.
  */
 #include <gtest/gtest.h>
 

@@ -124,9 +124,9 @@ main(int argc, char **argv)
     for (const std::string &f : code.functions)
         largest = std::max(largest, lineCount(f));
     std::printf("// source: %ld lines, prelude %ld, %zu functions "
-                "(largest %ld lines), entry points %ld\n",
+                "(largest %ld lines), entry %s %ld\n",
                 lineCount(code.source), lineCount(code.prelude),
-                code.functions.size(), largest,
+                code.functions.size(), largest, code.entry.c_str(),
                 lineCount(code.entryPoints));
     for (const std::string &f : code.functions) {
         const std::string name = definedName(f);
