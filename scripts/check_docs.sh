@@ -132,6 +132,12 @@ stale='omp parallel|omp critical|omp_set_num_threads|PipelineFn|loadOpenMPRuntim
 if grep -rnE "$stale" src/ bench/ tools/ --exclude-dir=comparators; then
     err "deleted OpenMP entry names (above) are back"
 fi
+# Nor the scheduler's second ways in and the knobs that went with
+# them: TileScheduler::run is its one job entry.
+stale='helpWhile|TileScheduler::submit|TileScheduler::Ticket|SchedulerOptions::grain|GeneratedCode::taskEntry|EngineOptions::maxBatch'
+if grep -rnE "$stale" README.md docs/ src/ bench/ tools/; then
+    err "deleted scheduler entry or option names (above) are back"
+fi
 
 # ---------------------------------------------------------------- 6.
 # Vectorisation docs: docs/VECTORIZATION.md must exist, be

@@ -1234,7 +1234,7 @@ FunctionStage::run(rt::TileScheduler *sched)
     std::vector<std::unique_ptr<FunctionStage>> copies;
     std::int64_t faultRow = rows;
     std::exception_ptr fault;
-    const auto ticket = sched->submit(
+    const std::string err = sched->run(
         [&](long long, long long first, long long last) {
             std::unique_ptr<FunctionStage> copy;
             {
@@ -1261,7 +1261,6 @@ FunctionStage::run(rt::TileScheduler *sched)
                 copies.push_back(std::move(copy));
         },
         {rows});
-    const std::string err = sched->helpWhile(ticket);
     PM_ASSERT(err.empty(), err);
     if (fault)
         std::rethrow_exception(fault);

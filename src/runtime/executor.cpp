@@ -163,11 +163,11 @@ Executable::runInto(const std::vector<std::int64_t> &params,
 {
     TileScheduler &s = sched != nullptr ? *sched : defaultScheduler();
     const TaskInvocation inv = prepareTasks(params, inputs, outputs, pool);
-    const std::string err = s.helpWhile(s.submit(
+    const std::string err = s.run(
         [&inv](long long phase, long long lo, long long hi) {
             inv.run(phase, lo, hi);
         },
-        inv.phaseCounts()));
+        inv.phaseCounts());
     if (!err.empty())
         throw std::runtime_error("pipeline '" + compiled_->graph.name() +
                                  "' failed: " + err);
@@ -248,8 +248,6 @@ Executable::prepareTasks(const std::vector<std::int64_t> &params,
     for (Buffer &b : outputs)
         inv.outs_.push_back(b.data());
     inv.params_.assign(params.begin(), params.end());
-    // The lease must outlive this call frame (the scheduler's workers
-    // execute later), so the invocation owns the acquisitions.
     inv.slots_ = acquireSlots(*compiled_, pool, params);
     return inv;
 }

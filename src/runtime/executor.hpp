@@ -129,9 +129,9 @@ struct MemoryStats
 /**
  * One prepared task-granular call (docs/SERVING.md "Scheduling"):
  * the resolved graph parameters, input/output pointer tables, and a
- * held slot lease, bound so a caller-owned scheduler can execute the
- * pipeline's phases as closed task lists.  The lease returns to its pool on destruction;
- * the invocation must not outlive the Executable, the inputs, or the
+ * held slot lease, bound so the pipeline's phases can run as closed
+ * task lists.  The lease returns to its pool on destruction; the
+ * invocation must not outlive the Executable, the inputs, or the
  * output buffers it was prepared against.
  */
 class TaskInvocation
@@ -193,7 +193,7 @@ class Executable
     /**
      * Allocate outputs and run: prepareTasks(), then the phases'
      * tasks on @p sched, the calling thread helping
-     * (TileScheduler::helpWhile).  Without @p sched the run uses the
+     * (TileScheduler::run).  Without @p sched the run uses the
      * process-wide scheduler, created on first use with one worker
      * per hardware thread but one (none on a 1-core host).  Outputs
      * are bitwise the same on any scheduler.  A failed task throws
@@ -235,10 +235,10 @@ class Executable
     /**
      * Prepare a task-granular call against caller-allocated
      * @p outputs: validates the request, binds parameters and pointer
-     * tables, and leases the intermediate slots from @p pool.  The returned invocation's
-     * run(phase, lo, hi) is what a tile scheduler's workers execute;
-     * the caller must keep inputs/outputs alive until it is done and
-     * destroyed.
+     * tables, and leases the intermediate slots from @p pool.  The
+     * returned invocation's run(phase, lo, hi) is what runInto()'s
+     * scheduler and profile() execute; the caller must keep
+     * inputs/outputs alive until it is destroyed.
      */
     TaskInvocation prepareTasks(const std::vector<std::int64_t> &params,
                                 const std::vector<const Buffer *> &inputs,

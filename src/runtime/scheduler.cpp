@@ -7,12 +7,12 @@
 
 namespace polymage::rt {
 
-/** Internal state of one submitted job. */
+/** State of one job; it lives in the frame of run(). */
 struct SchedJob
 {
-    TileScheduler::PhaseRunner run;
+    const TileScheduler::PhaseRunner *run = nullptr;
     std::vector<long long> counts;
-    /** Current phase index.  Written only by submit() and by the
+    /** Current phase index.  Written only by run() and by the
      * worker that retires the phase's last task -- at that moment no
      * other thread holds a live chunk of this job. */
     std::size_t phase = 0;
@@ -22,13 +22,11 @@ struct SchedJob
      * transition by the sole retiring worker. */
     std::vector<Chunk> chunkStore;
     std::atomic<bool> failed{false};
-    /** Lock-free mirror of `done` so helpWhile() can poll without
-     * taking the job mutex on every chunk. */
+    /** Set by the worker that retires the job's last task. */
     std::atomic<bool> finished{false};
 
+    /** Guards `error`; the retiring worker sets `finished` under it. */
     std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
     std::string error;
 };
 
@@ -127,8 +125,8 @@ class WorkDeque
     std::atomic<std::int64_t> bottom_{0};
 };
 
-/** Chunks each worker's share of a phase is split into (the grain
- * divisor: count / (workers * this)). */
+/** Chunks each worker's share of a phase is split into: a chunk is
+ * max(1, count / (workers * this)) tasks. */
 constexpr long long kChunksPerWorker = 8;
 
 std::uint64_t
@@ -148,17 +146,16 @@ struct TileScheduler::Worker
     std::uint64_t rng;
 };
 
-TileScheduler::TileScheduler(Options opts) : opts_(opts)
+TileScheduler::TileScheduler(Options opts)
 {
-    int n = opts_.workers;
+    int n = opts.workers;
     if (n < 0) {
-        n = 0; // thread-less: helpWhile() callers execute everything
+        n = 0; // thread-less: run() callers execute everything
     } else if (n == 0) {
         n = int(std::thread::hardware_concurrency());
         if (n <= 0)
             n = 1;
     }
-    opts_.grain = std::max<long long>(1, opts_.grain);
     workers_.reserve(std::size_t(n));
     for (int i = 0; i < n; ++i) {
         auto w = std::make_unique<Worker>();
@@ -174,11 +171,8 @@ TileScheduler::TileScheduler(Options opts) : opts_(opts)
 TileScheduler::~TileScheduler()
 {
     {
-        std::unique_lock<std::mutex> lock(injectMu_);
-        // Let in-flight jobs drain first: workers only exit once
-        // stopping_ is set, and it is only set when no chunk can be
-        // anywhere but a deque already being emptied.
-        wake_.wait(lock, [&] { return live_.empty(); });
+        // Every job ended with its run() call, so no chunk is left.
+        std::lock_guard<std::mutex> lock(injectMu_);
         stopping_ = true;
         wake_.notify_all();
     }
@@ -188,11 +182,11 @@ TileScheduler::~TileScheduler()
 }
 
 std::vector<Chunk>
-TileScheduler::chunksOf(SchedJob &job, int workers, long long grain)
+TileScheduler::chunksOf(SchedJob &job, int workers)
 {
     const long long count = job.counts[job.phase];
     const long long per = std::max(
-        grain, count / (std::max(1, workers) * kChunksPerWorker));
+        1LL, count / (std::max(1, workers) * kChunksPerWorker));
     std::vector<Chunk> out;
     out.reserve(std::size_t((count + per - 1) / per));
     for (long long lo = 0; lo < count; lo += per) {
@@ -204,42 +198,6 @@ TileScheduler::chunksOf(SchedJob &job, int workers, long long grain)
         out.push_back(c);
     }
     return out;
-}
-
-TileScheduler::Ticket
-TileScheduler::submit(PhaseRunner run,
-                      std::vector<long long> phase_counts)
-{
-    PM_ASSERT(run != nullptr, "TileScheduler::submit without a runner");
-    auto job = std::make_shared<SchedJob>();
-    job->run = std::move(run);
-    job->counts = std::move(phase_counts);
-    while (job->phase < job->counts.size() &&
-           job->counts[job->phase] <= 0)
-        ++job->phase;
-
-    Ticket t;
-    t.job_ = job;
-    if (job->phase >= job->counts.size()) {
-        // Nothing to do: complete inline.
-        std::lock_guard<std::mutex> lock(job->mu);
-        job->done = true;
-        job->finished.store(true, std::memory_order_release);
-        jobsCompleted_.fetch_add(1, std::memory_order_relaxed);
-        return t;
-    }
-
-    job->chunkStore = chunksOf(*job, workers(), opts_.grain);
-    job->remaining.store(job->counts[job->phase],
-                         std::memory_order_release);
-    {
-        std::lock_guard<std::mutex> lock(injectMu_);
-        live_.push_back(job);
-        for (Chunk &c : job->chunkStore)
-            inject_.push_back(c);
-        publishLocked();
-    }
-    return t;
 }
 
 void
@@ -276,20 +234,29 @@ TileScheduler::steal(std::uint64_t &rng, int self)
 }
 
 std::string
-TileScheduler::wait(const Ticket &t)
+TileScheduler::run(const PhaseRunner &runner,
+                   std::vector<long long> phase_counts)
 {
-    PM_ASSERT(t.job_ != nullptr, "wait() on an empty Ticket");
-    SchedJob &job = *t.job_;
-    std::unique_lock<std::mutex> lock(job.mu);
-    job.cv.wait(lock, [&] { return job.done; });
-    return job.error;
-}
+    PM_ASSERT(runner != nullptr, "TileScheduler::run without a runner");
+    SchedJob job;
+    job.run = &runner;
+    job.counts = std::move(phase_counts);
+    while (job.phase < job.counts.size() && job.counts[job.phase] <= 0)
+        ++job.phase;
+    if (job.phase >= job.counts.size()) {
+        jobsCompleted_.fetch_add(1, std::memory_order_relaxed);
+        return "";
+    }
 
-std::string
-TileScheduler::helpWhile(const Ticket &t)
-{
-    PM_ASSERT(t.job_ != nullptr, "helpWhile() on an empty Ticket");
-    SchedJob &job = *t.job_;
+    job.chunkStore = chunksOf(job, workers());
+    job.remaining.store(job.counts[job.phase], std::memory_order_release);
+    {
+        std::lock_guard<std::mutex> lock(injectMu_);
+        for (Chunk &c : job.chunkStore)
+            inject_.push_back(c);
+        publishLocked();
+    }
+
     std::uint64_t rng =
         0xA24BAED4963EE407ull ^
         std::uint64_t(reinterpret_cast<std::uintptr_t>(&job));
@@ -300,8 +267,8 @@ TileScheduler::helpWhile(const Ticket &t)
         const std::uint64_t seen = epoch_.load(std::memory_order_acquire);
         if (job.finished.load(std::memory_order_acquire))
             break;
-        // Injection queue first: submitted jobs (this one included)
-        // seed their first phase there.
+        // Injection queue first: jobs (this one included) seed their
+        // first phase there.
         {
             std::unique_lock<std::mutex> lock(injectMu_);
             if (!inject_.empty()) {
@@ -327,7 +294,11 @@ TileScheduler::helpWhile(const Ticket &t)
                    epoch_.load(std::memory_order_relaxed) != seen;
         });
     }
-    return wait(t);
+    // The retiring worker set `finished` under job.mu and touches
+    // nothing of the job after unlocking it: taking the mutex here
+    // waits that unlock out, so `job` may leave scope on return.
+    std::lock_guard<std::mutex> lock(job.mu);
+    return job.error;
 }
 
 void
@@ -337,7 +308,7 @@ TileScheduler::runChunk(Chunk c, Worker *self)
     const long long tasks = c.hi - c.lo + 1;
     if (!job.failed.load(std::memory_order_relaxed)) {
         try {
-            job.run(c.phase, c.lo, c.hi);
+            (*job.run)(c.phase, c.lo, c.hi);
             tasksExecuted_.fetch_add(std::uint64_t(tasks),
                                      std::memory_order_relaxed);
         } catch (const std::exception &e) {
@@ -369,35 +340,25 @@ TileScheduler::retireChunk(SchedJob &job, long long tasks,
            job.counts[job.phase] <= 0)
         ++job.phase;
     if (job.phase >= job.counts.size()) {
-        // Job complete: wake its waiters, then drop it from the live
-        // set (which keeps it alive until then) and publish, so
-        // helpers see `finished` when they wake.
+        // Job complete.  Its run() caller may return, and `job` go out
+        // of scope, as soon as this unlock: touch nothing of the job
+        // after it.  The publish wakes the caller if it sleeps.
         jobsCompleted_.fetch_add(1, std::memory_order_relaxed);
         {
             std::lock_guard<std::mutex> lock(job.mu);
-            job.done = true;
             job.finished.store(true, std::memory_order_release);
-            job.cv.notify_all();
         }
-        std::shared_ptr<SchedJob> keep;
         std::lock_guard<std::mutex> lock(injectMu_);
-        for (auto it = live_.begin(); it != live_.end(); ++it) {
-            if (it->get() == &job) {
-                keep = std::move(*it);
-                live_.erase(it);
-                break;
-            }
-        }
-        publishLocked(); // the destructor waits on live_
+        publishLocked();
         return;
     }
     // Seed the next phase onto this worker's own deque: thieves
     // redistribute it, and the common small phase stays local.
-    job.chunkStore = chunksOf(job, workers(), opts_.grain);
+    job.chunkStore = chunksOf(job, workers());
     job.remaining.store(job.counts[job.phase],
                         std::memory_order_release);
     if (self == nullptr) {
-        // External helper: seed at the injection queue's FRONT so the
+        // A run() caller: seed at the injection queue's FRONT so the
         // job being driven continues depth-first.  Appending would
         // park the continuation behind every other in-flight job's
         // chunks -- breadth-first across the batch, with all their
@@ -410,8 +371,8 @@ TileScheduler::retireChunk(SchedJob &job, long long tasks,
         return;
     }
     // Once the last chunk is pushed, thieves may finish the phase and
-    // the job, which its submitter may then free: read nothing of the
-    // job after that push.
+    // the job, whose run() may then return: read nothing of the job
+    // after that push.
     Chunk *const chunks = job.chunkStore.data();
     const std::size_t count = job.chunkStore.size();
     bool spilled = false;

@@ -11,16 +11,20 @@
  * tail tiles no longer serialise behind an idle barrier while other
  * requests wait for threads.
  *
- * Execution model: a Job is a sequence of phases; every phase is a
+ * Execution model: a job is a sequence of phases; every phase is a
  * closed list of independent tasks [0, count).  Tasks are grouped
- * into chunks (grain-many consecutive tasks) that workers push to
+ * into chunks of consecutive tasks that workers push to
  * their own deque bottom and thieves steal from the top, victim
  * chosen by xorshift.  The worker that finishes a phase's last chunk
  * advances the job to its next phase and seeds the new chunks onto
  * its own deque -- the per-job phase barrier costs one atomic
  * decrement per chunk, never a pool-wide join.
  *
- * Idle threads do not poll.  Every publish (a submit, a next phase
+ * A job lives in the frame of the run() call that drives it: the
+ * caller seeds its first phase, helps until it completes, and only
+ * then returns.
+ *
+ * Idle threads do not poll.  Every publish (a new job, a next phase
  * seeded for others to take, a spill, a job's completion) bumps a
  * wake epoch under the injection mutex; a worker or helper reads the
  * epoch before its steal sweep and, finding nothing, sleeps untimed
@@ -48,13 +52,13 @@ struct SchedulerStats
 {
     /** Individual tasks executed (tile iterations, not chunks). */
     std::uint64_t tasksExecuted = 0;
-    /** Chunks run (deque-pop plus steal grain units). */
+    /** Chunks run (deque pops, steals and injection-queue takes). */
     std::uint64_t chunksExecuted = 0;
     /** Successful steals (a chunk taken from another worker). */
     std::uint64_t steals = 0;
     /** Steal attempts, successful or not. */
     std::uint64_t stealAttempts = 0;
-    /** Jobs completed (one job per request phase sequence). */
+    /** Jobs completed (one per run() call). */
     std::uint64_t jobsCompleted = 0;
 
     double stealFailRate() const
@@ -77,28 +81,19 @@ struct Chunk
     long long hi = 0;
 };
 
-/**
- * The shared pool.  submit() may be called from any thread; the
- * returned Ticket is waited on by the submitter while the pool's own
- * workers (plus thieves) execute the tasks.  Destruction waits for
- * in-flight jobs and joins the workers.
- */
 struct SchedulerOptions
 {
     /** Worker threads; 0 means hardware concurrency.  Negative means
-     * a thread-less pool: no workers are spawned and every chunk is
-     * executed by helpWhile() callers.  wait() without a concurrent
-     * helper never completes on a thread-less pool. */
+     * a thread-less pool: no workers are spawned and run() callers
+     * execute every chunk. */
     int workers = 0;
-    /**
-     * Tasks per chunk floor.  The effective grain of a phase is
-     * max(grain, count / (workers * kChunksPerWorker)) so huge
-     * phases do not flood the deques while small ones still spread
-     * across the pool.
-     */
-    long long grain = 1;
 };
 
+/**
+ * The shared pool.  run() may be called from any thread; the caller
+ * helps the pool's own workers (plus thieves) execute the job's tasks
+ * and returns when the job is done.  No job outlives its run() call.
+ */
 class TileScheduler
 {
   public:
@@ -106,22 +101,10 @@ class TileScheduler
 
     /**
      * Runs tasks [lo, hi] of @p phase serially in the calling worker
-     * thread (the task-ABI contract of GeneratedCode::taskEntry).
+     * thread (the task ABI of GeneratedCode::entry).
      */
     using PhaseRunner =
         std::function<void(long long phase, long long lo, long long hi)>;
-
-    /** Handle of one submitted job; wait() through the scheduler. */
-    class Ticket
-    {
-      public:
-        Ticket() = default;
-        explicit operator bool() const { return job_ != nullptr; }
-
-      private:
-        friend class TileScheduler;
-        std::shared_ptr<SchedJob> job_;
-    };
 
     explicit TileScheduler(Options opts = {});
     TileScheduler(const TileScheduler &) = delete;
@@ -129,32 +112,24 @@ class TileScheduler
     ~TileScheduler();
 
     /**
-     * Submit one job: phases execute in order, tasks of each phase
-     * spread over the pool.  @p phase_counts holds the task count per
+     * Run one job and return the first error any of its tasks threw
+     * ("" on success); every remaining task of a failed job is drained
+     * without running.  Phases execute in order, tasks of each phase
+     * spread over the pool; @p phase_counts holds the task count per
      * phase (zero-count phases are skipped).  The runner must be
-     * callable concurrently from multiple workers for disjoint task
+     * callable concurrently from multiple threads for disjoint task
      * ranges of one phase.
+     *
+     * The calling thread participates: it drains the injection queue
+     * and steals chunks (of any running job) until its own job
+     * completes, only blocking when nothing is runnable -- the caller
+     * becomes an extra worker instead of paying a cross-thread
+     * handoff, and on a thread-less pool it is the only one.  The
+     * scheduler borrows @p runner: it is never copied, and nothing
+     * refers to it once run() returns.
      */
-    Ticket submit(PhaseRunner run,
-                  std::vector<long long> phase_counts);
-
-    /**
-     * Block until the job completes everywhere.  Returns the first
-     * error any of its tasks threw ("" on success); every remaining
-     * task of a failed job is drained without running.
-     */
-    std::string wait(const Ticket &t);
-
-    /**
-     * Like wait(), but the calling thread participates: it drains the
-     * injection queue and steals chunks (of any live job) until @p t
-     * completes, only blocking when nothing is runnable.  This is the
-     * serving engine's wait -- the submitter becomes an extra worker
-     * instead of paying a cross-thread handoff per request, which on
-     * small machines is the difference between the shared pool
-     * beating and losing to inline per-request execution.
-     */
-    std::string helpWhile(const Ticket &t);
+    std::string run(const PhaseRunner &runner,
+                    std::vector<long long> phase_counts);
 
     int workers() const { return int(threads_.size()); }
     SchedulerStats stats() const;
@@ -164,31 +139,27 @@ class TileScheduler
 
     void workerLoop(int index);
     /** Run one chunk and retire it against its job.  @p self is null
-     * for external helpers (helpWhile callers), whose next-phase
-     * seeds spill to the injection queue. */
+     * for run() callers, whose next-phase seeds go to the injection
+     * queue. */
     void runChunk(Chunk c, Worker *self);
     /** Phase bookkeeping once a chunk's tasks finished. */
     void retireChunk(SchedJob &job, long long tasks, Worker *self);
     /** One chunk stolen from the deque of any worker but @p self
-     * (-1: an external helper), victims swept from a random start;
+     * (-1: a run() caller), victims swept from a random start;
      * null when every deque was empty. */
     Chunk *steal(std::uint64_t &rng, int self);
     /** Wake every sleeper: bump the epoch.  Caller holds injectMu_. */
     void publishLocked();
     /** Chunk descriptors of @p job's current phase. */
-    static std::vector<Chunk> chunksOf(SchedJob &job, int workers,
-                                       long long grain);
+    static std::vector<Chunk> chunksOf(SchedJob &job, int workers);
 
-    Options opts_;
     std::vector<std::unique_ptr<Worker>> workers_;
     std::vector<std::thread> threads_;
 
-    /** Overflow / injection path: submit() and deque-full pushes land
-     * here; idle workers drain it before sleeping.  live_ pins every
-     * in-flight job (chunks hold raw pointers into it). */
+    /** Overflow / injection path: run() and deque-full pushes land
+     * here; idle workers drain it before sleeping. */
     std::mutex injectMu_;
     std::deque<Chunk> inject_;
-    std::vector<std::shared_ptr<SchedJob>> live_;
     std::condition_variable wake_;
     /** Wake epoch: written only under injectMu_, read before a steal
      * sweep without it. */

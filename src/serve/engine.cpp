@@ -9,11 +9,31 @@ namespace polymage::serve {
 
 namespace {
 
+/**
+ * Same-pipeline request batching: a worker whose dequeued request
+ * resolves to the compiled tier also claims queued requests for the
+ * same pipeline (and default variant), up to this many in all -- one
+ * registry lookup for the lot.  An interpreter-tier request claims
+ * none.
+ */
+constexpr std::size_t kMaxBatch = 8;
+
 double
 secondsBetween(std::chrono::steady_clock::time_point a,
                std::chrono::steady_clock::time_point b)
 {
     return std::chrono::duration<double>(b - a).count();
+}
+
+/** Borrowed pointers to a request's input buffers. */
+std::vector<const rt::Buffer *>
+inputsOf(const Request &req)
+{
+    std::vector<const rt::Buffer *> ins;
+    ins.reserve(req.inputs.size());
+    for (const auto &b : req.inputs)
+        ins.push_back(b.get());
+    return ins;
 }
 
 } // namespace
@@ -53,14 +73,13 @@ Engine::Engine(std::shared_ptr<PipelineRegistry> registry,
     opts_.workers = std::max(1, opts_.workers);
     opts_.queueCapacity = std::max(1, opts_.queueCapacity);
 
-    opts_.maxBatch = std::max(1, opts_.maxBatch);
     rt::SchedulerOptions so;
     so.workers = opts_.schedulerWorkers;
     if (so.workers == 0) {
         const int hw =
             std::max(1, int(std::thread::hardware_concurrency()));
         // Auto-size: engine workers participate in the pool via
-        // helpWhile(), so dedicated pool threads only fill the cores
+        // run(), so dedicated pool threads only fill the cores
         // the workers leave free.  Oversubscribing a small machine
         // costs more in context switches than stealing recovers.
         so.workers = hw - opts_.workers;
@@ -305,12 +324,9 @@ Engine::serve(Job &leader, rt::BufferPool &pool)
             if (exe == nullptr) {
                 // Interpreter tier: this request alone, its stages in
                 // row bands on the shared pool.
-                std::vector<const rt::Buffer *> ins;
-                ins.reserve(req.inputs.size());
-                for (const auto &b : req.inputs)
-                    ins.push_back(b.get());
-                r.outputs = interp::evaluate(*tr.graph, req.params, ins,
-                                             {}, sched_.get())
+                r.outputs = interp::evaluate(*tr.graph, req.params,
+                                             inputsOf(req), {},
+                                             sched_.get())
                                 .outputs;
                 r.tier = 1;
                 notePromotion(req.pipeline, 1, t0);
@@ -331,10 +347,9 @@ Engine::serve(Job &leader, rt::BufferPool &pool)
 
     // Compiled tier: claim queued requests for the leader's pipeline
     // (default variant only -- explicit variants have no cheap
-    // equality) up to maxBatch.  Streaming frames never coalesce: a
+    // equality) up to kMaxBatch.  Streaming frames never coalesce: a
     // session's frames are strictly ordered and stateful.
-    const bool coalesce =
-        opts_.maxBatch > 1 && !leader.req.variant.has_value();
+    const bool coalesce = !leader.req.variant.has_value();
     // Copy, not reference: emplace_back below reallocates `batch`.
     const std::string pipeline = leader.req.pipeline;
     std::vector<Job> batch;
@@ -343,8 +358,7 @@ Engine::serve(Job &leader, rt::BufferPool &pool)
         std::lock_guard<std::mutex> lock(mu_);
         const auto now = Clock::now();
         for (auto it = queue_.begin();
-             it != queue_.end() &&
-             std::int64_t(batch.size()) < opts_.maxBatch;) {
+             it != queue_.end() && batch.size() < kMaxBatch;) {
             if (!it->session && it->req.pipeline == pipeline &&
                 !it->req.variant.has_value()) {
                 Job &job = batch.emplace_back(std::move(*it));
@@ -367,88 +381,26 @@ Engine::executeBatch(std::vector<Job> &batch, const rt::Executable &exe,
                      rt::BufferPool &pool)
 {
     metrics_.onBatch(int(batch.size()));
-
-    // Decompose every request into its phase/tile task lists and feed
-    // them all into the shared pool; tiles of the whole batch (and of
-    // any other in-flight request) interleave.
-    struct Pending
-    {
+    // One request at a time: this worker helps the pool run each
+    // request's tasks, and the request's slots are back in @p pool
+    // before it completes, so the next request reuses the same warm
+    // pages.
+    for (Job &job : batch) {
+        const auto started = Clock::now();
         Response r;
-        std::vector<rt::Buffer> outputs;
-        std::shared_ptr<rt::TaskInvocation> inv;
-        rt::TileScheduler::Ticket ticket;
-        Clock::time_point started;
-        bool submitted = false;
-    };
-    std::vector<Pending> pending(batch.size());
-    const auto &g = exe.info().graph;
-    auto prepareOne = [&](std::size_t i) {
-        Job &job = batch[i];
-        Pending &p = pending[i];
-        p.started = Clock::now();
         try {
-            std::vector<const rt::Buffer *> ins;
-            ins.reserve(job.req.inputs.size());
-            for (const auto &b : job.req.inputs)
-                ins.push_back(b.get());
-            for (int out : g.outputs()) {
-                p.outputs.emplace_back(
-                    g.stage(out).callable->dtype(),
-                    interp::stageShape(g.stage(out), g,
-                                       job.req.params));
-            }
-            p.inv = std::make_shared<rt::TaskInvocation>(
-                exe.prepareTasks(job.req.params, ins, p.outputs, pool));
-            std::vector<long long> counts = p.inv->phaseCounts();
-            auto inv = p.inv;
-            p.ticket = sched_->submit(
-                [inv](long long phase, long long lo, long long hi) {
-                    inv->run(phase, lo, hi);
-                },
-                std::move(counts));
-            p.submitted = true;
+            r.outputs =
+                exe.run(job.req.params, inputsOf(job.req), pool, sched_.get());
+            r.tier = 2;
         } catch (const std::exception &e) {
-            p.r.error = e.what();
+            r.error = e.what();
         } catch (...) {
-            p.r.error = "unknown execution error";
+            r.error = "unknown execution error";
         }
-    };
-    // Sliding submit window, not the whole batch up-front: every
-    // submitted job's intermediate slots are live simultaneously, so
-    // an 8-deep batch would hold 8 requests' working sets at once and
-    // thrash the cache (and the pool high-water mark) for no gain --
-    // the pool only needs one job ahead of the one being retired to
-    // stay busy.  Thread-less pools keep no lookahead at all: this
-    // worker is the only executor, so depth-first one-at-a-time is
-    // strictly better.
-    const std::size_t lookahead = sched_->workers() > 0 ? 1 : 0;
-    std::size_t next = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        while (next < batch.size() && next <= i + lookahead)
-            prepareOne(next++);
-        Pending &p = pending[i];
-        if (p.submitted) {
-            // Participate instead of blocking: this engine worker
-            // drains chunks (of any in-flight job) until its own job
-            // completes, so no request pays a cross-thread handoff.
-            const std::string err = sched_->helpWhile(p.ticket);
-            if (err.empty()) {
-                p.r.outputs = std::move(p.outputs);
-                p.r.tier = 2;
-            } else {
-                p.r.error = err;
-            }
-        }
-        p.r.runSeconds = secondsBetween(p.started, Clock::now());
-        // Drop the ticket (it pins the scheduler job, whose runner
-        // pins the invocation) and the invocation itself so this
-        // job's slots return to the pool before the next one is
-        // prepared -- the successor then reuses the same warm pages.
-        p.ticket = rt::TileScheduler::Ticket();
-        p.inv.reset();
-        if (opts_.tiered && p.r.tier == 2)
-            notePromotion(batch[i].req.pipeline, 2, p.started);
-        complete(batch[i], std::move(p.r));
+        r.runSeconds = secondsBetween(started, Clock::now());
+        if (opts_.tiered && r.tier == 2)
+            notePromotion(job.req.pipeline, 2, started);
+        complete(job, std::move(r));
     }
 }
 
@@ -660,13 +612,9 @@ Engine::executeFrame(Job &job)
     fr.queueSeconds = job.waitSeconds;
     const auto t0 = Clock::now();
     try {
-        std::vector<const rt::Buffer *> ins;
-        ins.reserve(job.req.inputs.size());
-        for (const auto &b : job.req.inputs)
-            ins.push_back(b.get());
         // The frame's tiles drain through the shared pool.
         const std::vector<rt::Buffer> &outs =
-            s->stream_->step(ins, sched_.get());
+            s->stream_->step(inputsOf(job.req), sched_.get());
         fr.outputs = &outs;
         fr.tier = 2;
     } catch (const std::exception &e) {

@@ -78,22 +78,13 @@ struct EngineOptions
      * Worker threads of the engine's rt::TileScheduler, which runs
      * compiled requests' and frames' tile tasks and the interpreter
      * tier's row bands.  0 (the default) auto-sizes: engine workers
-     * execute chunks themselves while waiting
-     * (TileScheduler::helpWhile), so the pool only spawns
+     * execute chunks themselves while waiting (TileScheduler::run),
+     * so the pool only spawns
      * hardware_concurrency minus `workers` dedicated threads --
      * possibly none on small machines, where oversubscription would
      * cost more in context switches than stealing recovers.
      */
     int schedulerWorkers = 0;
-    /**
-     * Same-pipeline request batching: a worker whose dequeued request
-     * resolves to the compiled tier also claims queued requests for
-     * the same pipeline (and default variant), up to this many in
-     * all -- one registry lookup, their tile tasks co-resident in the
-     * pool.  An interpreter-tier request claims none.  1 disables
-     * coalescing.
-     */
-    int maxBatch = 8;
     /**
      * SLO-aware admission: a request carrying a deadline is shed at
      * submit time when predicted queue wait plus predicted run time
@@ -375,9 +366,9 @@ class Engine
      */
     int serve(Job &leader, rt::BufferPool &pool);
     /**
-     * Execute a coalesced same-pipeline batch by feeding every
-     * request's tile tasks into the shared pool.  Completes
-     * (finish()es) every job.
+     * Execute a coalesced same-pipeline batch, one request after
+     * another, each through Executable::run on the shared pool.
+     * Completes (finish()es) every job.
      */
     void executeBatch(std::vector<Job> &batch, const rt::Executable &exe,
                       rt::BufferPool &pool);

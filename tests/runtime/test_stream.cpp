@@ -77,7 +77,7 @@ TEST(Stream, TaskAbiPathMatchesThroughSharedScheduler)
 
     auto exe = std::make_shared<Executable>(Executable::build(spec));
     StreamExecutable session(exe, params);
-    TileScheduler sched(TileScheduler::Options{2, 1});
+    TileScheduler sched(TileScheduler::Options{2});
     for (std::size_t t = 0; t < frames.size(); ++t) {
         SCOPED_TRACE("frame " + std::to_string(t));
         const auto &outs = session.step({&frames[t]}, &sched);

@@ -114,7 +114,6 @@ TEST(EngineSharedSched, CoalescesQueuedSamePipelineRequests)
     EngineOptions eopts;
     eopts.workers = 1; // one consumer so the queue backs up
     eopts.tiered = false;
-    eopts.maxBatch = 8;
     Engine engine(registry, eopts);
 
     const rt::Buffer in = rt::synth::photo(64, 64);
@@ -268,7 +267,6 @@ TEST(EngineSharedSched, InterpreterTierAnswersAlone)
 
     EngineOptions eopts;
     eopts.workers = 1;
-    eopts.maxBatch = 8;
     Engine engine(registry, eopts);
 
     const rt::Buffer in = rt::synth::photo(64, 64);
