@@ -138,6 +138,12 @@ stale='helpWhile|TileScheduler::submit|TileScheduler::Ticket|SchedulerOptions::g
 if grep -rnE "$stale" README.md docs/ src/ bench/ tools/; then
     err "deleted scheduler entry or option names (above) are back"
 fi
+# Nor the per-worker deques and the injection queue: every job is one
+# claim cursor (src/runtime/scheduler.cpp).
+stale='WorkDeque|Chase.?Lev|injectMu_|injection queue'
+if grep -rnE "$stale" README.md docs/ src/ bench/ tools/; then
+    err "deleted work-stealing deque names (above) are back"
+fi
 
 # ---------------------------------------------------------------- 6.
 # Vectorisation docs: docs/VECTORIZATION.md must exist, be

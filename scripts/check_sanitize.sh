@@ -49,7 +49,7 @@ export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 if [ "$san" = thread ]; then
     export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
     if [ $# -eq 0 ]; then
-        # Scheduler matches the work-stealing deque/barrier stress
+        # Scheduler matches the claim-cursor/barrier stress
         # (tests/runtime/test_scheduler.cpp) and the engine tests,
         # which serve every compiled request on the tile pool -- the
         # pool's lock-free paths are exactly what TSan exists to

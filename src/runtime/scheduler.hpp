@@ -1,34 +1,31 @@
 /**
  * @file
- * Shared work-stealing tile-task scheduler (docs/SERVING.md
- * "Scheduling"): a fixed pool of worker threads, each owning a
- * Chase-Lev deque of task chunks, executing the phase-ordered task
- * lists that generated pipeline entries expose (GeneratedCode::
- * entry).  Every compiled run goes through one: Executable::run uses
- * the caller's or a process-wide scheduler, and one scheduler serves
- * every in-flight request of a serving engine, so tile tasks from
- * concurrent requests interleave on one thread pool: a long request's
- * tail tiles no longer serialise behind an idle barrier while other
- * requests wait for threads.
+ * Shared tile-task scheduler (docs/SERVING.md "Scheduling"): a fixed
+ * pool of worker threads executing the phase-ordered task lists that
+ * generated pipeline entries expose (GeneratedCode::entry).  Every
+ * compiled run goes through one: Executable::run uses the caller's or
+ * a process-wide scheduler, and one scheduler serves every in-flight
+ * request of a serving engine, so tile tasks from concurrent requests
+ * interleave on one thread pool: a long request's tail tiles no longer
+ * serialise behind an idle barrier while other requests wait for
+ * threads.
  *
  * Execution model: a job is a sequence of phases; every phase is a
- * closed list of independent tasks [0, count).  Tasks are grouped
- * into chunks of consecutive tasks that workers push to
- * their own deque bottom and thieves steal from the top, victim
- * chosen by xorshift.  The worker that finishes a phase's last chunk
- * advances the job to its next phase and seeds the new chunks onto
- * its own deque -- the per-job phase barrier costs one atomic
- * decrement per chunk, never a pool-wide join.
+ * closed list of independent tasks [0, count).  Each job has one claim
+ * cursor, its current phase and next unclaimed task, and a thread
+ * claims a chunk of consecutive tasks with one compare-and-swap on it.
+ * The thread that retires a phase's last task moves the cursor to the
+ * next phase -- the per-job phase barrier costs one atomic decrement
+ * per chunk, never a pool-wide join.
  *
  * A job lives in the frame of the run() call that drives it: the
- * caller seeds its first phase, helps until it completes, and only
- * then returns.
+ * caller links it into the scheduler's list of live jobs, helps until
+ * it completes, unlinks it and only then returns.  Every thread, the
+ * caller included, takes chunks from the oldest job that has one left.
  *
- * Idle threads do not poll.  Every publish (a new job, a next phase
- * seeded for others to take, a spill, a job's completion) bumps a
- * wake epoch under the injection mutex; a worker or helper reads the
- * epoch before its steal sweep and, finding nothing, sleeps untimed
- * until the epoch moves.
+ * Idle threads do not poll: they sleep on a condition variable until a
+ * job is linked, a phase of more than one chunk is published or a job
+ * completes.
  */
 #ifndef POLYMAGE_RUNTIME_SCHEDULER_HPP
 #define POLYMAGE_RUNTIME_SCHEDULER_HPP
@@ -36,9 +33,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -52,11 +47,14 @@ struct SchedulerStats
 {
     /** Individual tasks executed (tile iterations, not chunks). */
     std::uint64_t tasksExecuted = 0;
-    /** Chunks run (deque pops, steals and injection-queue takes). */
+    /** Chunks run, by any thread: successful claims. */
     std::uint64_t chunksExecuted = 0;
-    /** Successful steals (a chunk taken from another worker). */
+    /** Chunks run by a thread other than the job's run() caller (a
+     * pool worker, or the caller of another job helping this one). */
     std::uint64_t steals = 0;
-    /** Steal attempts, successful or not. */
+    /** Claims tried by a thread other than the job's run() caller,
+     * successful or not: a failed one found the job's current phase
+     * fully claimed. */
     std::uint64_t stealAttempts = 0;
     /** Jobs completed (one per run() call). */
     std::uint64_t jobsCompleted = 0;
@@ -72,15 +70,6 @@ struct SchedulerStats
 
 struct SchedJob;
 
-/** One schedulable unit: tasks [lo, hi] of one job phase. */
-struct Chunk
-{
-    SchedJob *job = nullptr;
-    long long phase = 0;
-    long long lo = 0;
-    long long hi = 0;
-};
-
 struct SchedulerOptions
 {
     /** Worker threads; 0 means hardware concurrency.  Negative means
@@ -91,8 +80,9 @@ struct SchedulerOptions
 
 /**
  * The shared pool.  run() may be called from any thread; the caller
- * helps the pool's own workers (plus thieves) execute the job's tasks
- * and returns when the job is done.  No job outlives its run() call.
+ * helps the pool's own workers (and other jobs' callers) execute the
+ * job's tasks and returns when the job is done.  No job outlives its
+ * run() call.
  */
 class TileScheduler
 {
@@ -120,10 +110,10 @@ class TileScheduler
      * callable concurrently from multiple threads for disjoint task
      * ranges of one phase.
      *
-     * The calling thread participates: it drains the injection queue
-     * and steals chunks (of any running job) until its own job
-     * completes, only blocking when nothing is runnable -- the caller
-     * becomes an extra worker instead of paying a cross-thread
+     * The calling thread participates: it claims chunks (of the oldest
+     * live job with one left, its own or another caller's) until its
+     * own job completes, only blocking when nothing is claimable -- the
+     * caller becomes an extra worker instead of paying a cross-thread
      * handoff, and on a thread-less pool it is the only one.  The
      * scheduler borrows @p runner: it is never copied, and nothing
      * refers to it once run() returns.
@@ -135,35 +125,27 @@ class TileScheduler
     SchedulerStats stats() const;
 
   private:
-    struct Worker;
+    void workerLoop();
+    /** Under mu_ (held by @p lock): end the visit to @p left (null:
+     * none), then wait for the oldest live job with a chunk left and
+     * visit it.  Returns null instead once @p own, the calling run()'s
+     * job, is finished or, for a pool worker (@p own null), once the
+     * scheduler stops. */
+    SchedJob *visitNext(std::unique_lock<std::mutex> &lock, SchedJob *left,
+                        const SchedJob *own);
+    /** Claim, run and retire chunks of @p job until its current phase
+     * has none left to claim; @p caller: whether this thread is the
+     * job's run() caller. */
+    void drain(SchedJob &job, bool caller);
 
-    void workerLoop(int index);
-    /** Run one chunk and retire it against its job.  @p self is null
-     * for run() callers, whose next-phase seeds go to the injection
-     * queue. */
-    void runChunk(Chunk c, Worker *self);
-    /** Phase bookkeeping once a chunk's tasks finished. */
-    void retireChunk(SchedJob &job, long long tasks, Worker *self);
-    /** One chunk stolen from the deque of any worker but @p self
-     * (-1: a run() caller), victims swept from a random start;
-     * null when every deque was empty. */
-    Chunk *steal(std::uint64_t &rng, int self);
-    /** Wake every sleeper: bump the epoch.  Caller holds injectMu_. */
-    void publishLocked();
-    /** Chunk descriptors of @p job's current phase. */
-    static std::vector<Chunk> chunksOf(SchedJob &job, int workers);
-
-    std::vector<std::unique_ptr<Worker>> workers_;
     std::vector<std::thread> threads_;
 
-    /** Overflow / injection path: run() and deque-full pushes land
-     * here; idle workers drain it before sleeping. */
-    std::mutex injectMu_;
-    std::deque<Chunk> inject_;
+    /** Guards live_, every job's visitor count and stopping_; wake_
+     * waits on it. */
+    std::mutex mu_;
     std::condition_variable wake_;
-    /** Wake epoch: written only under injectMu_, read before a steal
-     * sweep without it. */
-    std::atomic<std::uint64_t> epoch_{0};
+    /** Jobs of the run() calls in progress, oldest first. */
+    std::vector<SchedJob *> live_;
     bool stopping_ = false;
 
     std::atomic<std::uint64_t> tasksExecuted_{0};

@@ -81,7 +81,7 @@ Engine::Engine(std::shared_ptr<PipelineRegistry> registry,
         // Auto-size: engine workers participate in the pool via
         // run(), so dedicated pool threads only fill the cores
         // the workers leave free.  Oversubscribing a small machine
-        // costs more in context switches than stealing recovers.
+        // costs more in context switches than extra threads recover.
         so.workers = hw - opts_.workers;
         if (so.workers < 1)
             so.workers = -1; // thread-less pool: helpers drive

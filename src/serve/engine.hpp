@@ -82,7 +82,7 @@ struct EngineOptions
      * so the pool only spawns
      * hardware_concurrency minus `workers` dedicated threads --
      * possibly none on small machines, where oversubscription would
-     * cost more in context switches than stealing recovers.
+     * cost more in context switches than extra threads recover.
      */
     int schedulerWorkers = 0;
     /**

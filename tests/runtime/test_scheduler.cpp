@@ -282,8 +282,8 @@ TEST(Scheduler, IdleWorkersDoNotSpin)
 
 // The ConcurrentScheduler suite doubles as the TSan stress target:
 // scripts/check_sanitize.sh's thread-mode ctest filter matches
-// "Concurrent", so every deque push/pop/steal race below runs under
-// -fsanitize=thread when POLYMAGE_SANITIZE=thread.
+// "Concurrent", so every claim, phase hand-over and job-list race
+// below runs under -fsanitize=thread when POLYMAGE_SANITIZE=thread.
 
 TEST(ConcurrentScheduler, HelpWhileSeesEveryCompletion)
 {
@@ -327,9 +327,9 @@ TEST(ConcurrentScheduler, HelpWhileSeesEveryCompletion)
 TEST(ConcurrentScheduler, ThreadlessPoolManyHelpers)
 {
     // Cross-caller completion: with no pool threads, caller A can run
-    // (and retire) chunks of caller B's job, seeding B's next phase
-    // while B sweeps -- the regression mode is B parking forever on a
-    // queue nobody drains.
+    // (and retire) chunks of caller B's job, publishing B's next phase
+    // or B's end while B looks for work -- the regression mode is B
+    // sleeping through that publish forever.
     SchedulerOptions opts;
     opts.workers = -1;
     TileScheduler sched(opts);
@@ -402,13 +402,12 @@ TEST(ConcurrentScheduler, ManySubmittersShareOnePool)
 
 TEST(ConcurrentScheduler, StealsHappenUnderImbalance)
 {
-    // Multi-phase jobs with skewed task cost: a worker that retires a
-    // phase seeds the whole next phase onto its own deque, so the
-    // other threads can only share it by stealing.  The helping run()
-    // caller seeds the phases it retires into the injection queue
-    // instead, so when it happened to retire all of them the jobs go
-    // on until some phase was stolen from; 64 jobs without a steal
-    // mean stealing is broken.
+    // Multi-phase jobs with skewed task cost: a steal is a chunk run
+    // by a thread other than the job's run() caller, so pool workers
+    // claiming from the job's cursor count.  Should the caller happen
+    // to claim every chunk of the first rounds the jobs go on until a
+    // worker took one; 64 jobs without a steal mean the pool does not
+    // help run() callers.
     SchedulerOptions opts;
     opts.workers = 4;
     TileScheduler sched(opts);
@@ -453,6 +452,69 @@ TEST(ConcurrentScheduler, DeterministicResultsUnderStealing)
             golden = out;
         else
             EXPECT_EQ(out, golden) << "rep " << rep;
+    }
+}
+
+TEST(ConcurrentScheduler, ZeroCountPhasesInsideAJob)
+{
+    // Empty phases between non-empty ones are skipped where a retired
+    // phase hands over to the next: each chunk checks, with plain
+    // (unsynchronised) reads, that every task of the previous
+    // non-empty phase wrote its slot, so a missing barrier is a wrong
+    // value here or a race under TSan.
+    const std::vector<long long> counts = {5, 0, 33, 0, 0, 1, 4096, 0};
+    for (int width : {-1, 1, 3}) {
+        SCOPED_TRACE("workers " + std::to_string(width));
+        SchedulerOptions opts;
+        opts.workers = width;
+        TileScheduler sched(opts);
+        constexpr int kClients = 3;
+        constexpr int kJobsPerClient = 20;
+        std::atomic<int> bad{0};
+        std::vector<std::thread> clients;
+        for (int c = 0; c < kClients; ++c) {
+            clients.emplace_back([&] {
+                for (int j = 0; j < kJobsPerClient; ++j) {
+                    std::vector<std::vector<int>> hits;
+                    for (long long n : counts)
+                        hits.emplace_back(std::size_t(n), 0);
+                    const std::string err = sched.run(
+                        [&](long long phase, long long lo, long long hi) {
+                            const std::size_t p = std::size_t(phase);
+                            if (counts[p] == 0 || lo < 0 || hi < lo ||
+                                hi >= counts[p]) {
+                                bad.fetch_add(1);
+                                return;
+                            }
+                            std::size_t prev = p;
+                            while (prev > 0 && counts[--prev] == 0) {
+                            }
+                            if (prev < p)
+                                for (int h : hits[prev])
+                                    if (h != 1)
+                                        bad.fetch_add(1);
+                            for (long long i = lo; i <= hi; ++i)
+                                ++hits[p][std::size_t(i)];
+                        },
+                        counts);
+                    if (!err.empty())
+                        bad.fetch_add(1);
+                    for (const std::vector<int> &phase : hits)
+                        for (int h : phase)
+                            if (h != 1)
+                                bad.fetch_add(1);
+                }
+            });
+        }
+        for (std::thread &t : clients)
+            t.join();
+        EXPECT_EQ(bad.load(), 0);
+        const SchedulerStats s = sched.stats();
+        EXPECT_EQ(s.jobsCompleted, std::uint64_t(kClients * kJobsPerClient));
+        EXPECT_EQ(s.tasksExecuted,
+                  std::uint64_t(kClients * kJobsPerClient) *
+                      std::uint64_t(std::accumulate(counts.begin(),
+                                                    counts.end(), 0LL)));
     }
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Engine behaviour on the shared work-stealing tile pool: interpreter
+ * Engine behaviour on the shared tile pool: interpreter
  * equality under concurrent requests, same-pipeline request batching, SLO-aware admission, per-tenant quotas, and the
  * scheduler block of the polymage-serve-v1 metrics.  Suite names carry
  * "Engine" / "Concurrent" so scripts/check_sanitize.sh's thread-mode
