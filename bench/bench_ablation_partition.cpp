@@ -2,12 +2,12 @@
  * @file
  * Ablation A3: boundary/interior partitioning.  The guard-free
  * interior path (DNF-split case conditions, `omp simd` on dense inner
- * loops) is compared against the unpartitioned build (the
- * POLYMAGE_NO_PARTITION ablation); invariant address hoisting stays on
- * in both, so the gain is partitioning's alone.  Runs the seven paper
- * benchmarks plus a synthetic boundary-heavy stencil chain whose case
- * disjunction actually exercises the DNF splitter (the paper apps'
- * conditions all fold into bounds or strides).
+ * loops) is compared against the unpartitioned build
+ * (`CodegenOptions::partition = false`); invariant address hoisting
+ * stays on in both, so the gain is partitioning's alone.  Runs the
+ * seven paper benchmarks plus a synthetic boundary-heavy stencil chain
+ * whose case disjunction actually exercises the DNF splitter (the
+ * paper apps' conditions all fold into bounds or strides).
  */
 #include <cstdio>
 
@@ -123,7 +123,7 @@ main(int argc, char **argv)
                 [&] { exe.runInto(b.params, inputs, outputs); }, 5);
         };
 
-        // The POLYMAGE_NO_PARTITION ablation: per-point guards stay.
+        // The partitioning ablation: per-point guards stay.
         CompileOptions no_part = b.tuned;
         no_part.codegen.partition = false;
         const double t_none = measure(no_part, "no-partition");

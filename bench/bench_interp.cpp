@@ -60,7 +60,7 @@ main(int argc, char **argv)
             for (int mode = 0; mode < 2; ++mode) {
                 const auto t0 = std::chrono::steady_clock::now();
                 const auto res =
-                    interp::evaluate(g, app.params, app.inputs(), {},
+                    interp::evaluate(g, app.params, app.inputs(),
                                      mode == 0 ? nullptr : &sched);
                 ms[mode].push_back(
                     std::chrono::duration<double, std::milli>(

@@ -108,7 +108,7 @@ class ProfileJsonReport
         w.key("interior_fraction").value(code.interiorFraction());
         // Tile configuration the binary was actually built with, and
         // the tile cost model's decision behind it (tile_sizes differ
-        // from tile_model.tile_sizes when an env override won).
+        // from tile_model.tile_sizes when the model was not applied).
         const CompiledPipeline &info = exe.info();
         w.key("tile_sizes").beginArray();
         for (std::int64_t t : info.effectiveGrouping.tileSizes)

@@ -163,10 +163,6 @@ if [ -f "$vdoc" ]; then
         grep -rq "\"$field\"" src/ bench/ \
             || err "field \"$field\" not emitted by src/ or bench/"
     done
-    for knob in POLYMAGE_VECTORIZE POLYMAGE_NARROW; do
-        grep -q "$knob" "$vdoc" || err "knob $knob missing from $vdoc"
-        grep -rq "$knob" src/ || err "knob $knob not read by src/"
-    done
 fi
 
 # ---------------------------------------------------------------- 7.
@@ -223,18 +219,20 @@ if [ -f "$stdoc" ]; then
 fi
 
 # ---------------------------------------------------------------- 9.
-# Compile-time env overrides: the driver's one table and the table in
-# docs/INTERNALS.md must name the same variables, and no other driver
-# code may read the environment.
-table=$(grep -o '{"POLYMAGE_[A-Z_]*"' src/driver/compiler.cpp \
-        | tr -d '{"' | sort -u)
-listed=$(grep -o '^| `POLYMAGE_[A-Z_]*` |' docs/INTERNALS.md \
-         | tr -d '|` ' | sort -u)
-[ -n "$table" ] || err "no env override table in src/driver/compiler.cpp"
-[ "$table" = "$listed" ] \
-    || err "env overrides in src/driver/compiler.cpp and docs/INTERNALS.md differ"
-[ "$(grep -c 'getenv' src/driver/compiler.cpp)" -eq 1 ] \
-    || err "src/driver/compiler.cpp reads the environment outside its table"
+# CompileOptions is the only compile configuration: the deleted
+# environment overrides, JitOptions fields and interpreter options stay
+# gone (this script names them, so it is not searched), and the driver
+# reads no environment variable.
+stale='POLYMAGE_(NO_TILE_MODEL|TILE_SIZES|OVERLAP_THRESH|NARROW|NO_REUSE'
+stale="$stale|NO_PARTITION|VECTORIZE)|applyEnvOverrides|kEnvOverrides"
+stale="$stale|keepFiles|extraFlags|nativeArch|checkCaseOverlap|EvalOptions"
+if grep -rnE --exclude=check_docs.sh "$stale" \
+        README.md docs/ src/ bench/ tools/ scripts/; then
+    err "deleted compile configuration names (above) are back"
+fi
+if grep -rn 'getenv' src/driver/; then
+    err "src/driver/ reads the environment (above)"
+fi
 
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED" >&2

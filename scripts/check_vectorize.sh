@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Verify the vectorisation contract of the generated code, CI-friendly
 # (exit nonzero on failure), in both modes of CodegenOptions::vectorize
-# (driven via the POLYMAGE_VECTORIZE env override that compilePipeline
-# honours):
+# (polymage_dump_source compiles CompileOptions::optimized(), or
+# optNoVec() given the `novec` argument):
 #
 #   explicit (default) -- the dumped source must carry pm_v_ typedefs
 #       and typed vector loop bodies, and the compiled object code must
@@ -57,7 +57,7 @@ fi
 
 # ---- explicit mode (the default) --------------------------------------
 gen="$tmp/$app.explicit.cpp"
-POLYMAGE_VECTORIZE=explicit "$dump" "$app" > "$gen"
+"$dump" "$app" > "$gen"
 
 if ! grep -q "typedef.*vector_size" "$gen"; then
     echo "check_vectorize: explicit mode emitted no vector typedefs" >&2
@@ -91,7 +91,7 @@ fi
 
 # ---- off mode ---------------------------------------------------------
 gen="$tmp/$app.off.cpp"
-POLYMAGE_VECTORIZE=off "$dump" "$app" > "$gen"
+"$dump" "$app" novec > "$gen"
 if grep -qE "#pragma omp simd|pm_v_" "$gen"; then
     echo "check_vectorize: off mode still emits vector pragmas or" \
          "types" >&2

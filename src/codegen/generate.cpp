@@ -406,18 +406,15 @@ const std::string kEntryArgs =
     "params, inputs, outputs, pm_slots, pm_phase, pm_lo, pm_hi";
 
 /**
- * Group functions link across translation units of one shared object
- * but stay out of its dynamic symbol table.
+ * Linkage of every internal function (group, stage and arena).  They
+ * link across translation units of one shared object but stay out of
+ * its dynamic symbol table.  Shared stage functions are never inlined
+ * into or cloned for a caller in their own unit: every caller then runs
+ * the same machine code (bitwise-equal results however the compiler
+ * contracts floating-point expressions), and no body is optimised
+ * twice.
  */
-const std::string kGroupLinkage = "__attribute__((visibility(\"hidden\"), noinline, noclone))";
-
-/**
- * Shared stage functions are never inlined into or cloned for a caller
- * in their own unit: every caller then runs the same machine code
- * (bitwise-equal results however the compiler contracts floating-point
- * expressions), and no body is optimised twice.
- */
-const std::string kStageLinkage =
+const std::string kLinkage =
     "__attribute__((visibility(\"hidden\"), noinline, noclone))";
 
 /**
@@ -580,7 +577,7 @@ class Generator
               const core::GroupingOptions &gopts,
               const core::StoragePlan &storage,
               const CodegenOptions &opts,
-              const core::RangeAnalysis *ranges)
+              const core::RangeAnalysis &ranges)
         : g_(g), grouping_(grouping), gopts_(gopts), storage_(storage),
           opts_(opts), ranges_(ranges)
     {}
@@ -797,7 +794,7 @@ class Generator
     const core::GroupingOptions &gopts_;
     const core::StoragePlan &storage_;
     const CodegenOptions &opts_;
-    const core::RangeAnalysis *ranges_;
+    const core::RangeAnalysis &ranges_;
 
     CodeWriter w_;
     std::set<std::string> used_;
@@ -927,7 +924,7 @@ Generator::emitPrelude()
     w_.line("static inline double pm_max_d(double a, double b) "
             "{ return a > b ? a : b; }");
     // One arena per thread and module, defined with the entry points.
-    w_.line(kGroupLinkage + " void *pm_task_arena(long long bytes);");
+    w_.line(kLinkage + " void *pm_task_arena(long long bytes);");
     w_.blank();
 }
 
@@ -1108,7 +1105,7 @@ Generator::tryVectorizeNest(int s, const dsl::Case &cs,
     // Interval evaluator with every loop variable bound to its domain
     // (parameter bounds feed in through ParamRef; anything unbounded
     // only widens, failing proofs conservatively).
-    core::ExprRangeEval ev(ranges_, g_);
+    core::ExprRangeEval ev(&ranges_, g_);
     for (std::size_t d = 0; d < vars.size() && d < dom.size(); ++d) {
         const core::ValueInterval lo = ev.eval(dom[d].lower());
         const core::ValueInterval hi = ev.eval(dom[d].upper());
@@ -2375,7 +2372,7 @@ Generator::addSharedFunction(const std::string &name,
     const std::string key = renameIdentifiers(
         "(" + decls + ")\n{\n" + text + "}\n", positional);
     auto [it, fresh] = shared_.try_emplace(
-        key, SharedFunction{name, kStageLinkage + " void " + name + "(" +
+        key, SharedFunction{name, kLinkage + " void " + name + "(" +
                                       decls + ")"});
     const SharedFunction &fn = it->second;
     if (fresh) {
@@ -2427,7 +2424,7 @@ Generator::emitGroupFunction(int gi, const GroupDriver &d)
     const std::string body = w_.str();
 
     // The shared functions called may live in other translation units.
-    return d.decls + kGroupLinkage + " long long " + groupFunctionName(gi) +
+    return d.decls + kLinkage + " long long " + groupFunctionName(gi) +
            "(" + kEntryParams + ")\n{\n    (void)pm_hi;\n" +
            trimmedLocals(body) + body + "    return 0;\n}\n\n";
 }
@@ -2438,7 +2435,7 @@ Generator::emitEntryPoints()
     CodeWriter w;
     // Group functions may live in other translation units.
     for (std::size_t gi = 0; gi < grouping_.groups.size(); ++gi)
-        w.line(kGroupLinkage + " long long " + groupFunctionName(int(gi)) +
+        w.line(kLinkage + " long long " + groupFunctionName(int(gi)) +
                "(" + kEntryParams + ");");
     w.blank();
     // The entry is invoked once per chunk of tiles, so a heap scratch
@@ -2450,7 +2447,7 @@ Generator::emitEntryPoints()
     // functions are spread over.
     w.line("struct PmArena { void *p = nullptr; long long cap = 0; "
            "~PmArena() { std::free(p); } };");
-    w.line(kGroupLinkage + " void *pm_task_arena(long long bytes)");
+    w.line(kLinkage + " void *pm_task_arena(long long bytes)");
     w.open("");
     w.line("static thread_local PmArena a;");
     w.open("if (a.cap < bytes)");
@@ -2545,8 +2542,7 @@ Generator::run()
     out.sharedCallers = sharedCallers_;
     for (const auto &[gi, gv] : groupVec_)
         out.groupVector.push_back(gv);
-    if (ranges_ != nullptr)
-        out.narrowedStages = ranges_->narrowedStages(g_);
+    out.narrowedStages = ranges_.narrowedStages(g_);
     return out;
 }
 
@@ -2614,7 +2610,7 @@ GeneratedCode
 generate(const pg::PipelineGraph &g, const core::GroupingResult &grouping,
          const core::GroupingOptions &gopts,
          const core::StoragePlan &storage, const CodegenOptions &opts,
-         const core::RangeAnalysis *ranges)
+         const core::RangeAnalysis &ranges)
 {
     Generator gen(g, grouping, gopts, storage, opts, ranges);
     return gen.run();

@@ -28,8 +28,7 @@ namespace polymage::cg {
 
 /**
  * How innermost loops are vectorised (docs/VECTORIZATION.md): the
- * paper's vec on/off axis.  Env-overridable via
- * POLYMAGE_VECTORIZE={off,explicit}.
+ * paper's vec on/off axis.
  */
 enum class VectorizeMode
 {
@@ -80,7 +79,7 @@ struct CodegenOptions
      * Liveness-driven buffer reuse (storage.hpp slot plan): when on,
      * full-buffer intermediates with disjoint group live ranges share
      * allocation slots.  Off gives every intermediate a private slot
-     * (the ablation baseline; also forced by POLYMAGE_NO_REUSE=1).
+     * (the ablation baseline).
      */
     bool bufferReuse = true;
     /**
@@ -90,8 +89,7 @@ struct CodegenOptions
      * folded into the loop bounds, instead of a full-domain sweep with
      * a per-point `if`.  The interior stays one dense, guard-free,
      * vectorizable nest; boundaries become narrow strips.  Off keeps
-     * the per-point guards (the ablation baseline; also forced by
-     * POLYMAGE_NO_PARTITION=1).
+     * the per-point guards (the ablation baseline).
      */
     bool partition = true;
 };
@@ -266,17 +264,15 @@ struct GeneratedCode
 };
 
 /**
- * Generate code for a scheduled pipeline.  @p ranges (optional) feeds
- * the explicit vector emitter's compute-type narrowing and the
- * narrowed-stage report; without it vectors compute in the declared
- * types and storage narrowing is whatever the plan already encodes.
+ * Generate code for a scheduled pipeline.  @p ranges feeds the explicit
+ * vector emitter's compute-type narrowing and the narrowed-stage report.
  */
 GeneratedCode generate(const pg::PipelineGraph &g,
                        const core::GroupingResult &grouping,
                        const core::GroupingOptions &gopts,
                        const core::StoragePlan &storage,
                        const CodegenOptions &opts,
-                       const core::RangeAnalysis *ranges = nullptr);
+                       const core::RangeAnalysis &ranges);
 
 } // namespace polymage::cg
 

@@ -33,8 +33,7 @@ struct GroupingOptions
      * Let the tile cost model replace tileSizes/overlapThreshold with
      * per-pipeline, per-machine choices (core/tile_model).  Off by
      * default so explicitly configured sizes are always honoured;
-     * CompileOptions::optimized() turns it on.  The driver ignores the
-     * model when POLYMAGE_NO_TILE_MODEL is set.
+     * CompileOptions::optimized() turns it on.
      */
     bool autoTile = false;
 

@@ -1,133 +1,10 @@
 #include "driver/compiler.hpp"
 
-#include <cstdlib>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <vector>
 
 namespace polymage {
-
-namespace {
-
-/** True when a switch value is anything but "" or "0". */
-bool
-isSet(const std::string &v)
-{
-    return !v.empty() && v != "0";
-}
-
-/** Parse "32,256"-style POLYMAGE_TILE_SIZES; nullopt when malformed. */
-std::optional<std::vector<std::int64_t>>
-parseTileSizes(const std::string &spec)
-{
-    std::vector<std::int64_t> out;
-    std::string cur;
-    auto flush = [&]() {
-        if (cur.empty())
-            return false;
-        char *end = nullptr;
-        const long long v = std::strtoll(cur.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0' || v <= 0)
-            return false;
-        out.push_back(v);
-        cur.clear();
-        return true;
-    };
-    for (char c : spec) {
-        if (c == ',') {
-            if (!flush())
-                return std::nullopt;
-        } else {
-            cur += c;
-        }
-    }
-    if (!flush())
-        return std::nullopt;
-    return out;
-}
-
-/**
- * The caller's options after the environment overrides: ablation
- * switches that benches and tests flip without a rebuild.  The tile
- * overrides win over the tile cost model, so they are kept aside and
- * applied after it; the other switches fold into the options or name
- * a driver decision.
- */
-struct Effective
-{
-    CompileOptions opts;
-    /** Off under POLYMAGE_NO_TILE_MODEL: the fixed-size behaviour. */
-    bool tileModel = true;
-    /** Off under POLYMAGE_NARROW=0: declared-type storage and lanes. */
-    bool narrow = true;
-    std::optional<std::vector<std::int64_t>> tileSizes;
-    std::optional<double> overlapThreshold;
-};
-
-/** One environment override: its variable and how a value applies.
- * Malformed values are ignored. */
-struct EnvOverride
-{
-    const char *name;
-    void (*apply)(const std::string &value, Effective &e);
-};
-
-const EnvOverride kEnvOverrides[] = {
-    {"POLYMAGE_NO_TILE_MODEL",
-     [](const std::string &v, Effective &e) {
-         if (isSet(v))
-             e.tileModel = false;
-     }},
-    {"POLYMAGE_TILE_SIZES",
-     [](const std::string &v, Effective &e) {
-         e.tileSizes = parseTileSizes(v);
-     }},
-    {"POLYMAGE_OVERLAP_THRESH",
-     [](const std::string &v, Effective &e) {
-         char *end = nullptr;
-         const double f = std::strtod(v.c_str(), &end);
-         if (*end == '\0' && f > 0.0 && f <= 1.0)
-             e.overlapThreshold = f;
-     }},
-    {"POLYMAGE_NARROW",
-     [](const std::string &v, Effective &e) {
-         if (v == "0")
-             e.narrow = false;
-     }},
-    {"POLYMAGE_NO_REUSE",
-     [](const std::string &v, Effective &e) {
-         if (isSet(v))
-             e.opts.codegen.bufferReuse = false;
-     }},
-    {"POLYMAGE_NO_PARTITION",
-     [](const std::string &v, Effective &e) {
-         if (isSet(v))
-             e.opts.codegen.partition = false;
-     }},
-    {"POLYMAGE_VECTORIZE",
-     [](const std::string &v, Effective &e) {
-         if (v == "off")
-             e.opts.codegen.vectorize = cg::VectorizeMode::Off;
-         else if (v == "explicit")
-             e.opts.codegen.vectorize = cg::VectorizeMode::Explicit;
-     }},
-};
-
-/** Read every override once, before the first compile phase. */
-Effective
-applyEnvOverrides(const CompileOptions &opts)
-{
-    Effective e;
-    e.opts = opts;
-    for (const EnvOverride &o : kEnvOverrides) {
-        if (const char *v = std::getenv(o.name))
-            o.apply(v, e);
-    }
-    return e;
-}
-
-} // namespace
 
 CompileOptions
 CompileOptions::optimized()
@@ -210,7 +87,7 @@ CompiledPipeline::report() const
 
 CompiledPipeline
 compilePipeline(const dsl::PipelineSpec &spec,
-                const CompileOptions &opts_in)
+                const CompileOptions &opts)
 {
     // Trace every phase.  When the caller (e.g. Executable::build)
     // already installed a registry, report into it so the compile
@@ -222,8 +99,6 @@ compilePipeline(const dsl::PipelineSpec &spec,
         reg = &local;
     obs::ScopedCurrent install(reg);
     const std::size_t span_base = reg->spans().size();
-    const Effective eff = applyEnvOverrides(opts_in);
-    const CompileOptions &opts = eff.opts;
 
     CompiledPipeline out{dsl::PipelineSpec(spec.name()), {}, {}, {},
                          {}, {}, {}, {}, {}, {}, {}, {}};
@@ -272,10 +147,6 @@ compilePipeline(const dsl::PipelineSpec &spec,
         tm.overlapThreshold = gopts.overlapThreshold;
         if (!gopts.autoTile) {
             tm.reason = "auto tiling not requested";
-        } else if (!eff.tileModel) {
-            // Ablation switch: exactly the historical fixed-size
-            // behaviour, without a rebuild.
-            tm.reason = "disabled (POLYMAGE_NO_TILE_MODEL)";
         } else {
             tm = core::chooseTileConfig(out.graph, opts.grouping);
             if (tm.applied) {
@@ -283,11 +154,6 @@ compilePipeline(const dsl::PipelineSpec &spec,
                 gopts.overlapThreshold = tm.overlapThreshold;
             }
         }
-        // Explicit environment overrides win over the model.
-        if (eff.tileSizes)
-            gopts.tileSizes = *eff.tileSizes;
-        if (eff.overlapThreshold)
-            gopts.overlapThreshold = *eff.overlapThreshold;
         out.effectiveGrouping = std::move(gopts);
         out.tileModel = std::move(tm);
     }
@@ -307,14 +173,13 @@ compilePipeline(const dsl::PipelineSpec &spec,
                                         opts.codegen.tile &&
                                             opts.codegen.storageOpt,
                                         opts.codegen.bufferReuse,
-                                        eff.narrow ? &out.ranges : nullptr);
+                                        &out.ranges);
     }
     {
         obs::ScopedTrace phase(reg, "codegen");
         out.code = cg::generate(out.graph, out.grouping,
                                 out.effectiveGrouping, out.storage,
-                                opts.codegen,
-                                eff.narrow ? &out.ranges : nullptr);
+                                opts.codegen, out.ranges);
     }
     // Keep only this compilation's spans (an outer registry may hold
     // earlier compilations).

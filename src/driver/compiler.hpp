@@ -54,18 +54,15 @@ struct CompiledPipeline
     /**
      * Forward value-range analysis (docs/VECTORIZATION.md): per-stage
      * value intervals and the minimal storage type each intermediate
-     * provably fits.  Feeds storage narrowing (unless POLYMAGE_NARROW=0)
-     * and the explicit vector emitter's compute-type choice.
+     * provably fits.  Feeds storage narrowing and the explicit vector
+     * emitter's compute-type choice.
      */
     core::RangeAnalysis ranges;
     core::StoragePlan storage;
     cg::GeneratedCode code;
     /**
      * The grouping options actually used: the caller's options after
-     * the tile cost model (when grouping.autoTile is on and
-     * POLYMAGE_NO_TILE_MODEL is unset) and after the
-     * POLYMAGE_TILE_SIZES / POLYMAGE_OVERLAP_THRESH environment
-     * overrides, which win over the model.
+     * the tile cost model (when grouping.autoTile is on).
      */
     core::GroupingOptions effectiveGrouping;
     /**

@@ -1132,7 +1132,6 @@ class FunctionStage
 {
   public:
     FunctionStage(const pg::Stage &s, rt::Buffer &out, const Env &env,
-                  const EvalOptions &opts,
                   const std::vector<std::int64_t> &lo,
                   const std::vector<std::int64_t> &hi);
 
@@ -1172,7 +1171,6 @@ class FunctionStage
     const dsl::FuncData &f_;
     const dsl::CallableData *self_;
     rt::Buffer &out_;
-    bool checkOverlap_;
     std::vector<std::int64_t> lo_, hi_;
     Program p_;
     std::vector<Piece> pieces_;
@@ -1181,20 +1179,19 @@ class FunctionStage
     std::vector<int> slot_;
     std::vector<std::int64_t> stride_;
     std::int64_t step_ = 0;
-    // Per-lane case state: candidate and matching lanes, matched flags
-    // and the value to store.
-    std::vector<std::uint16_t> cand_, hit_;
+    // Per-lane case state: matching lanes, matched flags and the value
+    // to store.
+    std::vector<std::uint16_t> hit_;
     std::vector<unsigned char> matched_;
     std::vector<double> value_;
 };
 
 FunctionStage::FunctionStage(const pg::Stage &s, rt::Buffer &out,
-                             const Env &env, const EvalOptions &opts,
+                             const Env &env,
                              const std::vector<std::int64_t> &lo,
                              const std::vector<std::int64_t> &hi)
-    : f_(s.func()), self_(s.callable.get()), out_(out),
-      checkOverlap_(opts.checkCaseOverlap), lo_(lo), hi_(hi),
-      p_(env, f_.vars(), lo, hi), cand_(kLanes), hit_(kLanes),
+    : f_(s.func()), self_(s.callable.get()), out_(out), lo_(lo), hi_(hi),
+      p_(env, f_.vars(), lo, hi), hit_(kLanes),
       matched_(kLanes), value_(kLanes)
 {
     // A case's condition is read before its value is evaluated, and its
@@ -1269,18 +1266,18 @@ FunctionStage::run(rt::TileScheduler *sched)
 void
 FunctionStage::batch(int n)
 {
-    Lanes todo{nullptr, n};
+    const Lanes all{nullptr, n};
     std::fill_n(matched_.begin(), n, 0);
     int hits = 0;
     for (const Piece &pc : pieces_) {
-        Lanes take = todo;
+        Lanes take = all;
         if (pc.cond >= 0) {
-            p_.eval(pc.cond, todo);
+            p_.eval(pc.cond, all);
             const double *c = p_.values(pc.cond);
-            take = filter(todo, hit_.data(),
+            take = filter(all, hit_.data(),
                           [&](int l) { return c[l] != 0; });
         }
-        if (checkOverlap_ && hits > 0) {
+        if (hits > 0) {
             forLanes(take, [&](int l) {
                 if (matched_[std::size_t(l)]) {
                     p_.fault("function '", f_.name(),
@@ -1297,12 +1294,6 @@ FunctionStage::batch(int n)
         });
         coerceLanes(f_.dtype(), value_.data(), take);
         hits += take.n;
-        // Without the overlap check, the first matching case wins.
-        if (!checkOverlap_) {
-            todo = filter(todo, cand_.data(), [&](int l) {
-                return matched_[std::size_t(l)] == 0;
-            });
-        }
     }
 
     // Store the batch only now that every value is known.
@@ -1330,11 +1321,11 @@ FunctionStage::batch(int n)
 
 void
 evalFunctionStage(const pg::Stage &s, rt::Buffer &out, const Env &env,
-                  const EvalOptions &opts, rt::TileScheduler *sched)
+                  rt::TileScheduler *sched)
 {
     std::vector<std::int64_t> lo, hi;
     domainBounds(s.func().dom(), env.params, lo, hi);
-    FunctionStage(s, out, env, opts, lo, hi).run(sched);
+    FunctionStage(s, out, env, lo, hi).run(sched);
 }
 
 void
@@ -1448,7 +1439,7 @@ EvalResult
 evaluate(const pg::PipelineGraph &g,
          const std::vector<std::int64_t> &params,
          const std::vector<const rt::Buffer *> &inputs,
-         const EvalOptions &opts, rt::TileScheduler *sched)
+         rt::TileScheduler *sched)
 {
     if (params.size() != g.params().size()) {
         specError("pipeline '", g.name(), "' expects ",
@@ -1488,7 +1479,7 @@ evaluate(const pg::PipelineGraph &g,
         rt::Buffer &stored = result.stageBuffers[s.callable->id()];
         env.bufs[s.callable->id()] = &stored;
         if (s.isFunction())
-            evalFunctionStage(s, stored, env, opts, sched);
+            evalFunctionStage(s, stored, env, sched);
         else
             evalAccumulatorStage(s, stored, env);
     }

@@ -22,16 +22,6 @@ class TileScheduler;
 
 namespace polymage::interp {
 
-/** Interpreter knobs. */
-struct EvalOptions
-{
-    /**
-     * Detect points where two case conditions hold simultaneously
-     * (ambiguous definition, paper §2) and raise SpecError.
-     */
-    bool checkCaseOverlap = true;
-};
-
 /** Evaluation result: one buffer per live-out, in declaration order. */
 struct EvalResult
 {
@@ -47,17 +37,17 @@ struct EvalResult
  * @param params parameter values in graph.params() order
  * @param inputs input buffers in graph.images() order; dims must match
  *               the image extents under the parameter values
- * @param opts interpreter options
  * @param sched when given, each function stage's rows are split into
  *              bands that run as tasks on it while the calling thread
  *              helps; outputs and errors are those of the serial
  *              evaluation without it
- * @throws SpecError on domain errors discovered at runtime
+ * @throws SpecError on domain errors discovered at runtime, and at a
+ *         point where two case conditions hold at once (an ambiguous
+ *         definition, paper §2)
  */
 EvalResult evaluate(const pg::PipelineGraph &g,
                     const std::vector<std::int64_t> &params,
                     const std::vector<const rt::Buffer *> &inputs,
-                    const EvalOptions &opts = {},
                     rt::TileScheduler *sched = nullptr);
 
 /**

@@ -23,8 +23,7 @@ wrap(long long v, int depth)
 std::vector<std::vector<rt::Buffer>>
 evaluateStream(const pg::PipelineGraph &g, const core::StreamPlan &plan,
                const std::vector<std::int64_t> &params,
-               const std::vector<std::vector<const rt::Buffer *>> &frames,
-               const EvalOptions &opts)
+               const std::vector<std::vector<const rt::Buffer *>> &frames)
 {
     PM_ASSERT(plan.streaming, "evaluateStream needs a streaming plan");
     const int n_images = int(g.images().size());
@@ -63,7 +62,7 @@ evaluateStream(const pg::PipelineGraph &g, const core::StreamPlan &plan,
                         static_cast<long long>(t) - tap.delay, ring.depth))];
             }
         }
-        EvalResult res = evaluate(g, params, ins, opts);
+        EvalResult res = evaluate(g, params, ins);
 
         // Record frame t into each ring before harvesting outputs
         // (a declared-output ring reads res.outputs in place).

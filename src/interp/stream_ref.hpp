@@ -33,8 +33,7 @@ namespace polymage::interp {
 std::vector<std::vector<rt::Buffer>>
 evaluateStream(const pg::PipelineGraph &g, const core::StreamPlan &plan,
                const std::vector<std::int64_t> &params,
-               const std::vector<std::vector<const rt::Buffer *>> &frames,
-               const EvalOptions &opts = {});
+               const std::vector<std::vector<const rt::Buffer *>> &frames);
 
 } // namespace polymage::interp
 

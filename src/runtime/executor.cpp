@@ -24,10 +24,8 @@ Executable::build(const dsl::PipelineSpec &spec,
         compilePipeline(spec, opts));
     exe.pool_ = std::make_shared<BufferPool>();
     // Off means *scalar*: suppress the JIT's autovectorisation flags
-    // too.  Compare against the generated mode, which folds in the
-    // POLYMAGE_VECTORIZE override.
-    jit.vectorize =
-        jit.vectorize && exe.compiled_->code.vectorizeMode != "off";
+    // too.
+    jit.vectorize = opts.codegen.vectorize != cg::VectorizeMode::Off;
     {
         // One translation unit per compiler slot.  A split costs at
         // most the link and pays off from about 150 source lines

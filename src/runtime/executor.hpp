@@ -174,7 +174,8 @@ class Executable
   public:
     /**
      * Compile a specification end to end.  The JIT vectorisation flag
-     * follows opts.codegen.vectorize unless overridden via @p jit.
+     * follows opts.codegen.vectorize; @p jit names the compiler and
+     * whether the object cache is used.
      */
     static Executable build(const dsl::PipelineSpec &spec,
                             const CompileOptions &opts =

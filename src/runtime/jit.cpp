@@ -338,19 +338,18 @@ JitModule::compile(const std::vector<std::string> &units,
     // live in libmvec, linked below -- what icc's SVML gives the
     // paper's setup.  -fopenmp-simd honours the generated `omp simd`
     // pragmas without the OpenMP runtime (under -w an unknown pragma
-    // would be dropped silently).  One flag set serves both the
-    // per-unit compiles (-shared is inert under -c) and the link.
+    // would be dropped silently).  -march=native always: the explicit
+    // vector emitter sizes its lanes from the probed host ISA.  One flag
+    // set serves both the per-unit compiles (-shared is inert under -c)
+    // and the link.
     std::vector<std::string> flags = {"-shared", "-fPIC", "-std=c++17",
                                       "-w", "-fno-math-errno",
-                                      "-fopenmp-simd", opts.optLevel};
-    if (opts.nativeArch)
-        flags.push_back("-march=native");
+                                      "-fopenmp-simd", "-O3",
+                                      "-march=native"};
     if (!opts.vectorize) {
         flags.push_back("-fno-tree-vectorize");
         flags.push_back("-fno-tree-slp-vectorize");
     }
-    for (std::string &w : words(opts.extraFlags))
-        flags.push_back(std::move(w));
     std::vector<std::string> command = words(opts.compiler);
     PM_ASSERT(!command.empty(), "no JIT compiler named");
     command.insert(command.end(), flags.begin(), flags.end());
@@ -411,7 +410,6 @@ JitModule::compile(const std::vector<std::string> &units,
 
     JitModule mod;
     mod.dir_ = tmpl;
-    mod.keep_ = opts.keepFiles;
     mod.sourcePath_ = mod.dir_ + "/pipeline.cpp";
     const std::string so_path = mod.dir_ + "/pipeline.so";
     writeFile(mod.sourcePath_, program);

@@ -22,16 +22,10 @@ namespace polymage::rt {
 /** Flags for the downstream C++ compiler. */
 struct JitOptions
 {
+    /** The compiler command, split at whitespace, no quoting. */
     std::string compiler = "g++";
-    std::string optLevel = "-O3";
-    bool nativeArch = true;
     /** When false, auto-vectorisation is disabled (-fno-tree-vectorize). */
     bool vectorize = true;
-    /** Keep the temp directory (sources, errors) for inspection. */
-    bool keepFiles = false;
-    /** Added to every compiler command; split at whitespace, no quoting
-     * (the same holds for `compiler`). */
-    std::string extraFlags;
     /**
      * Use the persistent object cache: shared objects are keyed by a
      * hash of (every unit, flags, compiler version) and stored under

@@ -325,8 +325,7 @@ Engine::serve(Job &leader, rt::BufferPool &pool)
                 // Interpreter tier: this request alone, its stages in
                 // row bands on the shared pool.
                 r.outputs = interp::evaluate(*tr.graph, req.params,
-                                             inputsOf(req), {},
-                                             sched_.get())
+                                             inputsOf(req), sched_.get())
                                 .outputs;
                 r.tier = 1;
                 notePromotion(req.pipeline, 1, t0);

@@ -175,8 +175,8 @@ PipelineRegistry::graphOf(const std::string &name)
         spec = pit->second.spec;
         gen = pit->second.generation;
     }
-    // Build outside the lock (same pattern as getTiered); a racing
-    // re-registration wins and this graph is simply dropped.
+    // Build outside the lock; a racing re-registration wins and this
+    // graph is simply dropped.
     auto g = std::make_shared<const pg::PipelineGraph>(
         pg::PipelineGraph::build(spec));
     std::lock_guard<std::mutex> lock(mu_);
@@ -194,8 +194,6 @@ PipelineRegistry::getTiered(const std::string &name,
                             const CompileOptions *opts)
 {
     TieredResult res;
-    dsl::PipelineSpec spec{"unset"};
-    std::uint64_t gen = 0;
     bool in_flight = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -216,34 +214,17 @@ PipelineRegistry::getTiered(const std::string &name,
             }
             in_flight = true;
         }
-        res.graph = pit->second.graph;
-        spec = pit->second.spec;
-        gen = pit->second.generation;
     }
 
     // Tier 1 from here on: launch the background compile on first
     // need (the prepare() miss path), then hand back the graph the
-    // interpreter evaluates.  The graph is built outside the lock and
-    // cached on the pipeline entry; a concurrent re-registration wins
-    // (its generation differs, so the stale graph is simply dropped).
+    // interpreter evaluates.  Names are never unregistered, so graphOf
+    // finds this one.
     if (!in_flight) {
         variantFuture(name, opts, /*async=*/true);
         res.compileStarted = true;
     }
-    if (!res.graph) {
-        auto g = std::make_shared<const pg::PipelineGraph>(
-            pg::PipelineGraph::build(spec));
-        std::lock_guard<std::mutex> lock(mu_);
-        auto pit = pipelines_.find(name);
-        if (pit != pipelines_.end() &&
-            pit->second.generation == gen) {
-            if (!pit->second.graph)
-                pit->second.graph = g;
-            res.graph = pit->second.graph;
-        } else {
-            res.graph = g;
-        }
-    }
+    res.graph = graphOf(name);
     return res;
 }
 

@@ -87,12 +87,6 @@ struct TuneOptions
     CompileOptions base;
     /** Worker count for the modelled parallel time (paper: 16). */
     int modelWorkers = 16;
-    /**
-     * Unused since the sweep reads the profile (which
-     * repeats internally) instead of re-timing whole runs; kept so
-     * existing callers continue to compile.
-     */
-    int repeats = 2;
     /** Progress callback (config index, total). */
     std::function<void(int, int)> progress;
 };

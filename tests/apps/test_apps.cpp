@@ -8,8 +8,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "apps/apps.hpp"
 #include "core/stream_plan.hpp"
 #include "interp/interpreter.hpp"
@@ -206,26 +204,22 @@ TEST(Apps, HarrisBaselineVariantsAgree)
 
 TEST(Apps, CodegenVariantsMatchInterpreter)
 {
-    // The partitioning, vectorisation and narrowing ablations must be
-    // bit-tolerant against the interpreter for real apps, not just the
-    // synthetic boundary pipelines (the env vars exercise the driver
-    // plumbing end to end).  The default build is covered by the
-    // per-app tests above.
+    // The partitioning and vectorisation ablations must be bit-tolerant
+    // against the interpreter for real apps, not just the synthetic
+    // boundary pipelines.  The default build is covered by the per-app
+    // tests above.
     struct Variant
     {
         const char *name;
-        const char *var;
-        const char *val;
+        CompileOptions opts;
     };
-    const Variant variants[] = {
-        {"no-partition", "POLYMAGE_NO_PARTITION", "1"},
-        // Scalar code and the narrowing kill-switch must agree with the
-        // interpreter on every app -- exact for the integer apps
-        // (camera's tolerance covers its gamma LUT quantisation, not
-        // vector drift), epsilon for the float pyramids.
-        {"vec-off", "POLYMAGE_VECTORIZE", "off"},
-        {"no-narrow", "POLYMAGE_NARROW", "0"},
-    };
+    Variant variants[] = {{"no-partition", CompileOptions::optimized()},
+                          {"vec-off", CompileOptions::optimized()}};
+    variants[0].opts.codegen.partition = false;
+    // Scalar code must agree with the interpreter on every app -- exact
+    // for the integer apps (camera's tolerance covers its gamma LUT
+    // quantisation, not vector drift), epsilon for the float pyramids.
+    variants[1].opts.codegen.vectorize = cg::VectorizeMode::Off;
 
     const std::int64_t n = 40;
     struct App
@@ -265,11 +259,8 @@ TEST(Apps, CodegenVariantsMatchInterpreter)
         auto ref = interp::evaluate(g, a.params, ins);
         for (const Variant &v : variants) {
             SCOPED_TRACE(v.name);
-            ::setenv(v.var, v.val, 1);
-            auto outs = rt::Executable::build(a.spec,
-                                              CompileOptions::optimized())
-                            .run(a.params, ins);
-            ::unsetenv(v.var);
+            auto outs =
+                rt::Executable::build(a.spec, v.opts).run(a.params, ins);
             ASSERT_EQ(outs.size(), ref.outputs.size());
             for (std::size_t i = 0; i < outs.size(); ++i)
                 EXPECT_LE(outs[i].maxAbsDiff(ref.outputs[i]), a.tol);

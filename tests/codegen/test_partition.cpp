@@ -5,12 +5,10 @@
  * box clause -- a dense vectorizable interior plus narrow boundary
  * strips -- instead of a full-domain sweep with a per-point `if`.
  * Also covers the invariant-hoisting (`pm_base*`) locals, the dynamic
- * worksharing schedule, the POLYMAGE_NO_PARTITION driver override, and
- * residue-class cases (`y % c == p`) interleaved into one loop over the
- * quotient.
+ * worksharing schedule, the partition switch, and residue-class cases
+ * (`y % c == p`) interleaved into one loop over the quotient.
  */
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -162,12 +160,12 @@ TEST(Partition, EveryParallelLoopIsScheduledDynamically)
               countOccurrences(body, "#pragma omp simd"));
 }
 
-TEST(Partition, EnvVarsOverrideTheDriver)
+TEST(Partition, SwitchTurnsOffPartitioningOnly)
 {
     auto t = testing::makeBoundaryStencil(256);
-    ::setenv("POLYMAGE_NO_PARTITION", "1", 1);
-    auto c = compilePipeline(t.spec);
-    ::unsetenv("POLYMAGE_NO_PARTITION");
+    CompileOptions opts = CompileOptions::optimized();
+    opts.codegen.partition = false;
+    auto c = compilePipeline(t.spec, opts);
     EXPECT_FALSE(c.code.partition);
     EXPECT_EQ(c.code.partitionedCases, 0);
     EXPECT_GE(c.code.guardedNests, 1);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <set>
 
 #include "apps/apps.hpp"
@@ -139,51 +138,7 @@ TEST(Driver, TileModelRunsOnlyWhenRequested)
     EXPECT_EQ(fixed.tileModel.reason, "auto tiling not requested");
     EXPECT_EQ(fixed.effectiveGrouping.tileSizes,
               (std::vector<std::int64_t>{32, 256}));
-}
-
-TEST(Driver, NoTileModelEnvReproducesFixedBehaviour)
-{
-    // POLYMAGE_NO_TILE_MODEL=1 must be byte-identical to compiling
-    // with the model opt-out in the options (the pre-model golden
-    // behaviour: fixed {32, 256} @ 0.4).
-    auto spec = apps::buildHarris(2048, 2048);
-    ::setenv("POLYMAGE_NO_TILE_MODEL", "1", 1);
-    auto disabled = compilePipeline(spec, CompileOptions::optimized());
-    ::unsetenv("POLYMAGE_NO_TILE_MODEL");
-
-    auto fixed_opts = CompileOptions::optimized();
-    fixed_opts.grouping.autoTile = false;
-    auto fixed = compilePipeline(spec, fixed_opts);
-
-    EXPECT_FALSE(disabled.tileModel.applied);
-    EXPECT_NE(disabled.tileModel.reason.find("POLYMAGE_NO_TILE_MODEL"),
-              std::string::npos);
-    EXPECT_EQ(disabled.effectiveGrouping.tileSizes,
-              (std::vector<std::int64_t>{32, 256}));
-    EXPECT_EQ(disabled.code.source, fixed.code.source);
-}
-
-TEST(Driver, TileEnvOverridesWinOverModel)
-{
-    auto spec = apps::buildHarris(2048, 2048);
-    ::setenv("POLYMAGE_TILE_SIZES", "16,128", 1);
-    ::setenv("POLYMAGE_OVERLAP_THRESH", "0.25", 1);
-    auto c = compilePipeline(spec, CompileOptions::optimized());
-    ::unsetenv("POLYMAGE_TILE_SIZES");
-    ::unsetenv("POLYMAGE_OVERLAP_THRESH");
-    EXPECT_EQ(c.effectiveGrouping.tileSizes,
-              (std::vector<std::int64_t>{16, 128}));
-    EXPECT_DOUBLE_EQ(c.effectiveGrouping.overlapThreshold, 0.25);
-
-    // Malformed overrides are ignored, leaving the model's choice.
-    ::setenv("POLYMAGE_TILE_SIZES", "banana", 1);
-    ::setenv("POLYMAGE_OVERLAP_THRESH", "2.5", 1);
-    auto c2 = compilePipeline(spec, CompileOptions::optimized());
-    ::unsetenv("POLYMAGE_TILE_SIZES");
-    ::unsetenv("POLYMAGE_OVERLAP_THRESH");
-    EXPECT_EQ(c2.effectiveGrouping.tileSizes, c2.tileModel.tileSizes);
-    EXPECT_DOUBLE_EQ(c2.effectiveGrouping.overlapThreshold,
-                     c2.tileModel.overlapThreshold);
+    EXPECT_DOUBLE_EQ(fixed.effectiveGrouping.overlapThreshold, 0.4);
 }
 
 TEST(Driver, ExecutorValidatesArguments)

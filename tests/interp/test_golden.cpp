@@ -119,7 +119,7 @@ TEST(Interpreter, GoldenOutputHashes)
             for (const Buffer &b : c.ins)
                 ins.push_back(&b);
             auto res = evaluate(pg::PipelineGraph::build(c.spec), c.params,
-                                ins, {}, mode.sched);
+                                ins, mode.sched);
             Fnv1a h;
             for (const Buffer &b : res.outputs)
                 h.buffer(b);

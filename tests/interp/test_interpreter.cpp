@@ -191,10 +191,6 @@ TEST(Interpreter, AmbiguousCasesDetected)
     auto g = pg::PipelineGraph::build(spec);
     Buffer in(DType::Float, {8});
     EXPECT_THROW(evaluate(g, {8}, {&in}), SpecError);
-
-    EvalOptions lax;
-    lax.checkCaseOverlap = false;
-    EXPECT_NO_THROW(evaluate(g, {8}, {&in}, lax));
 }
 
 TEST(Interpreter, RuntimeOutOfBoundsDetected)
@@ -451,7 +447,7 @@ firstFaultOf(std::int64_t oob, std::int64_t div, rt::TileScheduler *sched,
     d.dataAs<int>()[div_row * cols + div] = 0;
     j.dataAs<int>()[cols + oob] = int(cols + oob);
     return specErrorOf([&] {
-        evaluate(g, {rows, cols}, {&in, &d, &j}, {}, sched);
+        evaluate(g, {rows, cols}, {&in, &d, &j}, sched);
     });
 }
 
@@ -495,7 +491,7 @@ TEST(Interpreter, EarlierOfTwoFaultingBandsWins)
 std::string
 readPastRowEnd(const std::function<void(Function &, Expr, Condition,
                                          Condition)> &define,
-               Buffer *out = nullptr, const EvalOptions &opts = {})
+               Buffer *out = nullptr)
 {
     const std::int64_t rows = 2, cols = 300;
     Parameter R("R"), C("C");
@@ -517,7 +513,7 @@ readPastRowEnd(const std::function<void(Function &, Expr, Condition,
     auto g = pg::PipelineGraph::build(spec);
     Buffer in = rampImage(rows, cols);
     return specErrorOf([&] {
-        auto res = evaluate(g, {rows, cols}, {&in}, opts);
+        auto res = evaluate(g, {rows, cols}, {&in});
         if (out != nullptr)
             *out = res.outputs[0];
     });
@@ -531,31 +527,22 @@ TEST(Interpreter, ShortCircuitGuardsReadsPastTheRowEnd)
               "polymage: invalid specification: runtime out-of-bounds "
               "access to 'I' at (0, 300)");
 
-    // &, |, the untaken select branch and, without the overlap check,
-    // the cases after the matching one skip it there.
-    const EvalOptions strict, lax{false};
+    // &, | and the untaken select branch skip it there.
     using Define = std::function<void(Function &, Expr, Condition,
                                       Condition)>;
-    const std::pair<Define, EvalOptions> guarded[] = {
-        {[](Function &f, Expr next, Condition, Condition inside) {
-             f.define(select(inside & (next >= Expr(0.0f)), next,
-                             Expr(-1.0f)));
-         },
-         strict},
-        {[](Function &f, Expr next, Condition last, Condition inside) {
-             f.define({Case(last | (next < Expr(0.0f)), Expr(-1.0f)),
-                       Case(inside, next)});
-         },
-         strict},
-        {[](Function &f, Expr next, Condition last, Condition) {
-             f.define({Case(last, Expr(-1.0f)),
-                       Case(next >= Expr(0.0f), next)});
-         },
-         lax},
+    const Define guarded[] = {
+        [](Function &f, Expr next, Condition, Condition inside) {
+            f.define(select(inside & (next >= Expr(0.0f)), next,
+                            Expr(-1.0f)));
+        },
+        [](Function &f, Expr next, Condition last, Condition inside) {
+            f.define({Case(last | (next < Expr(0.0f)), Expr(-1.0f)),
+                      Case(inside, next)});
+        },
     };
-    for (const auto &[define, opts] : guarded) {
+    for (const Define &define : guarded) {
         Buffer out;
-        ASSERT_EQ(readPastRowEnd(define, &out, opts), "");
+        ASSERT_EQ(readPastRowEnd(define, &out), "");
         for (std::int64_t i = 0; i < 2; ++i) {
             for (std::int64_t j = 0; j < 300; ++j) {
                 EXPECT_EQ(out.dataAs<float>()[i * 300 + j],
@@ -563,8 +550,13 @@ TEST(Interpreter, ShortCircuitGuardsReadsPastTheRowEnd)
             }
         }
     }
-    // With the check, every case's condition is tested at every point.
-    EXPECT_EQ(readPastRowEnd(guarded[2].first),
+    // Every case's condition is tested at every point, so a case after
+    // the matching one still reads past the row end.
+    EXPECT_EQ(readPastRowEnd([](Function &f, Expr next, Condition last,
+                                Condition) {
+                  f.define({Case(last, Expr(-1.0f)),
+                            Case(next >= Expr(0.0f), next)});
+              }),
               "polymage: invalid specification: runtime out-of-bounds "
               "access to 'I' at (0, 300)");
 }
@@ -602,28 +594,15 @@ TEST(Interpreter, CaseOverlapAtOneMidRowPoint)
     for (const testing::EvalMode &mode : testing::evalModes()) {
         SCOPED_TRACE(mode.name);
         EXPECT_EQ(
-            specErrorOf([&] { evaluate(g, {3, 300}, {}, {}, mode.sched); }),
+            specErrorOf([&] { evaluate(g, {3, 300}, {}, mode.sched); }),
             "polymage: invalid specification: function 'f' has "
             "overlapping cases; the definition is ambiguous");
-
-        // Without the check the first matching case wins.
-        EvalOptions lax;
-        lax.checkCaseOverlap = false;
-        auto res = evaluate(g, {3, 300}, {}, lax, mode.sched);
-        const float *p = res.outputs[0].dataAs<float>();
-        for (std::int64_t i = 0; i < 3; ++i) {
-            for (std::int64_t j = 0; j < 300; ++j) {
-                EXPECT_EQ(p[i * 300 + j],
-                          j <= 150 ? float(j + 1) : float(i * 1000 + j));
-            }
-        }
     }
 }
 
-TEST(Interpreter, UnmatchedPointsStayZeroWithoutOverlapCheck)
+TEST(Interpreter, UnmatchedPointsStayZero)
 {
-    // Columns 90..94 match both cases, so the first wins; from column
-    // 100 to 119 + 10x and from 280 on no case matches.
+    // From column 100 to 119 + 10x and from 280 on no case matches.
     Parameter R("R"), C("C");
     Variable x("x"), y("y");
     const Expr fx = cast(DType::Float, Expr(x)),
@@ -631,12 +610,9 @@ TEST(Interpreter, UnmatchedPointsStayZeroWithoutOverlapCheck)
     auto g = caseGrid(
         R, C, x, y,
         {Case(Expr(y) < 100, fy + Expr(1.0f)),
-         Case(((Expr(y) >= 90) & (Expr(y) < 95)) |
-                  ((Expr(y) >= Expr(x) * 10 + 120) & (Expr(y) < 280)),
+         Case((Expr(y) >= Expr(x) * 10 + 120) & (Expr(y) < 280),
               fx * Expr(1000.0f) + fy)});
-    EvalOptions lax;
-    lax.checkCaseOverlap = false;
-    auto res = evaluate(g, {3, 300}, {}, lax);
+    auto res = evaluate(g, {3, 300}, {});
     const float *p = res.outputs[0].dataAs<float>();
     for (std::int64_t i = 0; i < 3; ++i) {
         for (std::int64_t j = 0; j < 300; ++j) {
@@ -695,7 +671,7 @@ TEST(Interpreter, SelfReadingStagesSeeEarlierPoints)
     const auto g = pg::PipelineGraph::build(spec);
     for (const testing::EvalMode &mode : testing::evalModes()) {
         SCOPED_TRACE(mode.name);
-        auto res = evaluate(g, {rows, cols}, {&in}, {}, mode.sched);
+        auto res = evaluate(g, {rows, cols}, {&in}, mode.sched);
         for (std::int64_t i = 0; i < rows; ++i) {
             for (std::int64_t j = 0; j < cols; ++j) {
                 // sum over k <= j of (i + k)
@@ -741,7 +717,7 @@ TEST(Interpreter, EmptyOuterReductionLoopLeavesInit)
     in.fill(1.0);
     for (const testing::EvalMode &mode : testing::evalModes()) {
         SCOPED_TRACE(mode.name);
-        auto res = evaluate(g, {1, cols}, {&in}, {}, mode.sched);
+        auto res = evaluate(g, {1, cols}, {&in}, mode.sched);
         for (std::int64_t j = 0; j < cols; ++j)
             EXPECT_EQ(res.outputs[0].dataAs<int>()[j], 7);
     }

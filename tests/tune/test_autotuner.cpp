@@ -44,7 +44,6 @@ TEST(Autotuner, FindsAWorkingConfigOnHarris)
     space.tiledDims = 2;
 
     TuneOptions opts;
-    opts.repeats = 1;
     int calls = 0;
     opts.progress = [&](int, int) { ++calls; };
 

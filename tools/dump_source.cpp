@@ -5,12 +5,14 @@
  * host compiler's vectorisation report, and handy for eyeballing what
  * the codegen produces:
  *
- *   ./polymage_dump_source harris [rows cols] > harris.gen.cpp
+ *   ./polymage_dump_source harris [rows cols] [novec] > harris.gen.cpp
  *
- * It compiles with CompileOptions::optimized().  The header lists every
- * generated function with its line count, the pieces the JIT spreads
- * over translation units (GeneratedCode::translationUnits), and after a
- * shared stage function the other stage instances that call it, e.g.
+ * It compiles with CompileOptions::optimized(), or with
+ * CompileOptions::optNoVec() when the last argument is `novec`.  The
+ * header lists every generated function with its line count, the
+ * pieces the JIT spreads over translation units
+ * (GeneratedCode::translationUnits), and after a shared stage function
+ * the other stage instances that call it, e.g.
  * `50 polymage_pyramid_blend_g0_s0 (also g1_s0, g2_s0)`.
  */
 #include <algorithm>
@@ -59,8 +61,9 @@ int
 main(int argc, char **argv)
 {
     const std::string app = argc > 1 ? argv[1] : "harris";
+    const bool novec = argc > 2 && std::string(argv[argc - 1]) == "novec";
     std::vector<std::int64_t> dims;
-    for (int i = 2; i < argc; ++i)
+    for (int i = 2; i < argc - int(novec); ++i)
         dims.push_back(std::atoll(argv[i]));
     const std::int64_t r = dims.size() > 0 ? dims[0] : 2048;
     const std::int64_t c = dims.size() > 1 ? dims[1] : 2048;
@@ -87,12 +90,13 @@ main(int argc, char **argv)
     } else {
         std::fprintf(stderr,
                      "usage: %s {harris|unsharp|bilateral|camera|"
-                     "pyramid|interp|laplacian} [rows cols]\n",
+                     "pyramid|interp|laplacian} [rows cols] [novec]\n",
                      argv[0]);
         return 2;
     }
 
-    auto compiled = compilePipeline(spec, CompileOptions::optimized());
+    auto compiled = compilePipeline(spec, novec ? CompileOptions::optNoVec()
+                                                : CompileOptions::optimized());
     const auto &code = compiled.code;
 
     // Vectorisation header: what the explicit emitter chose, so a dump
