@@ -115,7 +115,7 @@ main(int argc, char **argv)
 
         // (b) The tile cost model's pick (modelled on the post-inline
         // graph, exactly as the driver would).
-        auto inlined = pg::inlinePointwise(b.spec, topts.base.inlining);
+        auto inlined = pg::inlinePointwise(b.spec);
         const auto graph = pg::PipelineGraph::build(inlined.spec);
         const core::TileModelResult model =
             core::chooseTileConfig(graph, topts.base.grouping);

@@ -96,12 +96,10 @@ class ProfileJsonReport
         w.key("compile").raw(obs::spansToJson(exe.trace()));
         w.key("runtime").raw(prof.toJson());
         w.key("memory").raw(exe.memoryStats().toJson());
-        // Codegen-strategy record: whether the binary was built with
-        // partitioning, and the loop-nest census (so ablation sweeps
-        // can tell the variants apart from the JSON alone).
+        // Codegen-strategy record: the loop-nest census (so ablation
+        // sweeps can tell the variants apart from the JSON alone).
         const cg::GeneratedCode &code = exe.info().code;
         w.key("codegen").beginObject();
-        w.key("partition").value(code.partition);
         w.key("interior_nests").value(code.interiorNests);
         w.key("guarded_nests").value(code.guardedNests);
         w.key("partitioned_cases").value(code.partitionedCases);

@@ -3,8 +3,7 @@
 #
 #   BENCH_table2.json    the Table-2 profile run (per-app compile
 #                        trace, runtime profile, memory and codegen
-#                        records) plus the partitioning/scheduling
-#                        ablation timings.
+#                        records).
 #   BENCH_autotune.json  the Figure-9 autotuning study
 #                        (polymage-tune-bench-v1): per app the fixed
 #                        default, the tile cost model's pick, the
@@ -56,7 +55,6 @@ stream_out=BENCH_stream.json
 
 cmake -B "$build_dir" -S . >/dev/null
 cmake --build "$build_dir" -j "$(nproc)" --target bench_table2 \
-    --target bench_ablation_partition \
     --target bench_fig9_autotune \
     --target bench_serve \
     --target bench_stream >/dev/null
@@ -66,19 +64,15 @@ trap 'rm -rf "$tmp"' EXIT
 
 POLYMAGE_BENCH_SCALE="$scale" "$build_dir/bench/bench_table2" \
     --profile-json "$tmp/table2.json"
-POLYMAGE_BENCH_SCALE="$scale" \
-    "$build_dir/bench/bench_ablation_partition" \
-    --timings-json "$tmp/ablation.json"
 
-# Compose the committed snapshot: both documents embedded verbatim.
+# Compose the committed snapshot: the profile document embedded
+# verbatim.
 {
     printf '{\n"schema": "polymage-bench-snapshot-v1",\n'
     printf '"generated_by": "scripts/bench_snapshot.sh",\n'
     printf '"scale": %s,\n' "$scale"
     printf '"table2": '
     cat "$tmp/table2.json"
-    printf ',\n"ablation_partition": '
-    cat "$tmp/ablation.json"
     printf '}\n'
 } > "$out"
 

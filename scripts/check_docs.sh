@@ -233,6 +233,16 @@ fi
 if grep -rn 'getenv' src/driver/; then
     err "src/driver/ reads the environment (above)"
 fi
+# CompileOptions holds the paper's axes only: the deleted fields, the
+# inlining options struct, the heuristics' former option names and the
+# partitioning ablation harness stay gone.
+stale='maxStackScratchBytes|bufferReuse|codegen\.partition|codegen\.tile'
+stale="$stale|InlineOptions|maxBodyNodes|minTiledExtent|grouping\.minSize"
+stale="$stale|bench_ablation_partition"
+if grep -rnE --exclude=check_docs.sh "$stale" \
+        README.md docs/ src/ bench/ tools/ scripts/; then
+    err "deleted CompileOptions field names (above) are back"
+fi
 
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED" >&2

@@ -842,7 +842,7 @@ class Generator
         phaseGroup_.push_back(gi);
         serialPhases_.push_back(serial);
     }
-    /** Largest padded per-thread heap scratch arena emitted. */
+    /** Largest padded per-thread scratch arena emitted. */
     std::int64_t heapArenaBytes_ = 0;
     /** Nest census of the program (GeneratedCode observability). */
     int interiorNests_ = 0;
@@ -1149,7 +1149,7 @@ Generator::caseNests(const pg::Stage &stage, const dsl::Case &cs,
     single.dims = base_dims;
     applyBox(poly::analyzeCondition(cs.condition(), var_ids), stage, env,
              single.dims, single.guards);
-    if (single.guards.empty() || !opts_.partition) {
+    if (single.guards.empty()) {
         nests.push_back(std::move(single));
         return nests;
     }
@@ -1764,33 +1764,28 @@ Generator::emitTiledDriver(int gi, const GroupDriver &drv)
         thi[ti] = "thi" + t + "_g" + std::to_string(gi);
     }
 
-    const bool heap_scratch =
-        storage_.groupScratchBytes.count(gi) &&
-        storage_.groupScratchBytes.at(gi) > opts_.maxStackScratchBytes;
-
-    // The task count resolves before the heap arena (if any) is
-    // fetched, so count queries stay allocation-free.
+    // The task count resolves before the arena (if any) is fetched, so
+    // count queries stay allocation-free.
     w_.line("const long long pm_n = " + thi[0] + " >= " + tlo[0] + " ? " +
             thi[0] + " - " + tlo[0] + " + 1 : 0;");
     w_.line("if (pm_lo < 0) return pm_n;");
 
-    // Heap scratch: the calling thread's 64-byte-aligned arena, hoisted
+    // Scratchpads: the calling thread's 64-byte-aligned arena, hoisted
     // out of the tile loop and carved into per-stage scratchpads at
     // padded offsets.  Chunk calls are frequent and thread-bound, so
     // the arena persists per thread (pm_task_arena): per-tile work
     // touches only warm, thread-local pages, with no allocator traffic.
-    if (heap_scratch) {
-        const std::string arena =
-            "pm_arena_g" + std::to_string(gi);
-        std::int64_t arena_bytes = 0;
-        std::vector<std::pair<int, std::int64_t>> arena_off;
-        for (int s : grp.stages) {
-            if (!storage_.isScratch(s))
-                continue;
-            arena_off.emplace_back(s, arena_bytes);
-            const auto &st = storage_.stages.at(s);
-            arena_bytes += (st.scratchBytes + 63) & ~std::int64_t(63);
-        }
+    std::int64_t arena_bytes = 0;
+    std::vector<std::pair<int, std::int64_t>> arena_off;
+    for (int s : grp.stages) {
+        if (!storage_.isScratch(s))
+            continue;
+        arena_off.emplace_back(s, arena_bytes);
+        const auto &st = storage_.stages.at(s);
+        arena_bytes += (st.scratchBytes + 63) & ~std::int64_t(63);
+    }
+    if (!arena_off.empty()) {
+        const std::string arena = "pm_arena_g" + std::to_string(gi);
         heapArenaBytes_ = std::max(heapArenaBytes_, arena_bytes);
         w_.line("char *" + arena + " = (char *)pm_task_arena(" +
                 std::to_string(arena_bytes) + ");");
@@ -1805,15 +1800,6 @@ Generator::emitTiledDriver(int gi, const GroupDriver &drv)
     w_.line("const long long pm_te = pm_min_i(pm_hi, pm_n - 1);");
     w_.open("for (long long pm_t = pm_lo; pm_t <= pm_te; ++pm_t)");
     w_.line("const long long T0 = " + tlo[0] + " + pm_t;");
-
-    // Stack scratchpads: thread-private, reused across inner tiles.
-    if (!heap_scratch) {
-        for (int s : grp.stages) {
-            if (storage_.isScratch(s))
-                w_.line("alignas(64) " +
-                        scratchArray(s, "scr_" + stageName(s)) + ";");
-        }
-    }
 
     for (std::size_t ti = 1; ti < tiled.size(); ++ti) {
         w_.open("for (long long T" + std::to_string(ti) + " = " +
@@ -2105,7 +2091,7 @@ Generator::emitShared(int gi)
             return grp.localLevel.at(a) < grp.localLevel.at(b);
         });
         const bool tiled =
-            opts_.tile && !core::tiledDimsFor(grp, g_, gopts_).empty();
+            gopts_.enable && !core::tiledDimsFor(grp, g_, gopts_).empty();
         if (tiled) {
             d.kind = GroupDriver::Kind::Tiled;
             addPhase(gi, /*serial=*/false);
@@ -2438,7 +2424,7 @@ Generator::emitEntryPoints()
         w.line(kLinkage + " long long " + groupFunctionName(int(gi)) +
                "(" + kEntryParams + ");");
     w.blank();
-    // The entry is invoked once per chunk of tiles, so a heap scratch
+    // The entry is invoked once per chunk of tiles, so a scratch
     // arena allocated inside the call would be paid on every chunk.
     // Cache it per thread instead: 64-byte aligned so vector accesses
     // never split cache lines, grown monotonically, reused across
@@ -2527,7 +2513,6 @@ Generator::run()
             out.slicedReductions.push_back(int(s));
     out.serialPhases = serialPhases_;
     out.heapArenaBytes = heapArenaBytes_;
-    out.partition = opts_.partition;
     out.interiorNests = interiorNests_;
     out.guardedNests = guardedNests_;
     out.partitionedCases = partitionedCases_;

@@ -55,11 +55,15 @@ const char *vectorizeModeName(VectorizeMode m);
  */
 constexpr int kReductionSlices = 4;
 
-/** Code generation switches (the paper's opt/vec axes, §4). */
+/**
+ * Code generation switches: the storage ablation and the paper's vec
+ * axis (§4).  The opt axis is GroupingOptions::enable.  Every group's
+ * scratchpads come from the calling thread's 64-byte-aligned arena
+ * (`pm_task_arena`), which holds any tile size; boundary conditions
+ * are always split into interior and strip nests.
+ */
 struct CodegenOptions
 {
-    /** Emit overlapped tile loops for multi-stage groups. */
-    bool tile = true;
     /**
      * Storage optimisation (paper §3.6): scratchpads for intra-group
      * intermediates.  Off keeps every stage in a full buffer even when
@@ -69,29 +73,6 @@ struct CodegenOptions
     bool storageOpt = true;
     /** Innermost-loop vectorisation strategy (see VectorizeMode). */
     VectorizeMode vectorize = VectorizeMode::Explicit;
-    /**
-     * Scratchpads above this total per group move from the stack to a
-     * 64-byte-aligned per-thread heap arena, kept across calls
-     * (hoisted out of the tile loop).
-     */
-    std::int64_t maxStackScratchBytes = 4ll << 20;
-    /**
-     * Liveness-driven buffer reuse (storage.hpp slot plan): when on,
-     * full-buffer intermediates with disjoint group live ranges share
-     * allocation slots.  Off gives every intermediate a private slot
-     * (the ablation baseline).
-     */
-    bool bufferReuse = true;
-    /**
-     * Boundary/interior loop partitioning: a `Case` condition whose
-     * residual guard is a union of boxes (e.g. `x < 2 || x > N-3`) is
-     * split into one loop nest per box clause with the clause bounds
-     * folded into the loop bounds, instead of a full-domain sweep with
-     * a per-point `if`.  The interior stays one dense, guard-free,
-     * vectorizable nest; boundaries become narrow strips.  Off keeps
-     * the per-point guards (the ablation baseline).
-     */
-    bool partition = true;
 };
 
 /** The generated program. */
@@ -184,20 +165,18 @@ struct GeneratedCode
      */
     std::vector<bool> serialPhases;
     /**
-     * Largest per-thread heap scratch arena (64-byte-padded bytes) any
-     * group allocates per call; 0 when every group's scratch fits the
-     * stack budget.  Feeds Executable::memoryStats().
+     * Largest per-thread scratch arena (64-byte-padded bytes) any group
+     * fetches per call; 0 when no group has scratchpads.  Feeds
+     * Executable::memoryStats().
      */
     std::int64_t heapArenaBytes = 0;
     /**
      * Codegen-strategy observability (the `codegen` object of
-     * polymage-profile-v1 entries): whether partitioning ran, and the
-     * loop-nest census of the program -- `interiorNests` counts
-     * guard-free function-stage nests, `guardedNests` those that kept
-     * a residual per-point `if`, and `partitionedCases` the cases
-     * split into union-of-box strips.
+     * polymage-profile-v1 entries): the loop-nest census of the
+     * program -- `interiorNests` counts guard-free function-stage
+     * nests, `guardedNests` those that kept a residual per-point `if`,
+     * and `partitionedCases` the cases split into union-of-box strips.
      */
-    bool partition = true;
     int interiorNests = 0;
     int guardedNests = 0;
     int partitionedCases = 0;

@@ -10,6 +10,24 @@
 
 namespace polymage::core {
 
+namespace {
+
+/**
+ * Groups whose estimated point count is below this are never
+ * considered for merging (paper: "avoid considering functions of very
+ * small size", e.g. 256-entry lookup tables).
+ */
+constexpr std::int64_t kMinGroupSize = 4096;
+
+/**
+ * Tileable dimensions whose estimated extent (in group coordinates) is
+ * below this are looped plainly instead of tiled (e.g. 3-wide channel
+ * axes), so tile sizes and parallelism go to the spatial dimensions.
+ */
+constexpr std::int64_t kMinTiledExtent = 16;
+
+} // namespace
+
 std::int64_t
 tileSizeFor(const GroupingOptions &opts, int i)
 {
@@ -55,7 +73,7 @@ tiledDimsFor(const GroupSchedule &sched, const pg::PipelineGraph &g,
         // one-tile loop serialises the parallel dimension).
         const std::int64_t tau = tileSizeFor(opts, int(out.size()));
         if (extent < 0 ||
-            (extent >= opts.minTiledExtent && extent >= 2 * tau)) {
+            (extent >= kMinTiledExtent && extent >= 2 * tau)) {
             out.push_back(gd);
         }
     }
@@ -164,7 +182,7 @@ groupStages(const pg::PipelineGraph &g, const GroupingOptions &opts)
                     continue;
                 if (part.childrenOf(g, int(gi), owner).size() != 1)
                     continue;
-                if (groupSize(g, part.groups[gi]) < opts.minSize)
+                if (groupSize(g, part.groups[gi]) < kMinGroupSize)
                     continue;
                 cand.push_back(int(gi));
             }

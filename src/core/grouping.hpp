@@ -4,6 +4,9 @@
  * iteratively merges a group into its single child group when the
  * stages can be aligned/scaled to constant dependence vectors and the
  * estimated overlap (redundant computation) stays below a threshold.
+ * Groups of fewer than 4096 estimated points never merge (the paper's
+ * "small function" rule) and dimensions narrower than 16 are not
+ * tiled; both cut-offs are constants of the heuristic, not options.
  */
 #ifndef POLYMAGE_CORE_GROUPING_HPP
 #define POLYMAGE_CORE_GROUPING_HPP
@@ -19,7 +22,10 @@ namespace polymage::core {
 /** Inputs of Algorithm 1 (tile sizes, overlap threshold, estimates). */
 struct GroupingOptions
 {
-    /** Master switch; off leaves every stage in its own group. */
+    /**
+     * The paper's opt axis: off leaves every stage in its own group,
+     * so nothing is tiled and nothing moves to a scratchpad.
+     */
     bool enable = true;
 
     /**
@@ -39,21 +45,6 @@ struct GroupingOptions
 
     /** Overlap threshold o_thresh (fraction of the tile size). */
     double overlapThreshold = 0.4;
-
-    /**
-     * Groups whose estimated point count is below this are never
-     * considered for merging (paper: "avoid considering functions of
-     * very small size", e.g. 256-entry lookup tables).
-     */
-    std::int64_t minSize = 4096;
-
-    /**
-     * Tileable dimensions whose estimated extent (in group
-     * coordinates) is below this are looped plainly instead of tiled
-     * (e.g. 3-wide channel axes), so tile sizes and parallelism go to
-     * the spatial dimensions.
-     */
-    std::int64_t minTiledExtent = 16;
 };
 
 /** Final grouping: a partition of the stages with schedules. */
@@ -89,7 +80,8 @@ std::int64_t tileSizeFor(const GroupingOptions &opts, int i);
 
 /**
  * The group dimensions that actually get tiled: the schedule's
- * tileable dims whose estimated extent reaches opts.minTiledExtent.
+ * tileable dims whose estimated extent reaches both 16 (narrower axes,
+ * e.g. 3-wide channels, are looped plainly) and twice their tile size.
  * The i-th returned dim receives tileSizeFor(opts, i).
  */
 std::vector<int> tiledDimsFor(const GroupSchedule &sched,
@@ -100,7 +92,7 @@ std::vector<int> tiledDimsFor(const GroupSchedule &sched,
  * Estimated extent of group dimension @p gd in group coordinates: the
  * widest member-stage extent scaled into group space under the
  * parameter estimates; -1 when any bound is not constant under them.
- * This is the extent tiledDimsFor compares against minTiledExtent and
+ * This is the extent tiledDimsFor compares against its minimum and
  * the tile cost model compares candidate tile sizes against.
  */
 std::int64_t estimatedGroupExtent(const GroupSchedule &sched,

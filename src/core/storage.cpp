@@ -49,8 +49,7 @@ struct LiveRange
  * different that the pairing saves almost nothing.
  */
 void
-assignSlots(StoragePlan &plan, std::vector<LiveRange> ranges,
-            bool reuse_enabled)
+assignSlots(StoragePlan &plan, std::vector<LiveRange> ranges)
 {
     std::stable_sort(ranges.begin(), ranges.end(),
                      [](const LiveRange &a, const LiveRange &b) {
@@ -60,21 +59,17 @@ assignSlots(StoragePlan &plan, std::vector<LiveRange> ranges,
     for (const LiveRange &r : ranges) {
         plan.estBytesNoReuse += std::max<std::int64_t>(0, r.estBytes);
         int best = -1;
-        if (reuse_enabled) {
-            for (std::size_t k = 0; k < plan.slots.size(); ++k) {
-                if (slot_death[k] >= r.birth)
-                    continue; // still (or again) live: overlap
-                const std::int64_t a = r.estBytes;
-                const std::int64_t b = plan.slots[k].estBytes;
-                if (a >= 0 && b >= 0 &&
-                    std::max(a, b) > 16 * std::min(a, b))
-                    continue; // incompatible sizes: poor fit
-                // Best fit: smallest adequate slot, to keep big slots
-                // free for big buffers.
-                if (best < 0 ||
-                    plan.slots[std::size_t(best)].estBytes > b)
-                    best = int(k);
-            }
+        for (std::size_t k = 0; k < plan.slots.size(); ++k) {
+            if (slot_death[k] >= r.birth)
+                continue; // still (or again) live: overlap
+            const std::int64_t a = r.estBytes;
+            const std::int64_t b = plan.slots[k].estBytes;
+            if (a >= 0 && b >= 0 && std::max(a, b) > 16 * std::min(a, b))
+                continue; // incompatible sizes: poor fit
+            // Best fit: smallest adequate slot, to keep big slots free
+            // for big buffers.
+            if (best < 0 || plan.slots[std::size_t(best)].estBytes > b)
+                best = int(k);
         }
         if (best < 0) {
             best = int(plan.slots.size());
@@ -137,7 +132,7 @@ GroupFootprint::bytesPerTilePoint(
 StoragePlan
 planStorage(const pg::PipelineGraph &g, const GroupingResult &grouping,
             const GroupingOptions &opts, bool tiling_enabled,
-            bool reuse_enabled, const RangeAnalysis *ranges)
+            const RangeAnalysis *ranges)
 {
     StoragePlan plan;
     // Element type per stage: the range analysis' narrowed storage
@@ -153,7 +148,6 @@ planStorage(const pg::PipelineGraph &g, const GroupingResult &grouping,
         const bool group_tiled = tiling_enabled &&
                                  grp.stages.size() > 1 &&
                                  !tiled_dims.empty();
-        std::int64_t group_bytes = 0;
 
         for (int s : grp.stages) {
             const pg::Stage &stage = g.stage(s);
@@ -224,14 +218,12 @@ planStorage(const pg::PipelineGraph &g, const GroupingResult &grouping,
                         std::int64_t(dsl::dtypeSize(st.dtype));
                     for (auto e : st.scratchExtent)
                         st.scratchBytes *= e;
-                    group_bytes += st.scratchBytes;
                     plan.groupFootprint[int(gi)].terms.push_back(
                         std::move(term));
                 }
             }
             plan.stages[s] = std::move(st);
         }
-        plan.groupScratchBytes[int(gi)] = group_bytes;
     }
 
     // Liveness-driven reuse over the full-buffer intermediates: a
@@ -253,7 +245,7 @@ planStorage(const pg::PipelineGraph &g, const GroupingResult &grouping,
         r.estBytes = estimatedBufferBytes(g, int(s), elemType(int(s)));
         live.push_back(r);
     }
-    assignSlots(plan, std::move(live), reuse_enabled);
+    assignSlots(plan, std::move(live));
     return plan;
 }
 

@@ -111,11 +111,6 @@ struct GroupFootprint
 struct StoragePlan
 {
     std::map<int, StageStorage> stages; // stage idx -> storage
-    /**
-     * Per group index: total scratchpad bytes; codegen places them on
-     * the stack when under the configured limit, else on the heap.
-     */
-    std::map<int, std::int64_t> groupScratchBytes;
 
     /**
      * Per tiled multi-stage group index: the scratch working set as a
@@ -173,12 +168,10 @@ struct StoragePlan
  * stage is live from its producing group until its last consuming
  * group (in emission order), and stages with disjoint live ranges and
  * compatible estimated byte sizes greedily share a slot (best fit by
- * size).  With @p reuse_enabled false every intermediate gets a
- * private slot -- the ablation baseline.
+ * size).
  *
- * @param tiling_enabled matches the code generator's tiling switch;
- *        when false everything is a full buffer
- * @param reuse_enabled liveness-driven slot sharing switch
+ * @param tiling_enabled false makes everything a full buffer (the
+ *        driver passes grouping.enable && codegen.storageOpt)
  * @param ranges optional range-analysis result; when present,
  *        intermediates with a proven narrower storage type are
  *        allocated (and their slots sized) with it
@@ -187,7 +180,6 @@ StoragePlan planStorage(const pg::PipelineGraph &g,
                         const GroupingResult &grouping,
                         const GroupingOptions &opts,
                         bool tiling_enabled = true,
-                        bool reuse_enabled = true,
                         const RangeAnalysis *ranges = nullptr);
 
 } // namespace polymage::core

@@ -1,8 +1,11 @@
 #include "driver/compiler.hpp"
 
+#include <cmath>
 #include <optional>
 #include <sstream>
 #include <string>
+
+#include "support/diagnostics.hpp"
 
 namespace polymage {
 
@@ -28,7 +31,6 @@ CompileOptions::baseline(bool vectorize)
 {
     CompileOptions o;
     o.grouping.enable = false;
-    o.codegen.tile = false;
     o.codegen.vectorize = vectorize ? cg::VectorizeMode::Explicit
                                     : cg::VectorizeMode::Off;
     return o;
@@ -85,10 +87,32 @@ CompiledPipeline::report() const
     return os.str();
 }
 
+namespace {
+
+/**
+ * Reject tile options no schedule can use: a tile size below 1 would
+ * divide by zero (or tile backwards) in the generated code.
+ */
+void
+checkTileOptions(const core::GroupingOptions &g)
+{
+    if (g.tileSizes.empty())
+        specError("grouping.tileSizes is empty");
+    for (std::int64_t tau : g.tileSizes)
+        if (tau < 1)
+            specError("grouping.tileSizes entry ", tau, " is below 1");
+    if (!std::isfinite(g.overlapThreshold) || g.overlapThreshold < 0)
+        specError("grouping.overlapThreshold ", g.overlapThreshold,
+                  " is negative or not finite");
+}
+
+} // namespace
+
 CompiledPipeline
 compilePipeline(const dsl::PipelineSpec &spec,
                 const CompileOptions &opts)
 {
+    checkTileOptions(opts.grouping);
     // Trace every phase.  When the caller (e.g. Executable::build)
     // already installed a registry, report into it so the compile
     // spans and the caller's own spans (JIT) share one timeline;
@@ -130,7 +154,7 @@ compilePipeline(const dsl::PipelineSpec &spec,
     }
     {
         obs::ScopedTrace phase(reg, "inline");
-        auto inlined = pg::inlinePointwise(*source, opts.inlining);
+        auto inlined = pg::inlinePointwise(*source);
         out.spec = std::move(inlined.spec);
         out.inlined = std::move(inlined.inlined);
         out.graph = pg::PipelineGraph::build(out.spec);
@@ -170,9 +194,8 @@ compilePipeline(const dsl::PipelineSpec &spec,
         obs::ScopedTrace phase(reg, "storage");
         out.storage = core::planStorage(out.graph, out.grouping,
                                         out.effectiveGrouping,
-                                        opts.codegen.tile &&
+                                        opts.grouping.enable &&
                                             opts.codegen.storageOpt,
-                                        opts.codegen.bufferReuse,
                                         &out.ranges);
     }
     {

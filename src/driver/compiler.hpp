@@ -19,10 +19,16 @@
 
 namespace polymage {
 
-/** All compiler knobs, grouped by phase. */
+/**
+ * The compile configuration: the paper's axes (§4) and nothing else.
+ * Its six settable fields are grouping.{enable, tileSizes, autoTile,
+ * overlapThreshold} (opt on or off, and the tile sizes and overlap
+ * threshold §3.8 tunes) and codegen.{storageOpt, vectorize} (the
+ * storage ablation and vec on or off).  Point-wise inlining always
+ * runs; the grouping heuristic's size cut-offs are constants.
+ */
 struct CompileOptions
 {
-    pg::InlineOptions inlining;
     core::GroupingOptions grouping;
     cg::CodegenOptions codegen;
 
@@ -32,7 +38,8 @@ struct CompileOptions
     static CompileOptions optNoVec();
     /**
      * PolyMage base(+vec): inlining and parallel per-stage loops, but
-     * no grouping, tiling, or storage optimisation (paper §4).
+     * no grouping, tiling, or storage optimisation (paper §4): only
+     * grouping.enable is off.
      */
     static CompileOptions baseline(bool vectorize);
     /** Same as optimized(); kept for existing callers. */

@@ -31,14 +31,20 @@ varIdSet(const std::vector<dsl::Variable> &vars)
 }
 
 /**
+ * Producers whose (single-case) body exceeds this node count are not
+ * inlined, bounding code growth along point-wise chains.
+ */
+constexpr int kMaxBodyNodes = 256;
+
+/**
  * Point-wise test: every call argument in the body is either constant
  * or an identity reference to one of the function's variables.
  */
 bool
-isPointwiseBody(const FuncData &f, int max_nodes)
+isPointwiseBody(const FuncData &f)
 {
     const auto &cs = f.cases()[0];
-    if (dsl::countNodes(cs.value()) > max_nodes)
+    if (dsl::countNodes(cs.value()) > kMaxBodyNodes)
         return false;
     if (cs.hasCondition()) {
         // Data-dependent guards defeat guard-coverage analysis.
@@ -254,7 +260,7 @@ class PieceRewriter
 } // namespace
 
 InlineResult
-inlinePointwise(const dsl::PipelineSpec &spec, const InlineOptions &opts)
+inlinePointwise(const dsl::PipelineSpec &spec)
 {
     PipelineGraph g = PipelineGraph::build(spec);
 
@@ -271,9 +277,8 @@ inlinePointwise(const dsl::PipelineSpec &spec, const InlineOptions &opts)
     for (std::size_t i = 0; i < g.stages().size(); ++i) {
         const Stage &s = g.stage(int(i));
         candidate[int(i)] =
-            opts.enable && s.isFunction() && !s.liveOut &&
-            !s.selfRecurrent && s.func().cases().size() == 1 &&
-            isPointwiseBody(s.func(), opts.maxBodyNodes);
+            s.isFunction() && !s.liveOut && !s.selfRecurrent &&
+            s.func().cases().size() == 1 && isPointwiseBody(s.func());
     }
 
     std::map<int, dsl::CallablePtr> replacement; // old idx -> clone

@@ -14,18 +14,6 @@
 
 namespace polymage::pg {
 
-/** Tunables of the inlining pass. */
-struct InlineOptions
-{
-    /** Master switch; off returns the specification unchanged. */
-    bool enable = true;
-    /**
-     * Producers whose (single-case) body exceeds this node count are
-     * not inlined, bounding code growth along point-wise chains.
-     */
-    int maxBodyNodes = 256;
-};
-
 /** Outcome of the inlining pass. */
 struct InlineResult
 {
@@ -43,10 +31,10 @@ struct InlineResult
  * constant-indexed (a point-wise operation).  A guarded producer is
  * inlined into a consumer piece only when range analysis proves every
  * access from that piece lands inside the guard box, so dropping the
- * guard is sound.
+ * guard is sound.  Producers whose body exceeds a fixed node count
+ * (256) are not inlined, bounding code growth along point-wise chains.
  */
-InlineResult inlinePointwise(const dsl::PipelineSpec &spec,
-                             const InlineOptions &opts = {});
+InlineResult inlinePointwise(const dsl::PipelineSpec &spec);
 
 } // namespace polymage::pg
 

@@ -107,7 +107,7 @@ struct MemoryStats
     int scratchStages = 0;
     /** Per-tile scratch bytes summed over all scratchpad stages. */
     std::int64_t scratchBytesPerTile = 0;
-    /** Largest per-thread heap scratch arena (0: all scratch on stack). */
+    /** Largest per-thread scratch arena (0: no group has scratchpads). */
     std::int64_t heapArenaBytes = 0;
     /** Pool footprint: bytes of every block ever retained (peak). */
     std::int64_t poolBytesAllocated = 0;

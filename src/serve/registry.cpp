@@ -1,6 +1,7 @@
 #include "serve/registry.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <sstream>
 #include <utility>
@@ -77,17 +78,14 @@ std::uint64_t
 optionsFingerprint(const CompileOptions &o)
 {
     std::ostringstream os;
-    os << o.inlining.enable << ',' << o.inlining.maxBodyNodes << ';';
     os << o.grouping.enable << ',';
     for (std::int64_t t : o.grouping.tileSizes)
         os << t << '/';
-    os << ',' << o.grouping.overlapThreshold << ','
-       << o.grouping.minSize << ',' << o.grouping.minTiledExtent << ','
-       << o.grouping.autoTile << ';';
-    const auto &c = o.codegen;
-    os << c.tile << ',' << c.storageOpt << ',' << int(c.vectorize) << ','
-       << c.maxStackScratchBytes << ',' << c.bufferReuse << ','
-       << c.partition;
+    // The threshold's exact bits: printed digits would merge close
+    // values into one variant.
+    os << ',' << std::bit_cast<std::uint64_t>(o.grouping.overlapThreshold)
+       << ',' << o.grouping.autoTile << ';';
+    os << o.codegen.storageOpt << ',' << int(o.codegen.vectorize);
     return fnv1a(os.str());
 }
 

@@ -188,7 +188,7 @@ autotuneGuided(const dsl::PipelineSpec &spec,
 
     // Model the post-inline pipeline (mirrors the driver) so footprint
     // predictions match what compilation will actually see.
-    auto inlined = pg::inlinePointwise(spec, opts.base.inlining);
+    auto inlined = pg::inlinePointwise(spec);
     const auto graph = pg::PipelineGraph::build(inlined.spec);
     const machine::MachineInfo &m = machine::machineInfo();
     const core::TileModelInputs mi =

@@ -21,10 +21,10 @@ using rt::Buffer;
 
 /**
  * Compile (optimised), run, and compare against the interpreter.
- * Every app is checked twice: with the default storage mapping, and
- * with every scratchpad forced onto heap arenas
- * (maxStackScratchBytes = 0) so the hoisted-arena code path gets the
- * same bit-exactness guarantee as the stack path.
+ * Every app is checked under two schedules: the tile cost model's
+ * (optimized()) and the fixed {32, 256} tiles at threshold 0.4 of
+ * default CompileOptions.  Both carve their scratchpads from the
+ * per-thread arena.
  */
 void
 checkApp(const dsl::PipelineSpec &spec,
@@ -34,10 +34,8 @@ checkApp(const dsl::PipelineSpec &spec,
     auto g = pg::PipelineGraph::build(spec);
     auto ref = interp::evaluate(g, params, inputs);
 
-    CompileOptions heap;
-    heap.codegen.maxStackScratchBytes = 0;
     const CompileOptions variants[] = {CompileOptions::optimized(),
-                                       heap};
+                                       CompileOptions{}};
     for (const CompileOptions &opts : variants) {
         rt::Executable exe = rt::Executable::build(spec, opts);
         auto outs = exe.run(params, inputs);
@@ -46,9 +44,7 @@ checkApp(const dsl::PipelineSpec &spec,
             ASSERT_EQ(outs[i].dims(), ref.outputs[i].dims());
             EXPECT_LE(outs[i].maxAbsDiff(ref.outputs[i]), tol)
                 << "output " << i
-                << (opts.codegen.maxStackScratchBytes == 0
-                        ? " (forced heap scratch)"
-                        : "");
+                << (opts.grouping.autoTile ? "" : " (fixed tiles)");
         }
     }
 }
@@ -204,22 +200,19 @@ TEST(Apps, HarrisBaselineVariantsAgree)
 
 TEST(Apps, CodegenVariantsMatchInterpreter)
 {
-    // The partitioning and vectorisation ablations must be bit-tolerant
-    // against the interpreter for real apps, not just the synthetic
-    // boundary pipelines.  The default build is covered by the per-app
-    // tests above.
+    // The vectorisation ablation must be bit-tolerant against the
+    // interpreter for real apps, not just the synthetic boundary
+    // pipelines.  The default build is covered by the per-app tests
+    // above.
     struct Variant
     {
         const char *name;
         CompileOptions opts;
     };
-    Variant variants[] = {{"no-partition", CompileOptions::optimized()},
-                          {"vec-off", CompileOptions::optimized()}};
-    variants[0].opts.codegen.partition = false;
     // Scalar code must agree with the interpreter on every app -- exact
     // for the integer apps (camera's tolerance covers its gamma LUT
     // quantisation, not vector drift), epsilon for the float pyramids.
-    variants[1].opts.codegen.vectorize = cg::VectorizeMode::Off;
+    const Variant variants[] = {{"vec-off", CompileOptions::optNoVec()}};
 
     const std::int64_t n = 40;
     struct App

@@ -150,13 +150,13 @@ TEST(Entries, AgreeBitwiseOnPaperApps)
 
 TEST(Entries, AgreeBitwiseWithHeapScratch)
 {
-    // Every scratchpad moves to the per-thread heap arena and reaches
-    // the shared stage functions as a pointer.
+    // Every scratchpad comes from the per-thread heap arena and reaches
+    // the shared stage functions as a reference; the fixed {32, 256}
+    // tiles of default CompileOptions give a second scratch layout
+    // besides the tile model's.
     for (const char *key : kApps) {
         SCOPED_TRACE(key);
-        CompileOptions opts = CompileOptions::optimized();
-        opts.codegen.maxStackScratchBytes = 1;
-        checkEntries(makeCase(key), opts);
+        checkEntries(makeCase(key), CompileOptions{});
     }
 }
 
@@ -184,7 +184,7 @@ TEST(Entries, EachStageIsEmittedOnce)
         for (const CompileOptions &opts :
              {CompileOptions::optimized(), CompileOptions::baseline(true)}) {
             SCOPED_TRACE(std::string(key) +
-                         (opts.codegen.tile ? " optimized" : " baseline"));
+                         (opts.grouping.enable ? " optimized" : " baseline"));
             const AppCase a = makeCase(key);
             const CompiledPipeline c = compilePipeline(a.spec, opts);
             const auto defs = testing::definitions(c.code);

@@ -213,13 +213,12 @@ TEST(Exec, InstrumentedProfile)
     EXPECT_LE(outs[0].maxAbsDiff(ref.outputs[0]), 1e-3);
 }
 
-/** Heap-scratchpad fallback (huge tiles exceed the stack budget). */
+/** Scratchpads of whole-image tiles come from the per-thread arena. */
 TEST(Exec, HeapScratchpads)
 {
     auto spec = apps::buildHarris(64, 64);
     CompileOptions opts;
     opts.grouping.tileSizes = {64, 64};
-    opts.codegen.maxStackScratchBytes = 1024; // force heap path
     Executable exe = Executable::build(spec, opts);
     Buffer in = randomBuffer(DType::Float, {66, 66}, 13);
     auto g = pg::PipelineGraph::build(spec);

@@ -5,7 +5,7 @@
  * box clause -- a dense vectorizable interior plus narrow boundary
  * strips -- instead of a full-domain sweep with a per-point `if`.
  * Also covers the invariant-hoisting (`pm_base*`) locals, the dynamic
- * worksharing schedule, the partition switch, and residue-class cases
+ * worksharing schedule, guards no box split removes, and residue-class cases
  * (`y % c == p`) interleaved into one loop over the quotient.
  */
 #include <algorithm>
@@ -79,35 +79,51 @@ TEST(Partition, BorderCaseSplitsIntoGuardFreeStrips)
     EXPECT_EQ(guardCount(c), 0);
 }
 
-TEST(Partition, AblationKeepsThePerPointGuard)
+/**
+ * A stage whose cases split at a diagonal (`x + y < R`): no union of
+ * boxes covers the condition, so each case keeps a per-point guard.
+ */
+PipelineSpec
+diagonalStage(std::int64_t est)
 {
-    auto t = testing::makeBoundaryStencil(256);
-    CompileOptions opts;
-    opts.codegen.partition = false;
-    auto c = compilePipeline(t.spec, opts);
-    EXPECT_EQ(c.code.partitionedCases, 0);
-    EXPECT_GE(c.code.guardedNests, 1);
-    EXPECT_LT(c.code.interiorFraction(), 1.0);
-    EXPECT_GE(guardCount(c), 1);
+    Parameter R("R"), C("C");
+    Image I("I", DType::Float, {Expr(R), Expr(C)});
+    Variable x("x"), y("y");
+    Function out("diag", {x, y},
+                 {Interval(Expr(0), Expr(R) - 1),
+                  Interval(Expr(0), Expr(C) - 1)},
+                 DType::Float);
+    out.define({Case(Expr(x) + Expr(y) < Expr(R), I(x, y) * 2.0),
+                Case(Expr(x) + Expr(y) >= Expr(R), I(x, y) + 1.0)});
+    PipelineSpec spec("diagonal");
+    spec.addParam(R);
+    spec.addParam(C);
+    spec.addInput(I);
+    spec.addOutput(out);
+    spec.estimate(R, est);
+    spec.estimate(C, est);
+    return spec;
 }
 
 TEST(Partition, GuardedNestsDropTheSimdPragma)
 {
-    auto t = testing::makeBoundaryStencil(256);
-    CompileOptions opts;
-    opts.codegen.partition = false;
-    auto guarded = compilePipeline(t.spec, opts);
-    auto split = compilePipeline(t.spec);
-    // The guarded sweep vectorises one nest (the interior case); the
-    // partitioned code vectorises every strip as well, through the
-    // explicit emitter or, where it declines, an simd pragma.
+    // Only guard-free nests are vectorised, through the explicit
+    // emitter or, where it declines, an simd pragma: the partitioned
+    // border stencil vectorises every strip, the diagonal split none.
     auto vectorised = [](const CompiledPipeline &c) {
         return c.code.explicitNests +
                countOccurrences(entryBody(c), "#pragma omp simd") +
                countOccurrences(entryBody(c), "parallel for simd");
     };
+    auto split = compilePipeline(testing::makeBoundaryStencil(256).spec);
     EXPECT_EQ(vectorised(split), split.code.interiorNests);
-    EXPECT_GT(vectorised(split), vectorised(guarded));
+    EXPECT_GT(vectorised(split), 0);
+
+    auto guarded = compilePipeline(diagonalStage(256));
+    EXPECT_EQ(guarded.code.partitionedCases, 0);
+    EXPECT_GE(guarded.code.guardedNests, 1);
+    EXPECT_GE(guardCount(guarded), 1);
+    EXPECT_EQ(vectorised(guarded), guarded.code.interiorNests);
 }
 
 TEST(Partition, WorksInsideOverlappedTileGroups)
@@ -160,40 +176,24 @@ TEST(Partition, EveryParallelLoopIsScheduledDynamically)
               countOccurrences(body, "#pragma omp simd"));
 }
 
-TEST(Partition, SwitchTurnsOffPartitioningOnly)
-{
-    auto t = testing::makeBoundaryStencil(256);
-    CompileOptions opts = CompileOptions::optimized();
-    opts.codegen.partition = false;
-    auto c = compilePipeline(t.spec, opts);
-    EXPECT_FALSE(c.code.partition);
-    EXPECT_EQ(c.code.partitionedCases, 0);
-    EXPECT_GE(c.code.guardedNests, 1);
-    // The switch turns off partitioning only; hoisting stays on.
-    EXPECT_NE(entryBody(c).find("pm_base"), std::string::npos);
-}
-
 /** Partitioned and guarded code must agree with the interpreter. */
 TEST(Partition, MatchesInterpreterUnderEveryVariant)
 {
-    for (bool chain : {false, true}) {
-        auto t = chain ? testing::makeBoundaryChain(96)
-                       : testing::makeBoundaryStencil(96);
-        const std::vector<std::int64_t> params = {96, 80};
-        rt::Buffer in = randomBuffer(DType::Float, {96, 80}, 7);
-        auto g = pg::PipelineGraph::build(t.spec);
+    const std::vector<std::int64_t> params = {96, 80};
+    rt::Buffer in = randomBuffer(DType::Float, {96, 80}, 7);
+    const char *names[] = {"single", "chain", "diagonal"};
+    const PipelineSpec specs[] = {testing::makeBoundaryStencil(96).spec,
+                                  testing::makeBoundaryChain(96).spec,
+                                  diagonalStage(96)};
+    for (int k = 0; k < 3; ++k) {
+        SCOPED_TRACE(names[k]);
+        auto g = pg::PipelineGraph::build(specs[k]);
         auto ref = interp::evaluate(g, params, {&in});
-
-        for (bool partition : {true, false}) {
-            SCOPED_TRACE(std::string(chain ? "chain/" : "single/") +
-                         (partition ? "split" : "guarded"));
-            CompileOptions opts;
-            opts.codegen.partition = partition;
-            rt::Executable exe = rt::Executable::build(t.spec, opts);
-            auto outs = exe.run(params, {&in});
-            ASSERT_EQ(outs.size(), ref.outputs.size());
-            EXPECT_LE(outs[0].maxAbsDiff(ref.outputs[0]), 1e-5);
-        }
+        rt::Executable exe =
+            rt::Executable::build(specs[k], CompileOptions{});
+        auto outs = exe.run(params, {&in});
+        ASSERT_EQ(outs.size(), ref.outputs.size());
+        EXPECT_LE(outs[0].maxAbsDiff(ref.outputs[0]), 1e-5);
     }
 }
 

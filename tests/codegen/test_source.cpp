@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <regex>
 
 #include "apps/apps.hpp"
 #include "driver/compiler.hpp"
@@ -73,11 +74,11 @@ TEST_F(HarrisSource, ParallelTileLoop)
 
 TEST_F(HarrisSource, ScratchpadsAreThreadPrivateArrays)
 {
-    // Five scratchpads: Ix, Iy, Sxx, Syy, Sxy (Fig. 7), declared once
-    // by the group function's tile loop.
-    EXPECT_EQ(countOccurrences(src(), "float scr_"), 5);
-    EXPECT_NE(src().find("float scr_Ix["), std::string::npos);
-    EXPECT_NE(src().find("float scr_Sxx["), std::string::npos);
+    // Five scratchpads: Ix, Iy, Sxx, Syy, Sxy (Fig. 7), carved once by
+    // the group function from the calling thread's arena.
+    EXPECT_EQ(countOccurrences(src(), "float (&scr_"), 5);
+    EXPECT_NE(src().find("float (&scr_Ix)["), std::string::npos);
+    EXPECT_NE(src().find("float (&scr_Sxx)["), std::string::npos);
     // Relative indexing against per-tile origins.
     EXPECT_NE(src().find("ob_Ix_0"), std::string::npos);
     // The live-out is written through the full buffer.
@@ -174,12 +175,11 @@ TEST(CodegenFeatures, StorageOptOffSpillsToFullBuffers)
 
 TEST(CodegenFeatures, HeapScratchHoistedOutOfTileLoop)
 {
-    // Forcing every scratchpad to the heap must not reintroduce
-    // per-tile allocation: the calling thread's 64-byte-aligned arena
-    // (pm_task_arena) is carved before the tile loop.
-    CompileOptions opts;
-    opts.codegen.maxStackScratchBytes = 0;
-    auto c = compilePipeline(apps::buildHarris(2048, 2048), opts);
+    // Heap scratchpads must not mean per-tile allocation: the calling
+    // thread's 64-byte-aligned arena (pm_task_arena) is carved before
+    // the tile loop.
+    auto c = compilePipeline(apps::buildHarris(2048, 2048),
+                             CompileOptions{});
     const std::string &src = c.code.source;
     EXPECT_EQ(src.find("std::malloc"), std::string::npos);
     const std::size_t arena = src.find("pm_arena_g");
@@ -192,11 +192,21 @@ TEST(CodegenFeatures, HeapScratchHoistedOutOfTileLoop)
     EXPECT_GT(c.code.heapArenaBytes, 0);
 }
 
-TEST(CodegenFeatures, StackScratchpadsAreCacheAligned)
+TEST(CodegenFeatures, ScratchpadsAreCacheAligned)
 {
+    // The arena is 64-byte aligned and every scratchpad starts at a
+    // 64-byte multiple inside it.
     auto c = compilePipeline(apps::buildHarris(2048, 2048));
-    EXPECT_NE(c.code.source.find("alignas(64) float scr_"),
-              std::string::npos);
+    const std::string &src = c.code.source;
+    EXPECT_NE(src.find("std::aligned_alloc(64,"), std::string::npos);
+    const std::regex carve(R"(\(pm_arena_g\d+ \+ (\d+)\);)");
+    int scratchpads = 0;
+    for (std::sregex_iterator it(src.begin(), src.end(), carve), end;
+         it != end; ++it) {
+        EXPECT_EQ(std::stoll((*it)[1]) % 64, 0) << it->str();
+        ++scratchpads;
+    }
+    EXPECT_EQ(scratchpads, 5);
 }
 
 /** Generated functions (the prelude helpers legitimately carry ifs). */

@@ -131,29 +131,28 @@ TEST(Grouping, AccumulatorStaysAlone)
 
 TEST(Grouping, SmallStagesNotMerged)
 {
-    // A tiny (LUT-sized) producer is not considered for merging.
-    Parameter R("R");
-    Variable x("x");
-    Image I("I", DType::Float, {Expr(256)});
-    Function lut("lut", {x}, {Interval(Expr(0), Expr(255))},
-                 DType::Float);
-    lut.define(I(Expr(x)) * Expr(2.0));
-    Function big("big", {x}, {Interval(Expr(0), Expr(255))},
-                 DType::Float);
-    big.define(lut(Expr(x)) + Expr(1.0));
-    PipelineSpec spec("lut");
-    spec.addParam(R);
-    spec.addOutput(big);
-    spec.estimate(R, 1 << 20);
-    auto g = pg::PipelineGraph::build(spec);
-    GroupingOptions opts;
-    opts.minSize = 4096;
-    auto r = groupStages(g, opts);
-    EXPECT_EQ(groupCount(r), 2);
-
-    opts.minSize = 0;
-    auto r2 = groupStages(g, opts);
-    EXPECT_EQ(groupCount(r2), 1);
+    // A producer of fewer than 4096 estimated points (a LUT) is not
+    // considered for merging; at 4096 points it fuses.
+    auto groupsAt = [](std::int64_t n) {
+        Parameter R("R");
+        Variable x("x");
+        Image I("I", DType::Float, {Expr(n)});
+        Function lut("lut", {x}, {Interval(Expr(0), Expr(n - 1))},
+                     DType::Float);
+        lut.define(I(Expr(x)) * Expr(2.0));
+        Function big("big", {x}, {Interval(Expr(0), Expr(n - 1))},
+                     DType::Float);
+        big.define(lut(Expr(x)) + Expr(1.0));
+        PipelineSpec spec("lut");
+        spec.addParam(R);
+        spec.addOutput(big);
+        spec.estimate(R, 1 << 20);
+        auto g = pg::PipelineGraph::build(spec);
+        return groupCount(groupStages(g, GroupingOptions{}));
+    };
+    EXPECT_EQ(groupsAt(256), 2);
+    EXPECT_EQ(groupsAt(4095), 2);
+    EXPECT_EQ(groupsAt(4096), 1);
 }
 
 TEST(Grouping, DisabledLeavesSingletons)
@@ -236,14 +235,26 @@ TEST(Grouping, DegenerateDimsAreNotTiled)
     EXPECT_EQ(tiled.size(), 2u);
     EXPECT_EQ(tiled, (std::vector<int>{1, 2}));
 
-    // Even with the extent threshold disabled, a dimension spanning
-    // fewer than two tiles of its assigned size stays untiled (a
-    // one-tile loop would serialise the parallel dimension).
-    GroupingOptions all;
-    all.minTiledExtent = 0;
-    EXPECT_EQ(tiledDimsFor(grp, g, all).size(), 2u);
-    all.tileSizes = {1, 32, 256};
-    EXPECT_EQ(tiledDimsFor(grp, g, all).size(), 3u);
+    // A 3-wide axis stays untiled even under a 1-point tile size.
+    GroupingOptions tiny;
+    tiny.tileSizes = {1, 32, 256};
+    EXPECT_EQ(tiledDimsFor(grp, g, tiny), (std::vector<int>{1, 2}));
+
+    // A dimension at least 16 wide but spanning fewer than two tiles of
+    // its assigned size stays untiled (a one-tile loop would serialise
+    // the parallel dimension); halving the tile size tiles it.
+    auto short_inlined = pg::inlinePointwise(apps::buildUnsharpMask(24, 2048));
+    auto sg = pg::PipelineGraph::build(short_inlined.spec);
+    auto sr = groupStages(sg, opts);
+    ASSERT_EQ(sr.groups.size(), 1u);
+    const auto &sgrp = sr.groups[0];
+    const std::int64_t rows = estimatedGroupExtent(sgrp, sg, 1);
+    ASSERT_GE(rows, 16);
+    ASSERT_LT(rows, 2 * opts.tileSizes[0]);
+    EXPECT_EQ(tiledDimsFor(sgrp, sg, opts), (std::vector<int>{2}));
+    GroupingOptions half;
+    half.tileSizes = {rows / 2, 256};
+    EXPECT_EQ(tiledDimsFor(sgrp, sg, half), (std::vector<int>{1, 2}));
 }
 
 } // namespace

@@ -18,7 +18,7 @@ pg::PipelineGraph
 postInlineGraph(const dsl::PipelineSpec &spec)
 {
     // Mirror the driver: the model runs after pointwise inlining.
-    auto inlined = pg::inlinePointwise(spec, {});
+    auto inlined = pg::inlinePointwise(spec);
     return pg::PipelineGraph::build(inlined.spec);
 }
 

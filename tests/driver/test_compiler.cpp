@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <set>
 
 #include "apps/apps.hpp"
@@ -17,19 +18,65 @@ using namespace dsl;
 TEST(Driver, OptionFactoriesMatchPaperVariants)
 {
     auto opt = CompileOptions::optimized();
-    EXPECT_TRUE(opt.codegen.tile);
-    EXPECT_EQ(opt.codegen.vectorize, cg::VectorizeMode::Explicit);
     EXPECT_TRUE(opt.grouping.enable);
+    EXPECT_TRUE(opt.grouping.autoTile);
+    EXPECT_TRUE(opt.codegen.storageOpt);
+    EXPECT_EQ(opt.codegen.vectorize, cg::VectorizeMode::Explicit);
 
     auto novec = CompileOptions::optNoVec();
-    EXPECT_TRUE(novec.codegen.tile);
+    EXPECT_TRUE(novec.grouping.enable);
     EXPECT_EQ(novec.codegen.vectorize, cg::VectorizeMode::Off);
 
+    // base turns off only the opt axis; inlining always runs (§4).
     auto base = CompileOptions::baseline(true);
-    EXPECT_FALSE(base.codegen.tile);
     EXPECT_FALSE(base.grouping.enable);
+    EXPECT_TRUE(base.codegen.storageOpt);
     EXPECT_EQ(base.codegen.vectorize, cg::VectorizeMode::Explicit);
-    EXPECT_TRUE(base.inlining.enable); // base keeps inlining (paper §4)
+    EXPECT_EQ(CompileOptions::baseline(false).codegen.vectorize,
+              cg::VectorizeMode::Off);
+}
+
+TEST(Driver, BadTileOptionsThrowSpecError)
+{
+    // Each would otherwise reach the generated code: a zero tile size
+    // divides by zero there, a negative one tiles backwards, and an
+    // empty list has no size for the first tiled dimension.
+    const dsl::PipelineSpec spec = apps::buildUnsharpMask(64, 64);
+    using Bad = void (*)(core::GroupingOptions &);
+    const std::pair<const char *, Bad> cases[] = {
+        {"empty", [](core::GroupingOptions &g) { g.tileSizes = {}; }},
+        {"zero", [](core::GroupingOptions &g) { g.tileSizes = {0, 0}; }},
+        {"negative",
+         [](core::GroupingOptions &g) { g.tileSizes = {-8, -8}; }},
+        {"one of two", [](core::GroupingOptions &g) { g.tileSizes = {32, 0}; }},
+        {"negative threshold",
+         [](core::GroupingOptions &g) { g.overlapThreshold = -0.1; }},
+        {"NaN threshold",
+         [](core::GroupingOptions &g) {
+             g.overlapThreshold = std::numeric_limits<double>::quiet_NaN();
+         }},
+        {"infinite threshold",
+         [](core::GroupingOptions &g) {
+             g.overlapThreshold = std::numeric_limits<double>::infinity();
+         }},
+    };
+    for (bool auto_tile : {false, true}) {
+        for (const auto &[what, bad] : cases) {
+            SCOPED_TRACE(std::string(what) +
+                         (auto_tile ? " (autoTile)" : ""));
+            CompileOptions o = CompileOptions::optimized();
+            o.grouping.autoTile = auto_tile;
+            bad(o.grouping);
+            EXPECT_THROW(compilePipeline(spec, o), SpecError);
+            EXPECT_THROW(rt::Executable::build(spec, o), SpecError);
+        }
+    }
+    // The smallest valid values still compile.
+    CompileOptions ok = CompileOptions::optimized();
+    ok.grouping.autoTile = false;
+    ok.grouping.tileSizes = {1};
+    ok.grouping.overlapThreshold = 0;
+    EXPECT_NO_THROW(compilePipeline(spec, ok));
 }
 
 TEST(Driver, InvalidSpecFailsBeforeCodegen)

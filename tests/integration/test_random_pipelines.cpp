@@ -45,7 +45,6 @@ checkPipeline(const PipelineSpec &spec,
                                tiles[rng.uniformInt(0, 2)]};
     opts.grouping.overlapThreshold =
         rng.chance(0.5) ? 0.4 : 0.9;
-    opts.grouping.minSize = 0;
     opts.codegen.vectorize = rng.chance(0.7)
                                  ? cg::VectorizeMode::Explicit
                                  : cg::VectorizeMode::Off;
@@ -126,7 +125,9 @@ TEST(RandomPipelines, SamplingChains)
 {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         Rng rng(seed * 104729);
-        std::int64_t size = 257 + rng.uniformInt(0, 64);
+        // Long enough that every stage, after up to two halvings,
+        // reaches the 4096 points a group needs to merge.
+        std::int64_t size = 16641 + rng.uniformInt(0, 64);
         std::int64_t lo = 0, hi = size - 1;
 
         Image I("I", DType::Float, {Expr(size)});
@@ -239,7 +240,9 @@ TEST(RandomPipelines, DataDependentLookups)
         spec.addOutput(edge);
         if (rng.chance(0.5))
             spec.addOutput(mapped);
-        spec.estimate(N, n);
+        // Estimated above the run size, so `mapped` reaches the 4096
+        // points a group needs to merge.
+        spec.estimate(N, 2 * n);
 
         Buffer in = randomInput(rng, {n, n});
         checkPipeline(spec, {n}, {&in}, rng, 1e-4);

@@ -24,7 +24,7 @@ CompileOptions
 untiledOptions()
 {
     CompileOptions o;
-    o.codegen.tile = false;
+    o.grouping.enable = false;
     return o;
 }
 
@@ -80,10 +80,6 @@ TEST(Registry, EveryOptionFieldSeparatesVariants)
     // fingerprint missed would alias two variants in one cache entry.
     using Flip = void (*)(CompileOptions &);
     const std::pair<const char *, Flip> flips[] = {
-        {"inlining.enable",
-         [](CompileOptions &o) { o.inlining.enable = !o.inlining.enable; }},
-        {"inlining.maxBodyNodes",
-         [](CompileOptions &o) { o.inlining.maxBodyNodes += 1; }},
         {"grouping.enable",
          [](CompileOptions &o) { o.grouping.enable = !o.grouping.enable; }},
         {"grouping.tileSizes",
@@ -94,12 +90,9 @@ TEST(Registry, EveryOptionFieldSeparatesVariants)
          }},
         {"grouping.overlapThreshold",
          [](CompileOptions &o) { o.grouping.overlapThreshold = 0.25; }},
-        {"grouping.minSize",
-         [](CompileOptions &o) { o.grouping.minSize += 1; }},
-        {"grouping.minTiledExtent",
-         [](CompileOptions &o) { o.grouping.minTiledExtent += 1; }},
-        {"codegen.tile",
-         [](CompileOptions &o) { o.codegen.tile = !o.codegen.tile; }},
+        // Equal to 0.4 in the first six printed digits.
+        {"grouping.overlapThreshold (close)",
+         [](CompileOptions &o) { o.grouping.overlapThreshold = 0.4000001; }},
         {"codegen.storageOpt",
          [](CompileOptions &o) {
              o.codegen.storageOpt = !o.codegen.storageOpt;
@@ -107,16 +100,6 @@ TEST(Registry, EveryOptionFieldSeparatesVariants)
         {"codegen.vectorize",
          [](CompileOptions &o) {
              o.codegen.vectorize = cg::VectorizeMode::Off;
-         }},
-        {"codegen.maxStackScratchBytes",
-         [](CompileOptions &o) { o.codegen.maxStackScratchBytes = 0; }},
-        {"codegen.bufferReuse",
-         [](CompileOptions &o) {
-             o.codegen.bufferReuse = !o.codegen.bufferReuse;
-         }},
-        {"codegen.partition",
-         [](CompileOptions &o) {
-             o.codegen.partition = !o.codegen.partition;
          }},
     };
     const CompileOptions base = CompileOptions::optimized();
@@ -135,6 +118,20 @@ TEST(Registry, EveryOptionFieldSeparatesVariants)
     EXPECT_EQ(reg.get("pw", CompileOptions::serving()),
               reg.get("pw", CompileOptions::optimized()));
     EXPECT_EQ(reg.variantCount(), 1u);
+}
+
+TEST(Registry, BadTileOptionsThrowFromGet)
+{
+    PipelineRegistry reg;
+    reg.add("pw", testing::makePointwise(16).spec);
+    CompileOptions bad = CompileOptions::optimized();
+    bad.grouping.autoTile = false;
+    bad.grouping.tileSizes = {0, 0};
+    EXPECT_THROW(reg.get("pw", bad), SpecError);
+    EXPECT_EQ(reg.stats().failures, 1u);
+    EXPECT_EQ(reg.variantCount(), 0u);
+    // The registry still serves valid options.
+    EXPECT_NE(reg.get("pw"), nullptr);
 }
 
 TEST(Registry, CompiledVariantRunsCorrectly)
