@@ -243,6 +243,13 @@ if grep -rnE --exclude=check_docs.sh "$stale" \
         README.md docs/ src/ bench/ tools/ scripts/; then
     err "deleted CompileOptions field names (above) are back"
 fi
+# The scratch arena is the host's, one per thread for every module it
+# runs (src/runtime/executor.cpp): generated code keeps no arena of its
+# own, which pinned each module in memory after dlclose.
+stale='pm_task_arena|PmArena|one per thread and module'
+if grep -rnE "$stale" docs/ src/ tools/; then
+    err "per-module arena names (above) are back"
+fi
 
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED" >&2

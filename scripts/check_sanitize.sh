@@ -55,10 +55,11 @@ if [ "$san" = thread ]; then
         # pool's lock-free paths are exactly what TSan exists to
         # check.  Interpreter and Tiered run the
         # interpreter's bands on the pool, from the oracle tests and
-        # from the engine's interpreter tier.  Entries, Exec and Stream
-        # run compiled pipelines on schedulers of several widths,
-        # sliced reductions included.
-        set -- -R '(Concurrent|Engine|Registry|Jit|Buffer|Scheduler|Interpreter|Tiered|Entries|Exec|Stream)'
+        # from the engine's interpreter tier.  Entries, Exec, Stream and
+        # SlicedReductions run compiled pipelines on schedulers of
+        # several widths, each thread on its own scratch arena, and
+        # sliced reductions' bands on the executor's slice plans.
+        set -- -R '(Concurrent|Engine|Registry|Jit|Buffer|Scheduler|Interpreter|Tiered|Entries|Exec|Stream|SlicedReductions)'
     fi
 fi
 

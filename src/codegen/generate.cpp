@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstddef>
 #include <optional>
 #include <set>
 #include <string_view>
@@ -401,12 +402,12 @@ atResidue(const Expr &e, int var, const dsl::Variable &q, std::int64_t c,
 const std::string kEntryParams =
     "const long long *params, void *const *inputs, void **outputs, "
     "void *const *pm_slots, long long pm_phase, long long pm_lo, "
-    "long long pm_hi";
+    "long long pm_hi, void *pm_arena";
 const std::string kEntryArgs =
-    "params, inputs, outputs, pm_slots, pm_phase, pm_lo, pm_hi";
+    "params, inputs, outputs, pm_slots, pm_phase, pm_lo, pm_hi, pm_arena";
 
 /**
- * Linkage of every internal function (group, stage and arena).  They
+ * Linkage of every internal function (group and stage).  They
  * link across translation units of one shared object but stay out of
  * its dynamic symbol table.  Shared stage functions are never inlined
  * into or cloned for a caller in their own unit: every caller then runs
@@ -568,6 +569,60 @@ slicedReduction(const pg::Stage &stage)
         scan(t);
     return !self_ref && !a.varVars().empty() && !a.redVars().empty();
 }
+
+} // namespace
+
+std::int64_t
+planSlices(const pg::PipelineGraph &g, int s,
+           const std::vector<std::int64_t> &params,
+           const std::vector<std::int64_t> &shape, SlicePlans &plan)
+{
+    const auto &a = g.stage(s).accum();
+    poly::RangeEnv env;
+    for (std::size_t i = 0; i < params.size(); ++i)
+        env.params[g.params()[i]->id] = params[i];
+    auto eval = [&](const dsl::Expr &e) {
+        const auto v = poly::evalConstant(e, env);
+        if (!v)
+            internalError("reduction bound of '", a.name(),
+                          "' is not a parameter expression");
+        return *v;
+    };
+    // The other reduction dimensions sweep their whole domain in every
+    // slice.
+    for (std::size_t d = 1; d < a.redVars().size(); ++d)
+        env.vars[a.redVars()[d].id()] = {eval(a.redDom()[d].lower()),
+                                         eval(a.redDom()[d].upper())};
+    // The slices as the entry's slice phase counts them.
+    const std::int64_t rlo = eval(a.redDom()[0].lower());
+    const std::int64_t ext =
+        std::max<std::int64_t>(0, eval(a.redDom()[0].upper()) - rlo + 1);
+    const std::int64_t n = std::min<std::int64_t>(kReductionSlices, ext);
+    std::int64_t row = 1;
+    for (std::size_t d = 1; d < shape.size(); ++d)
+        row *= shape[d];
+    plan = SlicePlans{};
+    std::int64_t elems = 0;
+    for (std::int64_t k = 0; k < n; ++k) {
+        SlicePlan &p = plan[std::size_t(k)];
+        p.x0 = rlo + k * ext / n;
+        p.x1 = rlo + (k + 1) * ext / n - 1;
+        if (k == 0)
+            continue; // slice 0 combines into the accumulator
+        // The rows the slice's updates can reach: poly's bound of the
+        // target's row index over the slice, within the buffer; all
+        // rows when the index has no bound (data-dependent, say).
+        env.vars[a.redVars()[0].id()] = {p.x0, p.x1};
+        const auto band = poly::evalRange(a.targetIndices()[0], env);
+        p.b0 = band ? std::max<std::int64_t>(band->lo, 0) : 0;
+        p.b1 = band ? std::min(band->hi, shape[0] - 1) : shape[0] - 1;
+        p.off = elems - p.b0 * row;
+        elems += std::max<std::int64_t>(0, p.b1 - p.b0 + 1) * row;
+    }
+    return elems;
+}
+
+namespace {
 
 class Generator
 {
@@ -923,8 +978,6 @@ Generator::emitPrelude()
             "{ return a < b ? a : b; }");
     w_.line("static inline double pm_max_d(double a, double b) "
             "{ return a > b ? a : b; }");
-    // One arena per thread and module, defined with the entry points.
-    w_.line(kLinkage + " void *pm_task_arena(long long bytes);");
     w_.blank();
 }
 
@@ -1764,17 +1817,18 @@ Generator::emitTiledDriver(int gi, const GroupDriver &drv)
         thi[ti] = "thi" + t + "_g" + std::to_string(gi);
     }
 
-    // The task count resolves before the arena (if any) is fetched, so
-    // count queries stay allocation-free.
+    // The task count resolves before the arena (if any) is carved:
+    // count queries pass none.
     w_.line("const long long pm_n = " + thi[0] + " >= " + tlo[0] + " ? " +
             thi[0] + " - " + tlo[0] + " + 1 : 0;");
     w_.line("if (pm_lo < 0) return pm_n;");
 
-    // Scratchpads: the calling thread's 64-byte-aligned arena, hoisted
-    // out of the tile loop and carved into per-stage scratchpads at
-    // padded offsets.  Chunk calls are frequent and thread-bound, so
-    // the arena persists per thread (pm_task_arena): per-tile work
-    // touches only warm, thread-local pages, with no allocator traffic.
+    // Scratchpads: the calling thread's 64-byte-aligned arena, which
+    // the host passes in (at least heapArenaBytes), carved into
+    // per-stage scratchpads at padded offsets before the tile loop.
+    // The host keeps one arena per thread for every pipeline it runs:
+    // per-tile work touches only warm, thread-local pages, with no
+    // allocator traffic.
     std::int64_t arena_bytes = 0;
     std::vector<std::pair<int, std::int64_t>> arena_off;
     for (int s : grp.stages) {
@@ -1784,16 +1838,11 @@ Generator::emitTiledDriver(int gi, const GroupDriver &drv)
         const auto &st = storage_.stages.at(s);
         arena_bytes += (st.scratchBytes + 63) & ~std::int64_t(63);
     }
-    if (!arena_off.empty()) {
-        const std::string arena = "pm_arena_g" + std::to_string(gi);
-        heapArenaBytes_ = std::max(heapArenaBytes_, arena_bytes);
-        w_.line("char *" + arena + " = (char *)pm_task_arena(" +
-                std::to_string(arena_bytes) + ");");
-        for (const auto &[s, off] : arena_off) {
-            w_.line(scratchArray(s, "&scr_" + stageName(s)) + " = *(" +
-                    scratchArray(s, "*") + ")(" + arena + " + " +
-                    std::to_string(off) + ");");
-        }
+    heapArenaBytes_ = std::max(heapArenaBytes_, arena_bytes);
+    for (const auto &[s, off] : arena_off) {
+        w_.line(scratchArray(s, "&scr_" + stageName(s)) + " = *(" +
+                scratchArray(s, "*") + ")((char *)pm_arena + " +
+                std::to_string(off) + ");");
     }
 
     // Tile loops.
@@ -1904,24 +1953,49 @@ Generator::emitAccumulator(int gi, int s)
     } else {
         // Reductions are never fused (paper section 3.5); they are
         // parallelised by privatisation over kReductionSlices slices of
-        // the outermost reduction dimension, in three phases.  Partial
-        // k of slice k > 0 lives in the invocation's partials slot;
-        // slice 0 combines into the accumulator itself.  The slice
-        // count and the merge order never depend on the thread count.
+        // the outermost reduction dimension, in three phases.  The
+        // executor plans the slices per call (planSlices) and puts the
+        // plan at the head of the reduction's own partials slot: slice
+        // k > 0 combines into partial k, which holds only the band of
+        // accumulator rows the slice can reach; slice 0 combines into
+        // the accumulator itself.  The slice count and the merge order
+        // never depend on the thread count.
         const std::string st = dsl::dtypeCName(storage_.elemType(s, g_));
         const std::string buf = "buf_" + stageName(s);
-        std::string ncells;
-        for (std::size_t d = 0; d < cells.size(); ++d)
-            ncells += (d ? " * " : "") + lenName(stageName(s), int(d));
+        int slot = int(storage_.slots.size());
+        for (int t = 0; t < s; ++t)
+            if (g_.stage(t).isAccumulator() && slicedReduction(g_.stage(t)))
+                ++slot;
+        const std::string part = "pm_slots[" + std::to_string(slot) + "]";
+        auto field = [](const std::string &k, std::size_t member) {
+            return "pm_plan[" + k + " * " +
+                   std::to_string(sizeof(SlicePlan) / 8) + " + " +
+                   std::to_string(member / 8) + "]";
+        };
         // After the count query, so counting reads no slot.
         const std::vector<std::string> locals = {
-            st + " *pm_part = (" + st + " *)pm_slots[" +
-                std::to_string(storage_.slots.size()) + "];",
-            "const long long pm_cells = " + ncells + ";"};
+            "const long long *pm_plan = (const long long *)" + part + ";",
+            st + " *pm_part = (" + st + " *)((char *)" + part + " + " +
+                std::to_string(kSlicePlanBytes) + ");"};
+        // The cell nests' per-row test of each partial's band and its
+        // offset.
+        std::vector<std::string> band_locals = locals;
+        for (int k = 1; k < kReductionSlices; ++k) {
+            const std::string ks = std::to_string(k);
+            band_locals.push_back(
+                "const bool pm_in" + ks + " = " +
+                field(ks, offsetof(SlicePlan, b0)) + " <= " + cells[0].var +
+                " && " + cells[0].var + " <= " +
+                field(ks, offsetof(SlicePlan, b1)) + ";");
+            band_locals.push_back("const long long pm_o" + ks + " = " +
+                                  field(ks, offsetof(SlicePlan, off)) + ";");
+        }
         const std::string flat = flatIndexStr(stageName(s), cell_idx);
-        auto partial = [&](int k, const std::string &at) {
-            return "pm_part[" + std::to_string(k) + " * pm_cells + " + at +
-                   "]";
+        auto partial = [&](int k) {
+            return "pm_part[pm_o" + std::to_string(k) + " + " + flat + "]";
+        };
+        auto inBand = [](int k) {
+            return "if (pm_in" + std::to_string(k) + ") ";
         };
         // Partials start at the identity; Min and Max start at the
         // initial value, which they absorb and which fits the
@@ -1931,13 +2005,14 @@ Generator::emitAccumulator(int gi, int s)
                 ? init
                 : emitExpr(dsl::reduceIdentity(a.op(), a.dtype()), cell_env);
 
-        // (a) Initialise the accumulator and the partials, over cells.
+        // (a) Initialise the accumulator and the partials' bands, over
+        // cells.
         std::vector<std::string> body = {acc + " = " + init + ";"};
-        for (int k = 0; k + 1 < kReductionSlices; ++k)
-            body.push_back(partial(k, flat) + " = " + fill + ";");
+        for (int k = 1; k < kReductionSlices; ++k)
+            body.push_back(inBand(k) + partial(k) + " = " + fill + ";");
         openPhase();
         w_.line("// init " + a.name());
-        emitLoopNest(cells, {}, body, /*task_outer=*/true, locals);
+        emitLoopNest(cells, {}, body, /*task_outer=*/true, band_locals);
         closePhase();
 
         // (b) One task per slice of the outermost reduction dimension,
@@ -1957,12 +2032,13 @@ Generator::emitAccumulator(int gi, int s)
             w_.line(l);
         w_.line("const long long pm_te = pm_min_i(pm_hi, pm_n - 1);");
         w_.open("for (long long pm_t = pm_lo; pm_t <= pm_te; ++pm_t)");
-        w_.line(st + " *pm_acc = pm_t == 0 ? " + buf +
-                " : pm_part + (pm_t - 1) * pm_cells;");
-        red[0].lb = {"pm_rlo + (int)(pm_t * pm_ext / pm_n)"};
-        red[0].ub = {"pm_rlo + (int)((pm_t + 1) * pm_ext / pm_n) - 1"};
+        w_.line(st + " *pm_acc = pm_t == 0 ? " + buf + " : pm_part;");
+        w_.line("const long long pm_o = " +
+                field("pm_t", offsetof(SlicePlan, off)) + ";");
+        red[0].lb = {field("pm_t", offsetof(SlicePlan, x0))};
+        red[0].ub = {field("pm_t", offsetof(SlicePlan, x1))};
         const std::string cell =
-            "pm_acc[" + flatIndexStr(stageName(s), red_idx) + "]";
+            "pm_acc[pm_o + " + flatIndexStr(stageName(s), red_idx) + "]";
         vec_ = false; // updates may collide on one cell
         emitLoopNest(red, guards, {cell + " = " + combine(cell, upd) + ";"},
                      /*task_outer=*/false);
@@ -1970,13 +2046,14 @@ Generator::emitAccumulator(int gi, int s)
         w_.close();
         closePhase();
 
-        // (c) Merge the partials in slice order, over cells.
+        // (c) Merge the partials' bands in slice order, over cells.
         body.clear();
-        for (int k = 0; k + 1 < kReductionSlices; ++k)
-            body.push_back(acc + " = " + combine(acc, partial(k, flat)) + ";");
+        for (int k = 1; k < kReductionSlices; ++k)
+            body.push_back(inBand(k) + acc + " = " +
+                           combine(acc, partial(k)) + ";");
         openPhase();
         w_.line("// merge " + a.name());
-        emitLoopNest(cells, {}, body, /*task_outer=*/true, locals);
+        emitLoopNest(cells, {}, body, /*task_outer=*/true, band_locals);
         closePhase();
     }
     for (const auto *names : {&cell_names, &red_names})
@@ -2424,26 +2501,6 @@ Generator::emitEntryPoints()
         w.line(kLinkage + " long long " + groupFunctionName(int(gi)) +
                "(" + kEntryParams + ");");
     w.blank();
-    // The entry is invoked once per chunk of tiles, so a scratch
-    // arena allocated inside the call would be paid on every chunk.
-    // Cache it per thread instead: 64-byte aligned so vector accesses
-    // never split cache lines, grown monotonically, reused across
-    // calls, released at thread exit.  Defined here, once per module,
-    // so a thread holds one arena however many units the group
-    // functions are spread over.
-    w.line("struct PmArena { void *p = nullptr; long long cap = 0; "
-           "~PmArena() { std::free(p); } };");
-    w.line(kLinkage + " void *pm_task_arena(long long bytes)");
-    w.open("");
-    w.line("static thread_local PmArena a;");
-    w.open("if (a.cap < bytes)");
-    w.line("std::free(a.p);");
-    w.line("a.cap = (bytes + 63) & ~63LL;");
-    w.line("a.p = std::aligned_alloc(64, (unsigned long)a.cap);");
-    w.close();
-    w.line("return a.p;");
-    w.close();
-    w.blank();
     w.line("extern \"C\" long long polymage_" + sanitize(g_.name()) + "(" +
            kEntryParams + ")");
     w.open("");
@@ -2471,8 +2528,8 @@ Generator::run()
     for (const char *n :
          {"params", "inputs", "outputs", "pm_slots", "T0", "T1", "T2",
           "T3", "T4", "T5", "T6", "T7", "pm_phase", "pm_lo", "pm_hi",
-          "pm_t", "pm_te", "pm_tr", "pm_n", "pm_part", "pm_cells",
-          "pm_acc", "pm_rlo", "pm_rhi", "pm_ext"}) {
+          "pm_t", "pm_te", "pm_tr", "pm_n", "pm_part", "pm_o",
+          "pm_acc", "pm_rlo", "pm_rhi", "pm_ext", "pm_arena", "pm_plan"}) {
         used_.insert(n);
     }
     // Claim global names.

@@ -15,6 +15,7 @@
 #ifndef POLYMAGE_CODEGEN_GENERATE_HPP
 #define POLYMAGE_CODEGEN_GENERATE_HPP
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -56,11 +57,47 @@ const char *vectorizeModeName(VectorizeMode m);
 constexpr int kReductionSlices = 4;
 
 /**
+ * One slice of a sliced reduction (GeneratedCode::slicedReductions),
+ * as the executor plans it per call (planSlices): the outermost
+ * reduction rows [x0, x1] it sweeps and, for slice k > 0, the band
+ * [b0, b1] of accumulator rows (dimension 0) its updates can reach.
+ * Partial k holds only that band: its copy of the accumulator cell at
+ * flat offset f is element off + f of the partials.  kReductionSlices
+ * entries, padded to kSlicePlanBytes, head the reduction's partials
+ * slot, and the partials follow, band after band.  Slices past the
+ * slice count are empty.
+ */
+struct SlicePlan
+{
+    std::int64_t x0 = 0;
+    std::int64_t x1 = -1;
+    std::int64_t b0 = 0;
+    std::int64_t b1 = -1;
+    std::int64_t off = 0;
+};
+using SlicePlans = std::array<SlicePlan, kReductionSlices>;
+constexpr std::int64_t kSlicePlanBytes =
+    (std::int64_t(sizeof(SlicePlans)) + 63) / 64 * 64;
+
+/**
+ * Plan sliced reduction @p s under @p params, given its buffer's
+ * @p shape: the slices of the outermost reduction dimension, and per
+ * slice the rows poly::evalRange bounds the target's row index to over
+ * the slice's sub-domain (every row when it has no bound).  Returns the
+ * partials' element count.
+ */
+std::int64_t planSlices(const pg::PipelineGraph &g, int s,
+                        const std::vector<std::int64_t> &params,
+                        const std::vector<std::int64_t> &shape,
+                        SlicePlans &plan);
+
+/**
  * Code generation switches: the storage ablation and the paper's vec
  * axis (§4).  The opt axis is GroupingOptions::enable.  Every group's
- * scratchpads come from the calling thread's 64-byte-aligned arena
- * (`pm_task_arena`), which holds any tile size; boundary conditions
- * are always split into interior and strip nests.
+ * scratchpads are carved from the 64-byte-aligned arena the caller
+ * passes the entry (`pm_arena`, GeneratedCode::heapArenaBytes), which
+ * holds any tile size; boundary conditions are always split into
+ * interior and strip nests.
  */
 struct CodegenOptions
 {
@@ -98,8 +135,8 @@ struct GeneratedCode
      * earlier function (`sharedCallers`).  All are hidden; a group
      * function's piece opens with declarations of the stage functions
      * it calls.  `entryPoints` declares the group functions and
-     * defines the one extern "C" entry dispatching to them, plus the
-     * module's one per-thread task arena (`pm_task_arena`).
+     * defines the one extern "C" entry dispatching to them.  No unit
+     * defines thread-local state: the scratch arena is the caller's.
      */
     std::string prelude;
     std::vector<std::string> functions;
@@ -121,16 +158,19 @@ struct GeneratedCode
      * cells), and recurrences are single-task phases (serialPhases).
      * long long entry(const long long *params, void *const *inputs,
      *                 void **outputs, void *const *slots,
-     *                 long long phase, long long lo, long long hi);
+     *                 long long phase, long long lo, long long hi,
+     *                 void *arena);
      * Parameters/inputs/outputs follow graph order; `params` holds
      * exactly the graph parameters (tile sizes are folded constants,
      * docs/SHAPES.md).  Output buffers are caller-allocated (shape via
      * interp::stageShape).  `slots` holds one 64-byte-aligned
      * caller-provided allocation per entry of StoragePlan::slots, sized
-     * to the largest member stage under the call's parameters, then,
-     * when slicedReductions is not empty, one for the reductions'
-     * partials (rt::Executable services them from a BufferPool, so
-     * steady-state calls perform no heap allocation).
+     * to the largest member stage under the call's parameters, then
+     * one per sliced reduction for its plan and partials
+     * (rt::Executable services them from a BufferPool, so steady-state
+     * calls perform no heap allocation).  `arena` is the calling
+     * thread's 64-byte-aligned scratch of at least heapArenaBytes
+     * (null when that is 0, and for the count queries).
      * phase < 0 returns the phase count (== phaseGroup.size()); lo < 0
      * returns the task count of `phase` under the call's parameters;
      * otherwise tasks [lo, min(hi, count-1)] of `phase` execute
@@ -140,12 +180,12 @@ struct GeneratedCode
      */
     std::string entry;
     /**
-     * Accumulator stages whose reductions run sliced: kReductionSlices
-     * tasks over the outermost reduction dimension, slice k > 0
-     * combining into its own partial copy of the accumulator, merged
-     * into it in slice order.  The partials of every sliced reduction
-     * share the entry's last slot, (kReductionSlices - 1) copies of
-     * the largest such accumulator (its storage type).
+     * Accumulator stages whose reductions run sliced, in stage order:
+     * kReductionSlices tasks over the outermost reduction dimension,
+     * slice k > 0 combining into its own partial copy of the band of
+     * accumulator rows it can reach, merged into the accumulator in
+     * slice order.  Each has its own slot after StoragePlan::slots, in
+     * this order: its SlicePlans, then the partials (planSlices).
      */
     std::vector<int> slicedReductions;
     /**
@@ -165,8 +205,9 @@ struct GeneratedCode
      */
     std::vector<bool> serialPhases;
     /**
-     * Largest per-thread scratch arena (64-byte-padded bytes) any group
-     * fetches per call; 0 when no group has scratchpads.  Feeds
+     * Largest scratch (64-byte-padded bytes) any group carves from the
+     * entry's arena argument; 0 when no group has scratchpads.  The
+     * caller's per-thread arena must hold this much.  Feeds
      * Executable::memoryStats().
      */
     std::int64_t heapArenaBytes = 0;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 #include <stdexcept>
 #include <thread>
 
@@ -96,32 +99,66 @@ stageBytes(const CompiledPipeline &c, int s,
 }
 
 /**
- * Acquire the storage plan's allocation slots from @p pool, then the
- * sliced reductions' partials slot (GeneratedCode::slicedReductions).
- * Each slot is sized to its largest member stage under the actual
- * parameter values (compile-time estimates only guided the slot
- * *assignment*; sizes are always resolved at call time).
+ * Acquire the storage plan's allocation slots from @p pool, then one
+ * per sliced reduction (GeneratedCode::slicedReductions), headed by its
+ * slice plan.  Each slot is sized to its largest member stage under
+ * the actual parameter values (compile-time estimates only guided the
+ * slot *assignment*; sizes are always resolved at call time), and each
+ * reduction's to the row bands its slices reach.
  */
 std::vector<void *>
 acquireSlots(const CompiledPipeline &c, BufferPool &pool,
              const std::vector<std::int64_t> &params)
 {
+    const auto &g = c.graph;
     std::vector<void *> ptrs;
-    ptrs.reserve(c.storage.slots.size() + 1);
+    ptrs.reserve(c.storage.slots.size() + c.code.slicedReductions.size());
     for (const auto &slot : c.storage.slots) {
         std::int64_t bytes = 0;
         for (int s : slot.stages)
             bytes = std::max(bytes, stageBytes(c, s, params));
         ptrs.push_back(pool.acquire(std::size_t(bytes)));
     }
-    if (!c.code.slicedReductions.empty()) {
-        std::int64_t bytes = 0;
-        for (int s : c.code.slicedReductions)
-            bytes = std::max(bytes, (cg::kReductionSlices - 1) *
-                                        stageBytes(c, s, params));
-        ptrs.push_back(pool.acquire(std::size_t(bytes)));
+    for (int s : c.code.slicedReductions) {
+        cg::SlicePlans plan;
+        const std::int64_t elems = cg::planSlices(
+            g, s, params, interp::stageShape(g.stage(s), g, params), plan);
+        void *p = pool.acquire(std::size_t(
+            cg::kSlicePlanBytes +
+            elems * std::int64_t(dsl::dtypeSize(c.storage.elemType(s, g)))));
+        std::memcpy(p, plan.data(), sizeof(plan));
+        ptrs.push_back(p);
     }
     return ptrs;
+}
+
+/**
+ * The calling thread's scratch arena, at least @p bytes and 64-byte
+ * aligned so vector accesses never split cache lines.  One per thread
+ * for every pipeline it runs: grown to the largest request, reused
+ * across calls, freed at thread exit.  It lives here, not in the JIT
+ * modules, so unloading a module leaves nothing behind.
+ */
+void *
+threadArena(std::int64_t bytes)
+{
+    struct Arena
+    {
+        void *p = nullptr;
+        std::int64_t cap = 0;
+        ~Arena() { std::free(p); }
+    };
+    static thread_local Arena a;
+    if (a.cap < bytes) {
+        std::free(a.p);
+        a.cap = (bytes + 63) & ~std::int64_t(63);
+        a.p = std::aligned_alloc(64, std::size_t(a.cap));
+        if (a.p == nullptr) {
+            a.cap = 0;
+            throw std::bad_alloc();
+        }
+    }
+    return a.p;
 }
 
 /**
@@ -182,7 +219,8 @@ Executable::run(const std::vector<std::int64_t> &params,
 TaskInvocation::TaskInvocation(TaskInvocation &&o) noexcept
     : fn_(o.fn_), params_(std::move(o.params_)),
       ins_(std::move(o.ins_)), outs_(std::move(o.outs_)),
-      slots_(std::move(o.slots_)), pool_(o.pool_)
+      slots_(std::move(o.slots_)), pool_(o.pool_),
+      arenaBytes_(o.arenaBytes_)
 {
     o.slots_.clear();
     o.pool_ = nullptr;
@@ -201,7 +239,7 @@ TaskInvocation::phases() const
 {
     return fn_(params_.data(), ins_.data(),
                const_cast<void **>(outs_.data()), slots_.data(), -1,
-               -1, -1);
+               -1, -1, nullptr);
 }
 
 long long
@@ -209,7 +247,7 @@ TaskInvocation::taskCount(long long phase) const
 {
     return fn_(params_.data(), ins_.data(),
                const_cast<void **>(outs_.data()), slots_.data(), phase,
-               -1, -1);
+               -1, -1, nullptr);
 }
 
 std::vector<long long>
@@ -227,8 +265,8 @@ void
 TaskInvocation::run(long long phase, long long lo, long long hi) const
 {
     fn_(params_.data(), ins_.data(),
-        const_cast<void **>(outs_.data()), slots_.data(), phase, lo,
-        hi);
+        const_cast<void **>(outs_.data()), slots_.data(), phase, lo, hi,
+        arenaBytes_ > 0 ? threadArena(arenaBytes_) : nullptr);
 }
 
 TaskInvocation
@@ -247,6 +285,7 @@ Executable::prepareTasks(const std::vector<std::int64_t> &params,
         inv.outs_.push_back(b.data());
     inv.params_.assign(params.begin(), params.end());
     inv.slots_ = acquireSlots(*compiled_, pool, params);
+    inv.arenaBytes_ = compiled_->code.heapArenaBytes;
     return inv;
 }
 

@@ -22,17 +22,18 @@ class TileScheduler;
 /**
  * ABI of generated pipeline entry points (GeneratedCode::entry).  The
  * fourth argument carries the intermediate-buffer slots of the storage
- * reuse plan (StoragePlan::slots) and the reductions' partials,
- * 64-byte aligned, serviced by a BufferPool.  The trailing (phase, lo,
- * hi) triple selects what runs.  phase < 0
- * returns the phase count; lo < 0 returns the task count of `phase`
- * under the call's parameters; otherwise tasks [lo, min(hi, count-1)]
- * of `phase` execute serially in the calling thread and 0 is
- * returned.
+ * reuse plan (StoragePlan::slots) and the sliced reductions' plans and
+ * partials, 64-byte aligned, serviced by a BufferPool.  The (phase,
+ * lo, hi) triple selects what runs.  phase < 0 returns the phase
+ * count; lo < 0 returns the task count of `phase` under the call's
+ * parameters; otherwise tasks [lo, min(hi, count-1)] of `phase`
+ * execute serially in the calling thread and 0 is returned.  The last
+ * argument is the calling thread's scratch arena, 64-byte aligned and
+ * at least GeneratedCode::heapArenaBytes (null for the queries).
  */
 using TaskFn = long long (*)(const long long *, void *const *, void **,
                              void *const *, long long, long long,
-                             long long);
+                             long long, void *);
 
 /** Aggregated runtime cost of one group from a profiled run. */
 struct GroupProfile
@@ -107,7 +108,11 @@ struct MemoryStats
     int scratchStages = 0;
     /** Per-tile scratch bytes summed over all scratchpad stages. */
     std::int64_t scratchBytesPerTile = 0;
-    /** Largest per-thread scratch arena (0: no group has scratchpads). */
+    /**
+     * Scratch this pipeline needs of the calling thread's arena (0: no
+     * group has scratchpads).  A thread keeps one arena, as large as
+     * the largest request of the pipelines it ran.
+     */
     std::int64_t heapArenaBytes = 0;
     /** Pool footprint: bytes of every block ever retained (peak). */
     std::int64_t poolBytesAllocated = 0;
@@ -151,8 +156,9 @@ class TaskInvocation
     std::vector<long long> phaseCounts() const;
     /**
      * Execute tasks [lo, hi] of @p phase serially in the calling
-     * thread.  Tasks of one phase are independent and may run
-     * concurrently from many threads; phases must complete in order.
+     * thread, on its scratch arena.  Tasks of one phase are independent
+     * and may run concurrently from many threads; phases must complete
+     * in order.
      */
     void run(long long phase, long long lo, long long hi) const;
 
@@ -166,6 +172,7 @@ class TaskInvocation
     std::vector<void *> outs_;
     std::vector<void *> slots_;
     BufferPool *pool_ = nullptr;
+    std::int64_t arenaBytes_ = 0;
 };
 
 /** A compiled, loaded, runnable pipeline. */

@@ -362,38 +362,66 @@ TEST(Exec, SplitUnitsLinkIntoOneModule)
     std::vector<long long> params = {64, 64};
     std::vector<void *> none(c.storage.slots.size() + 1, nullptr);
     const long long phases = task(params.data(), none.data(), none.data(),
-                                  none.data(), -1, 0, 0);
+                                  none.data(), -1, 0, 0, nullptr);
     EXPECT_EQ(phases, (long long)code.phaseGroup.size());
     for (long long p = 0; p < phases; ++p)
         EXPECT_GT(task(params.data(), none.data(), none.data(), none.data(),
-                       p, -1, 0),
+                       p, -1, 0, nullptr),
                   0)
             << "phase " << p;
 }
 
 /**
- * However the program is split, the per-thread task arena is
- * defined once per module, in unit 0, and only declared elsewhere: a
- * thread running chunks from every unit still holds one arena.
+ * However the program is split, no unit holds an arena of its own:
+ * the scratch arena is the caller's, one per thread for every module
+ * (rt::Executable), so nothing thread-local pins a module once it is
+ * unloaded.  Every group function with scratchpads carves all of them,
+ * and only those, from its `pm_arena` argument.
  */
-TEST(Exec, OneTaskArenaPerModule)
+TEST(Exec, GroupsCarveScratchFromTheCallersArena)
 {
-    auto c = compilePipeline(apps::buildPyramidBlend(256, 256, 3),
-                             CompileOptions::optimized());
-    const std::string def = "pm_task_arena(long long bytes)\n";
-    const std::string decl = "pm_task_arena(long long bytes);";
-    for (int n : {1, 3, 8}) {
-        SCOPED_TRACE(n);
-        const std::vector<std::string> units = c.code.translationUnits(n);
-        ASSERT_EQ(units.size(), std::size_t(n));
-        int defs = 0;
-        for (const std::string &u : units) {
-            defs += countOf(u, def);
-            EXPECT_EQ(countOf(u, decl), 1);
+    int carving = 0;
+    for (const dsl::PipelineSpec &spec :
+         {apps::buildPyramidBlend(256, 256, 3),
+          apps::buildHarris(2048, 2048)}) {
+        auto c = compilePipeline(spec, CompileOptions::optimized());
+        SCOPED_TRACE(c.graph.name());
+        for (int n : {1, 3, 8}) {
+            SCOPED_TRACE(n);
+            const std::vector<std::string> units =
+                c.code.translationUnits(n);
+            ASSERT_EQ(units.size(),
+                      std::min(std::size_t(n), c.code.functions.size() + 1));
+            for (const std::string &u : units) {
+                EXPECT_EQ(countOf(u, "thread_local"), 0);
+                EXPECT_EQ(countOf(u, "pm_task_arena"), 0);
+                EXPECT_EQ(countOf(u, "aligned_alloc"), 0);
+            }
         }
-        EXPECT_EQ(defs, 1);
-        EXPECT_EQ(countOf(units[0], def), 1);
+        for (std::size_t gi = 0; gi < c.grouping.groups.size(); ++gi) {
+            SCOPED_TRACE(gi);
+            int scratch = 0;
+            for (int s : c.grouping.groups[gi].stages)
+                scratch += c.storage.isScratch(s) ? 1 : 0;
+            const std::string def =
+                c.code.entry + "_g" + std::to_string(gi) +
+                "(const long long *params, void *const *inputs, void "
+                "**outputs, void *const *pm_slots, long long pm_phase, long "
+                "long pm_lo, long long pm_hi, void *pm_arena)\n{";
+            int defs = 0;
+            for (const std::string &f : c.code.functions) {
+                const std::size_t at = f.find(def);
+                if (at == std::string::npos)
+                    continue;
+                ++defs;
+                EXPECT_EQ(countOf(f.substr(at), "(char *)pm_arena + "),
+                          scratch);
+            }
+            EXPECT_EQ(defs, 1);
+            carving += scratch > 0 ? 1 : 0;
+        }
     }
+    EXPECT_GT(carving, 0);
 }
 
 /**

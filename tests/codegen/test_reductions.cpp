@@ -6,14 +6,18 @@
  * combining into its own copy, then a merge in slice order.  The slice
  * count never depends on the thread count, so outputs are bitwise
  * equal on schedulers of any width; they match the interpreter (the
- * serial oracle) within tolerance, exactly for integers.  Domains with
- * no point, one point and fewer points than slices are included, and
- * an accumulator reading itself stays one serial task.
+ * serial oracle) within tolerance, exactly for integers.  Each slice's
+ * partial holds only the band of accumulator rows its sub-domain can
+ * reach (cg::planSlices), bands may straddle slice boundaries, and a
+ * target with no bound keeps whole-grid partials.  Domains with no
+ * point, one point and fewer points than slices are included, and an
+ * accumulator reading itself stays one serial task.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 
 #include "apps/apps.hpp"
 #include "common/test_pipelines.hpp"
@@ -63,17 +67,175 @@ checkAtEveryWidth(const Executable &exe, const PipelineSpec &spec,
     return first;
 }
 
+/** FNV-1a over the bytes of @p b. */
+std::uint64_t
+fnv1a(const Buffer &b)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto *p = static_cast<const unsigned char *>(b.data());
+    for (std::int64_t i = 0; i < b.bytes(); ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** The slice plans of every sliced reduction of @p exe under @p params. */
+std::vector<cg::SlicePlans>
+plansOf(const Executable &exe, const std::vector<std::int64_t> &params,
+        std::vector<std::int64_t> *elems = nullptr)
+{
+    const CompiledPipeline &c = exe.info();
+    std::vector<cg::SlicePlans> plans;
+    for (int s : c.code.slicedReductions) {
+        plans.emplace_back();
+        const std::int64_t n = cg::planSlices(
+            c.graph, s, params,
+            interp::stageShape(c.graph.stage(s), c.graph, params),
+            plans.back());
+        if (elems != nullptr)
+            elems->push_back(n);
+    }
+    return plans;
+}
+
 TEST(SlicedReductions, BilateralGridAgreesAtEveryWidth)
 {
     // Rows are the sliced dimension: 64 of them, then fewer than slices.
+    // Band partials leave the bits as they were with whole-grid ones:
+    // the merges they skip only added +0.0.
+    const std::map<std::int64_t, std::uint64_t> hashes = {
+        {64, 0x4009a073b0a3795eull}, {cg::kReductionSlices - 1,
+                                      0x639e1f87ea5191f9ull}};
     for (std::int64_t rows : {64, cg::kReductionSlices - 1}) {
         SCOPED_TRACE("rows " + std::to_string(rows));
         const PipelineSpec spec = apps::buildBilateralGrid(rows, 48);
         const Executable exe = Executable::build(spec);
         EXPECT_EQ(exe.info().code.slicedReductions.size(), 2u);
         const Buffer in = synth::photo(rows, 48);
-        checkAtEveryWidth(exe, spec, {rows, 48}, {&in}, 1e-4);
+        const auto outs =
+            checkAtEveryWidth(exe, spec, {rows, 48}, {&in}, 1e-4);
+        if (cg::kReductionSlices == 4)
+            EXPECT_EQ(fnv1a(outs[0]), hashes.at(rows));
     }
+    // At 64 rows each slice of 16 image rows reaches 3 of the 12 grid
+    // rows, (x + 4) / 8 + 1 over its rows.
+    const Executable exe = Executable::build(apps::buildBilateralGrid(64, 48));
+    for (const cg::SlicePlans &plan : plansOf(exe, {64, 48})) {
+        for (int k = 1; k < cg::kReductionSlices; ++k) {
+            EXPECT_EQ(plan[k].b0, (plan[k].x0 + 4) / 8 + 1);
+            EXPECT_EQ(plan[k].b1, (plan[k].x1 + 4) / 8 + 1);
+        }
+    }
+}
+
+/**
+ * Targets whose bands straddle slice boundaries: a row reached from two
+ * slices sits in both partials, and merges into the accumulator in
+ * slice order.  A falling target (rows reversed), a floor-divided one
+ * and one reached through a second reduction variable.
+ */
+TEST(SlicedReductions, BandsStraddleSliceBoundaries)
+{
+    Parameter R("R"), C("C");
+    Variable x("x"), y("y"), g("g"), c("c");
+    Image I("I", DType::Float, {Expr(R), Expr(C)});
+    Image J("J", DType::Int, {Expr(R), Expr(C)});
+    const std::vector<Interval> sweep = {Interval(Expr(0), Expr(R) - 1),
+                                         Interval(Expr(0), Expr(C) - 1)};
+    PipelineSpec spec("bands");
+    spec.addParam(R);
+    spec.addParam(C);
+    spec.addInput(I);
+    spec.addInput(J);
+    Accumulator thirds("thirds", {g, c},
+                       {Interval(Expr(0), Expr(R) / 3),
+                        Interval(Expr(0), Expr(C) - 1)},
+                       {x, y}, sweep, DType::Float);
+    thirds.accumulate({(Expr(x) + 1) / 3, Expr(y)}, I(x, y));
+    Accumulator falling("falling", {g}, {Interval(Expr(0), Expr(R) - 1)},
+                        {x, y}, sweep, DType::Int);
+    falling.accumulate({Expr(R) - 1 - Expr(x)}, J(x, y), ReduceOp::Max,
+                       Expr(-100));
+    Accumulator skew("skew", {g},
+                     {Interval(Expr(0), Expr(R) / 2 + (Expr(C) - 1) / 8)},
+                     {x, y}, sweep, DType::Int);
+    skew.accumulate({Expr(x) / 2 + Expr(y) / 8}, J(x, y));
+    spec.addOutput(thirds);
+    spec.addOutput(falling);
+    spec.addOutput(skew);
+    spec.estimate(R, 64);
+    spec.estimate(C, 40);
+    const Executable exe = Executable::build(spec);
+    ASSERT_EQ(exe.info().code.slicedReductions.size(), 3u);
+
+    // 50 rows slice at 12, 25 and 37: (12 + 1) / 3 == (11 + 1) / 3.
+    const std::int64_t r = 50;
+    Buffer fin(DType::Float, {r, 40}), iin(DType::Int, {r, 40});
+    for (std::int64_t i = 0; i < r * 40; ++i) {
+        fin.dataAs<float>()[i] = float((i * 7919) % 1000) / 997.0f;
+        iin.dataAs<int>()[i] = int((i * 31) % 7) - 3;
+    }
+    checkAtEveryWidth(exe, spec, {r, 40}, {&fin, &iin}, 1e-5);
+
+    std::vector<std::int64_t> elems;
+    const auto plans = plansOf(exe, {r, 40}, &elems);
+    const cg::SlicePlans &t = plans[0];
+    for (int k = 1; k + 1 < cg::kReductionSlices; ++k)
+        EXPECT_EQ(t[k].b1, t[k + 1].b0) << "slice " << k;
+    EXPECT_EQ(t[1].b0, (t[1].x0 + 1) / 3);
+    EXPECT_EQ(t[1].b0, (t[0].x1 + 1) / 3); // shared with slice 0
+    const cg::SlicePlans &f = plans[1];
+    for (int k = 1; k < cg::kReductionSlices; ++k) {
+        EXPECT_EQ(f[k].b0, r - 1 - f[k].x1);
+        EXPECT_EQ(f[k].b1, r - 1 - f[k].x0);
+    }
+    // Every band is narrower than the grid, so the partials are too.
+    const std::int64_t rows[] = {r / 3 + 1, r, r / 2 + 39 / 8 + 1};
+    const std::int64_t row_elems[] = {40, 1, 1};
+    for (int i = 0; i < 3; ++i) {
+        SCOPED_TRACE("reduction " + std::to_string(i));
+        EXPECT_LT(elems[std::size_t(i)],
+                  (cg::kReductionSlices - 1) * rows[i] * row_elems[i]);
+    }
+}
+
+/**
+ * A data-dependent target has no bound over a slice: its partials stay
+ * whole grids, and the result stays exact at every width.
+ */
+TEST(SlicedReductions, DataDependentTargetKeepsWholeGridPartials)
+{
+    Parameter R("R"), C("C");
+    Variable x("x"), y("y"), b("b");
+    Image J("J", DType::Int, {Expr(R), Expr(C)});
+    Accumulator bins("bins", {b}, {Interval(Expr(0), Expr(9))}, {x, y},
+                     {Interval(Expr(0), Expr(R) - 1),
+                      Interval(Expr(0), Expr(C) - 1)},
+                     DType::Int);
+    bins.accumulate({J(x, y)}, Expr(1));
+    PipelineSpec spec("bins");
+    spec.addParam(R);
+    spec.addParam(C);
+    spec.addInput(J);
+    spec.addOutput(bins);
+    spec.estimate(R, 64);
+    spec.estimate(C, 40);
+    const Executable exe = Executable::build(spec);
+    ASSERT_EQ(exe.info().code.slicedReductions.size(), 1u);
+
+    Buffer in(DType::Int, {61, 40});
+    for (std::int64_t i = 0; i < 61 * 40; ++i)
+        in.dataAs<int>()[i] = int((i * 13) % 10);
+    checkAtEveryWidth(exe, spec, {61, 40}, {&in}, 0.0);
+
+    std::vector<std::int64_t> elems;
+    const cg::SlicePlans plan = plansOf(exe, {61, 40}, &elems).front();
+    for (int k = 1; k < cg::kReductionSlices; ++k) {
+        EXPECT_EQ(plan[k].b0, 0);
+        EXPECT_EQ(plan[k].b1, 9);
+    }
+    EXPECT_EQ(elems.front(), (cg::kReductionSlices - 1) * 10);
 }
 
 TEST(SlicedReductions, IntegerHistogramsAreExact)

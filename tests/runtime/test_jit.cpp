@@ -2,8 +2,10 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <link.h>
 #include <memory>
 #include <optional>
 #include <set>
@@ -15,7 +17,11 @@
 #include <unistd.h>
 #include <vector>
 
+#include "apps/apps.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/jit.hpp"
+#include "runtime/scheduler.hpp"
+#include "runtime/synth.hpp"
 #include "support/diagnostics.hpp"
 #include "support/trace.hpp"
 
@@ -417,6 +423,62 @@ TEST(Jit, CompilesOmpSimdWithoutTheOpenMPRuntime)
     EXPECT_EQ(reinterpret_cast<int (*)(const int *, int)>(
                   mod.symbol("pm_sum"))(a.data(), 1000),
               499500);
+}
+
+/** Names of the loaded objects whose path ends in ".so". */
+std::set<std::string>
+loadedSharedObjects()
+{
+    std::set<std::string> names;
+    dl_iterate_phdr(
+        [](dl_phdr_info *info, std::size_t, void *out) {
+            const std::string name =
+                info->dlpi_name != nullptr ? info->dlpi_name : "";
+            if (name.size() > 3 && name.compare(name.size() - 3, 3, ".so") == 0)
+                static_cast<std::set<std::string> *>(out)->insert(name);
+            return 0;
+        },
+        &names);
+    return names;
+}
+
+/**
+ * Destroying an Executable unloads its module, even after pool threads
+ * and the caller ran its tasks and while those threads live on: the
+ * module defines nothing thread-local (a thread_local with a
+ * destructor pins its module in glibc until every thread that touched
+ * it exits, so each variant a registry evicts would stay mapped).
+ */
+TEST(Jit, ModuleUnloadsAfterPoolThreadsRanIt)
+{
+    ScopedCacheDir cache;
+    SchedulerOptions three;
+    three.workers = 3;
+    TileScheduler pool(three);
+    SchedulerOptions none;
+    none.workers = -1;
+    TileScheduler caller(none);
+
+    const std::set<std::string> before = loadedSharedObjects();
+    std::set<std::string> module;
+    {
+        // Harris at 1/8 of the paper's size has scratchpads.
+        Executable exe = Executable::build(apps::buildHarris(800, 800),
+                                           CompileOptions::optimized());
+        ASSERT_GT(exe.memoryStats().heapArenaBytes, 0);
+        for (const std::string &n : loadedSharedObjects())
+            if (before.count(n) == 0)
+                module.insert(n);
+        ASSERT_FALSE(module.empty());
+        const Buffer in = synth::photo(802, 802, 1);
+        const auto a = exe.run({800, 800}, {&in}, &pool);
+        const auto b = exe.run({800, 800}, {&in}, &caller);
+        ASSERT_EQ(std::memcmp(a[0].data(), b[0].data(),
+                              std::size_t(a[0].bytes())),
+                  0);
+    }
+    for (const std::string &n : loadedSharedObjects())
+        EXPECT_EQ(module.count(n), 0u) << n << " is still loaded";
 }
 
 } // namespace
